@@ -14,8 +14,10 @@ Commands:
 
 Every command writes a JSON report (stdout by default, ``--out`` for a file)
 that is byte-identical across runs with the same flags, and exits 0 exactly
-when every check passed.  Singular sample points (a Darboux denominator body
-vanishing at that point) are recorded per point and do not abort a sweep.
+when every check passed, 1 when one failed and 2 on malformed input.
+Singular sample points (a Darboux denominator body vanishing at that point)
+are recorded per point and do not abort a sweep, but a sweep in which every
+point was singular checked nothing and fails.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ import json
 import sys
 
 from .darboux import closed_form_sn, darboux_chain, generator_set, lsp_normalized_triple
-from .errors import ConfigError, SingularBodyError
+from .errors import ConfigError
 from .geometry import BetaFunction, surface_data
 from .grassmann import element_to_json
-from .reporting import make_report, parse_jet_spec, sample_points, write_report
+from .reporting import make_report, parse_jet_spec, sample_points, sweep, write_report
 from .solutions import SolutionBundle, load_solution, parse_seed
 from .ssge import (
     build_constraint_matrices,
@@ -42,7 +44,6 @@ from .ssge import (
     backlund_residuals,
 )
 from .worked_examples import (
-    DEFAULT_BETA,
     example1_bundle,
     example1_checks,
     example2_bundle,
@@ -61,27 +62,20 @@ def _parse_range(text: str, what: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _point_json(pt) -> dict:
-    return {
-        "x_plus": [complex(pt.x_plus).real, complex(pt.x_plus).imag],
-        "x_minus": [complex(pt.x_minus).real, complex(pt.x_minus).imag],
-        "lambda": [complex(pt.lam).real, complex(pt.lam).imag],
-    }
+def _sample(args, gens, complex_parts: bool = False) -> tuple[list, dict]:
+    """Points from the common sampling flags, and their echo for the config."""
+    spec = parse_jet_spec(args.jet_spec)
+    x_range = _parse_range(args.x_range, "x range")
+    lam_range = _parse_range(args.lam_range, "lambda range")
+    points = sample_points(args.points, args.seed, gens, spec, x_range=x_range,
+                           lam_range=lam_range, complex_parts=complex_parts)
+    echo = {"points": args.points, "seed": args.seed, "jet_spec": list(spec.orders),
+            "x_range": list(x_range), "lam_range": list(lam_range)}
+    return points, echo
 
 
-def _sweep(kind: str, fn, points, tol: float) -> list[dict]:
-    checks = []
-    for i, pt in enumerate(points):
-        entry = {"name": f"{kind}[{i}]", "point": _point_json(pt)}
-        try:
-            mag = residual_magnitude(fn(pt))
-            entry["residual"] = mag
-            entry["passed"] = mag <= tol
-        except SingularBodyError as err:
-            entry["singular"] = str(err)
-            entry["passed"] = True  # outside the solution's domain, not a defect
-        checks.append(entry)
-    return checks
+def _expected(diffs: list[dict]) -> dict:
+    return {"expected": diffs, "passed": all(d["passed"] for d in diffs)}
 
 
 def _residual_fn(kind: str, bundle: SolutionBundle):
@@ -123,20 +117,16 @@ def _residual_fn(kind: str, bundle: SolutionBundle):
 
 def cmd_verify(args) -> dict:
     bundle = load_solution(args.solution)
-    spec = parse_jet_spec(args.jet_spec)
-    points = sample_points(args.points, args.seed, bundle.gens, spec,
-                           x_range=_parse_range(args.x_range, "x range"),
-                           lam_range=_parse_range(args.lam_range, "lambda range"),
-                           complex_parts=args.complex_parts)
-    checks = _sweep(args.kind, _residual_fn(args.kind, bundle), points, args.tol)
-    config = {
-        "kind": args.kind, "solution": bundle.spec_echo, "points": args.points,
-        "seed": args.seed, "tol": args.tol, "jet_spec": list(spec.orders),
-        "x_range": list(_parse_range(args.x_range, "x range")),
-        "lam_range": list(_parse_range(args.lam_range, "lambda range")),
-        "complex": args.complex_parts,
-    }
-    return make_report("verify", config, checks)
+    points, echo = _sample(args, bundle.gens, args.complex_parts)
+    residual = _residual_fn(args.kind, bundle)
+
+    def check(pt) -> dict:
+        mag = residual_magnitude(residual(pt))
+        return {"residual": mag, "passed": mag <= args.tol}
+
+    config = {"kind": args.kind, "solution": bundle.spec_echo, "tol": args.tol,
+              "complex": args.complex_parts, **echo}
+    return make_report("verify", config, sweep(points, args.kind + "[{}]", check))
 
 
 def cmd_solve(args) -> dict:
@@ -148,26 +138,11 @@ def cmd_solve(args) -> dict:
     gens = generator_set(seeds)
     chain = darboux_chain(k, seeds, n)
     s = chain.solution() if args.mode == "chain" else closed_form_sn(k, seeds, n)
-    spec = parse_jet_spec(args.jet_spec)
-    points = sample_points(args.points, args.seed, gens, spec,
-                           x_range=_parse_range(args.x_range, "x range"),
-                           lam_range=_parse_range(args.lam_range, "lambda range"))
-    checks = []
-    for i, pt in enumerate(points):
-        entry = {"name": f"s[{n}] at point {i}", "point": _point_json(pt)}
-        try:
-            entry["value"] = element_to_json(s.evaluate(pt))
-            entry["passed"] = True
-        except SingularBodyError as err:
-            entry["singular"] = str(err)
-            entry["passed"] = True
-        checks.append(entry)
-    config = {
-        "seeds_file": str(args.seeds), "k": k, "iterations": n, "mode": args.mode,
-        "points": args.points, "seed": args.seed, "jet_spec": list(spec.orders),
-        "x_range": list(_parse_range(args.x_range, "x range")),
-        "lam_range": list(_parse_range(args.lam_range, "lambda range")),
-    }
+    points, echo = _sample(args, gens)
+    checks = sweep(points, f"s[{n}] at point {{}}",
+                   lambda pt: {"value": element_to_json(s.evaluate(pt)), "passed": True})
+    config = {"seeds_file": str(args.seeds), "k": k, "iterations": n, "mode": args.mode,
+              **echo}
     report = make_report("solve", config, checks)
     report["ledger"] = chain.ledger
     report["seeds"] = [
@@ -189,40 +164,23 @@ def _parse_beta(text: str) -> BetaFunction:
 def cmd_geometry(args) -> dict:
     bundle = load_solution(args.solution)
     beta = _parse_beta(args.beta)
-    spec = parse_jet_spec(args.jet_spec)
-    points = sample_points(args.points, args.seed, bundle.gens, spec,
-                           x_range=_parse_range(args.x_range, "x range"),
-                           lam_range=_parse_range(args.lam_range, "lambda range"))
-    checks = []
-    for i, pt in enumerate(points):
-        entry = {"name": f"surface[{i}]", "point": _point_json(pt)}
-        try:
-            if args.expect == "example1":
-                sd, diffs = example1_checks(bundle, pt, args.tol, beta)
-                entry["expected"] = diffs
-                entry["passed"] = all(d["passed"] for d in diffs)
-            elif args.expect == "example2":
-                sd, diffs = example2_checks(bundle, pt, args.tol, beta)
-                entry["expected"] = diffs
-                entry["passed"] = all(d["passed"] for d in diffs)
-            else:
-                sd = surface_data(bundle.s, pt, beta)
-                skew = max((sd.b21 + sd.b12).max_abs(), 0.0)
-                entry["skew_defect"] = skew
-                entry["passed"] = skew <= args.tol
-            entry["surface"] = sd.to_json()
-        except SingularBodyError as err:
-            entry["singular"] = str(err)
-            entry["passed"] = True
-        checks.append(entry)
-    config = {
-        "solution": bundle.spec_echo, "beta": args.beta, "points": args.points,
-        "seed": args.seed, "tol": args.tol, "expect": args.expect,
-        "jet_spec": list(spec.orders),
-        "x_range": list(_parse_range(args.x_range, "x range")),
-        "lam_range": list(_parse_range(args.lam_range, "lambda range")),
-    }
-    return make_report("geometry", config, checks)
+    points, echo = _sample(args, bundle.gens)
+    expected = {"example1": example1_checks, "example2": example2_checks}.get(args.expect)
+
+    def check(pt) -> dict:
+        if expected is None:
+            sd = surface_data(bundle.s, pt, beta)
+            skew = max((sd.b21 + sd.b12).max_abs(), 0.0)
+            entry = {"skew_defect": skew, "passed": skew <= args.tol}
+        else:
+            sd, diffs = expected(bundle, pt, args.tol, beta)
+            entry = _expected(diffs)
+        entry["surface"] = sd.to_json()
+        return entry
+
+    config = {"solution": bundle.spec_echo, "beta": args.beta, "tol": args.tol,
+              "expect": args.expect, **echo}
+    return make_report("geometry", config, sweep(points, "surface[{}]", check))
 
 
 def cmd_reproduce(args) -> dict:
@@ -247,33 +205,20 @@ def cmd_reproduce(args) -> dict:
         return make_report("reproduce", config, checks)
 
     if args.target == "example1":
-        bundle = example1_bundle()
-        points = sample_points(args.points, args.seed, bundle.gens)
-        checks = []
-        for i, pt in enumerate(points):
-            _, diffs = example1_checks(bundle, pt, tol)
-            checks.append({"name": f"example1[{i}]", "point": _point_json(pt),
-                           "expected": diffs, "passed": all(d["passed"] for d in diffs)})
-        report = make_report("reproduce", config, checks)
-        report["solution"] = bundle.spec_echo
-        return report
-
+        bundle, expected, x_range = example1_bundle(), example1_checks, (-1.0, 1.0)
+    elif args.target == "example2":
+        bundle, expected, x_range = example2_bundle(), example2_checks, (-0.45, 0.45)
+    else:
+        raise ConfigError(f"unknown reproduce target {args.target!r}")
+    points = sample_points(args.points, args.seed, bundle.gens, x_range=x_range)
+    checks = sweep(points, args.target + "[{}]",
+                   lambda pt: _expected(expected(bundle, pt, tol)[1]))
+    report = make_report("reproduce", config, checks)
+    report["solution"] = bundle.spec_echo
     if args.target == "example2":
-        bundle = example2_bundle()
-        points = sample_points(args.points, args.seed, bundle.gens,
-                               x_range=(-0.45, 0.45))
-        checks = []
-        for i, pt in enumerate(points):
-            _, diffs = example2_checks(bundle, pt, tol)
-            checks.append({"name": f"example2[{i}]", "point": _point_json(pt),
-                           "expected": diffs, "passed": all(d["passed"] for d in diffs)})
-        report = make_report("reproduce", config, checks)
-        report["solution"] = bundle.spec_echo
         # informational: the special-case mean-curvature body, not gating
         report["mean_body_special_case"] = mean_body_special_case()
-        return report
-
-    raise ConfigError(f"unknown reproduce target {args.target!r}")
+    return report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,10 +275,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.fn(args)
-    except (ConfigError, FileNotFoundError, KeyError) as err:
+        text = write_report(report, args.out)
+    except (ValueError, OSError, KeyError) as err:
+        # ConfigError, JSONDecodeError and JetBudgetError are ValueErrors
         print(f"error: {err}", file=sys.stderr)
         return 2
-    text = write_report(report, args.out)
     if args.out is None:
         sys.stdout.write(text)
     else:

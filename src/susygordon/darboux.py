@@ -30,6 +30,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,6 +41,7 @@ from .superfield import (
     BASE_GENERATORS,
     Superfield,
     SuperspacePoint,
+    combine,
 )
 
 TWO_PI = 2 * math.pi
@@ -185,8 +187,6 @@ def lsp_normalized_triple(wt: WaveTriple) -> tuple[Superfield, Superfield, Super
     of the linear problem for s[k+1] itself.  Both statements are verified by
     the residual tests.
     """
-    from .superfield import combine
-
     neg_chi = combine(ODD, f"-{wt.chi.label}", lambda v: -1 * v, wt.chi)
     return (wt.phi, wt.psi, neg_chi)
 
@@ -197,30 +197,26 @@ def darboux_step_wavefunction(phi0: WaveTriple, target: WaveTriple) -> WaveTripl
         raise ValueError("the consumed wavefunction cannot be transformed by itself")
     lam0, lamj = phi0.lam, target.lam
     cross = cmath.sqrt(lam0 * lamj)
-    cache: dict[SuperspacePoint, tuple] = {}
+    inv_psi0 = combine(EVEN, "1/psi_0", lambda v: _checked_inverse(v, "psi_0"), phi0.psi)
+    inv_phi0 = combine(EVEN, "1/phi_0", lambda v: _checked_inverse(v, "phi_0"), phi0.phi)
+    r_phi = combine(EVEN, "phi_0/psi_0", operator.mul, phi0.phi, inv_psi0)
+    r_psi = combine(EVEN, "psi_0/phi_0", operator.mul, phi0.psi, inv_phi0)
+    q_psi = combine(ODD, "chi_0/psi_0", operator.mul, phi0.chi, inv_psi0)
+    q_phi = combine(ODD, "chi_0/phi_0", operator.mul, phi0.chi, inv_phi0)
 
-    def components(pt: SuperspacePoint):
-        got = cache.get(pt)
-        if got is not None:
-            return got
-        psi0, phi0_v, chi0 = phi0.evaluate(pt)
-        psij, phij, chij = target.evaluate(pt)
-        inv_psi0 = _checked_inverse(psi0, "psi_0")
-        inv_phi0 = _checked_inverse(phi0_v, "phi_0")
-        r_phi = phi0_v * inv_psi0      # phi_0/psi_0
-        r_psi = psi0 * inv_phi0        # psi_0/phi_0
-        q_psi = chi0 * inv_psi0        # chi_0/psi_0
-        q_phi = chi0 * inv_phi0        # chi_0/phi_0
-        new_psi = r_phi * psij * (-lam0) + phij * lamj + (q_psi * chij) * (-1j * cross)
-        new_phi = psij * lamj + r_psi * phij * (-lam0) + (q_phi * chij) * (-1j * cross)
-        new_chi = (q_psi * psij) * cross + (q_phi * phij) * cross + chij * (-(lam0 + lamj))
-        cache[pt] = (new_psi, new_phi, new_chi)
-        return cache[pt]
+    def new_psi(r_phi, q_psi, psij, phij, chij):
+        return r_phi * psij * (-lam0) + phij * lamj + (q_psi * chij) * (-1j * cross)
+
+    def new_phi(r_psi, q_phi, psij, phij, chij):
+        return psij * lamj + r_psi * phij * (-lam0) + (q_phi * chij) * (-1j * cross)
+
+    def new_chi(q_psi, q_phi, psij, phij, chij):
+        return (q_psi * psij) * cross + (q_phi * phij) * cross + chij * (-(lam0 + lamj))
 
     idx = target.index
-    psi_f = Superfield(lambda pt: components(pt)[0], EVEN, f"psi{idx}[+]")
-    phi_f = Superfield(lambda pt: components(pt)[1], EVEN, f"phi{idx}[+]")
-    chi_f = Superfield(lambda pt: components(pt)[2], ODD, f"chi{idx}[+]")
+    psi_f = combine(EVEN, f"psi{idx}[+]", new_psi, r_phi, q_psi, *target.fields())
+    phi_f = combine(EVEN, f"phi{idx}[+]", new_phi, r_psi, q_phi, *target.fields())
+    chi_f = combine(ODD, f"chi{idx}[+]", new_chi, q_psi, q_phi, *target.fields())
     return WaveTriple(psi_f, phi_f, chi_f, lamj, idx)
 
 

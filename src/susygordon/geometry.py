@@ -41,10 +41,6 @@ from .ssge import LaxPairFermionic, fermionic_u_pair
 from .superfield import Superfield, SuperspacePoint, cov_derivative, d_lambda
 from .supermatrix import SuperMatrix
 
-#: fermionic derivative applied to matrix entries as printed (no extra E twist);
-#: pinned by reproducing the closed-form b_12 of both worked examples
-B_DERIVATIVE_CONVENTION = "entrywise"
-
 
 @dataclass(frozen=True)
 class BetaFunction:
@@ -87,10 +83,6 @@ class MetricCoefficients:
     g11: GrassmannElement
     g12: GrassmannElement
     g22: GrassmannElement
-    #: fully E-twisted diagonal variants, reported for comparison with the
-    #: mixed-placement definition actually used
-    g11_symmetric: GrassmannElement
-    g22_symmetric: GrassmannElement
 
     def triple(self):
         return (self.g11, self.g12, self.g22)
@@ -101,8 +93,6 @@ def metric_coeffs(td: TangentData) -> MetricCoefficients:
         g11=td.ebd_plus.killing(td.bd_plus),
         g12=td.ebd_plus.killing(td.ebd_minus),
         g22=td.ebd_minus.killing(td.bd_minus),
-        g11_symmetric=td.ebd_plus.killing(td.ebd_plus),
-        g22_symmetric=td.ebd_minus.killing(td.ebd_minus),
     )
 
 
@@ -149,6 +139,8 @@ def second_form_coeffs(td: TangentData, normal: SuperMatrix) -> tuple[GrassmannE
     which = {1: "D_plus", 2: "D_minus"}
 
     def b(i: int, j: int) -> GrassmannElement:
+        # D_j acts on the entries as printed, with no extra E twist: that is
+        # what reproduces the closed-form b_12 of both worked examples
         deriv = du[i].map_entries(lambda e: cov_derivative(e, which[j]), parity=EVEN)
         bracket = du[i].e_twist().bracket(u[j].e_twist(), "anticommutator")
         return (deriv - bracket).killing(normal)

@@ -361,14 +361,6 @@ def scalar_max_abs(c) -> float:
     return c.max_abs() if isinstance(c, JetScalar) else abs(c)
 
 
-def scalar_reciprocal(c):
-    if isinstance(c, JetScalar):
-        return c.reciprocal()
-    if abs(c) < TINY:
-        raise SingularBodyError("scalar is not invertible")
-    return 1.0 / c
-
-
 def scalar_analytic_derivatives(c, name: str, kmax: int, exponent=None) -> list:
     if isinstance(c, JetScalar):
         return c.analytic_derivatives(name, kmax, exponent)

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import __version__
 from .darboux import CONVENTION_FINGERPRINT
-from .errors import ConfigError
+from .errors import ConfigError, SingularBodyError
 from .grassmann import GeneratorSet
 from .jets import DEFAULT_SPEC, JetSpec
 from .superfield import SuperspacePoint
@@ -62,8 +63,39 @@ def sample_points(count: int, seed: int, gens: GeneratorSet,
     return pts
 
 
+def _point_json(pt: SuperspacePoint) -> dict:
+    return {
+        "x_plus": [complex(pt.x_plus).real, complex(pt.x_plus).imag],
+        "x_minus": [complex(pt.x_minus).real, complex(pt.x_minus).imag],
+        "lambda": [complex(pt.lam).real, complex(pt.lam).imag],
+    }
+
+
+def sweep(points: Sequence[SuperspacePoint], name: str,
+          check: Callable[[SuperspacePoint], dict]) -> list[dict]:
+    """One report entry per point: ``name.format(index)``, the point, check(pt).
+
+    A point where the solution is singular (a Darboux denominator body
+    vanishes there) is outside its domain, not a defect: its entry records
+    the reason and passes, and only ``make_report`` fails a sweep whose
+    points were all singular.
+    """
+    checks = []
+    for i, pt in enumerate(points):
+        entry = {"name": name.format(i), "point": _point_json(pt)}
+        try:
+            entry.update(check(pt))
+        except SingularBodyError as err:
+            entry["singular"] = str(err)
+            entry["passed"] = True
+        checks.append(entry)
+    return checks
+
+
 def make_report(command: str, config: dict, checks: list[dict]) -> dict:
-    passed = all(c.get("passed", False) for c in checks)
+    """A report passes when every check passed and at least one was not singular."""
+    passed = (all(c.get("passed", False) for c in checks)
+              and any("singular" not in c for c in checks))
     return {
         "command": command,
         "config": config,

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import LaxConsistencyError, ParityError
 from .grassmann import EVEN, ODD, GeneratorSet, GrassmannElement, analytic_lift
@@ -29,7 +29,6 @@ from .jets import JetScalar
 from .superfield import (
     Superfield,
     SuperspacePoint,
-    cov_derivative,
     d_minus,
     d_plus,
     dx_minus,
@@ -340,7 +339,7 @@ def scaling_map(s: Superfield, mu: float, sign: int = 1) -> Superfield:
 
 
 # ---------------------------------------------------------------------------
-# residual sweeps
+# residual size
 # ---------------------------------------------------------------------------
 
 def residual_magnitude(obj) -> float:
@@ -348,49 +347,3 @@ def residual_magnitude(obj) -> float:
     if isinstance(obj, (GrassmannElement, SuperMatrix)):
         return obj.max_abs()
     return max((residual_magnitude(x) for x in obj), default=0.0)
-
-
-@dataclass
-class ResidualReport:
-    """Outcome of sweeping one residual kind over sample points."""
-
-    kind: str
-    tolerance: float
-    magnitudes: list[float] = field(default_factory=list)
-    points: list[dict] = field(default_factory=list)
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.magnitudes, default=0.0)
-
-    @property
-    def passed(self) -> bool:
-        return all(m <= self.tolerance for m in self.magnitudes)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "tolerance": self.tolerance,
-            "max_residual": self.max_residual,
-            "passed": self.passed,
-            "points": [
-                {**p, "residual": m} for p, m in zip(self.points, self.magnitudes)
-            ],
-        }
-
-
-def sweep_residual(kind: str, fn: Callable[[SuperspacePoint], object],
-                   points: Sequence[SuperspacePoint], tolerance: float) -> ResidualReport:
-    """Evaluate a point -> residual function over a sweep, deterministically ordered."""
-    report = ResidualReport(kind=kind, tolerance=tolerance)
-    for i, pt in enumerate(points):
-        mag = residual_magnitude(fn(pt))
-        xp, xm, lam = complex(pt.x_plus), complex(pt.x_minus), complex(pt.lam)
-        report.magnitudes.append(mag)
-        report.points.append({
-            "index": i,
-            "x_plus": [xp.real, xp.imag],
-            "x_minus": [xm.real, xm.imag],
-            "lambda": [lam.real, lam.imag],
-        })
-    return report

@@ -1,6 +1,7 @@
 """CLI: schemas, determinism, exit codes, and command behavior."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from susygordon.reporting import parse_jet_spec, sample_points
 from susygordon.solutions import build_solution
 
 GENS = GeneratorSet(("theta_plus", "theta_minus"))
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 DARBOUX1 = {"kind": "darboux1", "k": 0, "lambda0": [1.25, 0.0], "a0": "a0",
             "b0": [0.0, 0.0], "c0": [1.4, 0.3]}
@@ -124,7 +126,7 @@ def test_verify_with_complex_sampling(tmp_path):
     assert any(p["point"]["x_plus"][1] != 0.0 for p in report["checks"])
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     sol = write(tmp_path, "d1.json", DARBOUX1)
     # an impossible tolerance fails the check and exits 1
     code = main(["verify", "ssge", "--solution", sol, "--points", "2",
@@ -135,6 +137,31 @@ def test_exit_codes(tmp_path):
                  write(tmp_path, "t.json", {"kind": "trivial"}),
                  "--out", str(tmp_path / "x.json")]) == 2
     assert main(["verify", "ssge", "--solution", str(tmp_path / "missing.json")]) == 2
+    # malformed input exits 2 with an error line, never a traceback
+    truncated = tmp_path / "cut.json"
+    truncated.write_text(json.dumps(DARBOUX1)[:30], encoding="utf-8")
+    for argv in (
+        ["verify", "ssge", "--solution", write(tmp_path, "z.json", {**DARBOUX1, "lambda0": [0, 0]})],
+        ["verify", "ssge", "--solution", str(truncated)],
+        ["verify", "zcc-bosonic", "--solution", str(SAMPLES / "one_soliton.json"),
+         "--jet-spec", "1,1,0"],
+    ):
+        capsys.readouterr()
+        assert main(argv + ["--points", "2"]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+
+
+def test_all_singular_sweep_fails(tmp_path):
+    # c0 = b0 = 0 leaves psi_0 = -phi_0 without a body: every point is singular
+    sol = write(tmp_path, "sing.json", {"kind": "darboux1", "lambda0": [1, 0], "a0": "a0",
+                                        "b0": [0, 0], "c0": [0, 0]})
+    for argv in (["verify", "ssge"], ["geometry"]):
+        out = tmp_path / "sing_report.json"
+        assert main(argv + ["--solution", sol, "--points", "3", "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert all("singular" in c for c in report["checks"])
+        assert report["passed"] is False
 
 
 def test_reports_are_byte_identical(tmp_path):

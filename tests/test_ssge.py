@@ -256,16 +256,21 @@ def test_scaling_preserves_solutions(chain):
 # ---------------------------------------------------------------------------
 
 def test_sweep_residual_report(chain):
-    from susygordon.ssge import sweep_residual
+    from susygordon.reporting import make_report, sweep
+
+    def residual_check(s):
+        def check(pt):
+            mag = residual_magnitude(ssge_residual(s, pt))
+            return {"residual": mag, "passed": mag <= 1e-10}
+        return check
 
     pts = points(5)
-    report = sweep_residual("ssge", lambda pt: ssge_residual(chain.solutions[1], pt),
-                            pts, 1e-10)
-    assert report.passed and report.max_residual < 1e-10
-    assert len(report.points) == 5 and report.points[0]["index"] == 0
-    data = report.to_json()
-    assert data["kind"] == "ssge" and data["passed"]
+    good = sweep(pts, "ssge[{}]", residual_check(chain.solutions[1]))
+    assert make_report("verify", {}, good)["passed"]
+    assert max(c["residual"] for c in good) < 1e-10
+    assert len(good) == 5 and good[0]["name"] == "ssge[0]"
+    assert good[0]["point"]["x_plus"] == [pts[0].x_plus.real, pts[0].x_plus.imag]
 
-    bad = sweep_residual("ssge", lambda pt: ssge_residual(constant_superfield(0.3), pt),
-                         pts, 1e-10)
-    assert not bad.passed and bad.max_residual > 1e-3
+    bad = sweep(pts, "ssge[{}]", residual_check(constant_superfield(0.3)))
+    assert not make_report("verify", {}, bad)["passed"]
+    assert max(c["residual"] for c in bad) > 1e-3
