@@ -31,7 +31,7 @@ from .errors import ConfigError
 from .geometry import BetaFunction, surface_data
 from .grassmann import element_to_json
 from .reporting import make_report, parse_jet_spec, sample_points, sweep, write_report
-from .solutions import SolutionBundle, load_solution, parse_seed
+from .solutions import SolutionBundle, json_object, load_solution, parse_seed
 from .ssge import (
     build_constraint_matrices,
     lsp_residual,
@@ -131,7 +131,7 @@ def cmd_verify(args) -> dict:
 
 def cmd_solve(args) -> dict:
     with open(args.seeds, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        data = json_object(json.load(handle), "seeds file")
     seeds = [parse_seed(entry) for entry in data["seeds"]]
     k = int(data.get("k", 0))
     n = args.iterations if args.iterations is not None else len(seeds)

@@ -193,31 +193,39 @@ def lsp_normalized_triple(wt: WaveTriple) -> tuple[Superfield, Superfield, Super
 
 def darboux_step_wavefunction(phi0: WaveTriple, target: WaveTriple) -> WaveTriple:
     """Transform a wavefunction by the consumed one (Phi_j[1] from Phi_0, Phi_j)."""
-    if target.index == phi0.index:
-        raise ValueError("the consumed wavefunction cannot be transformed by itself")
-    lam0, lamj = phi0.lam, target.lam
-    cross = cmath.sqrt(lam0 * lamj)
+    return _step_transform(phi0)(target)
+
+
+def _step_transform(phi0: WaveTriple):
+    """``Phi_j -> Phi_j[1]`` for one consumed triple; its inverses and odd
+    ratios are built once and shared by every target."""
     inv_psi0 = combine(EVEN, "1/psi_0", lambda v: _checked_inverse(v, "psi_0"), phi0.psi)
     inv_phi0 = combine(EVEN, "1/phi_0", lambda v: _checked_inverse(v, "phi_0"), phi0.phi)
-    r_phi = combine(EVEN, "phi_0/psi_0", operator.mul, phi0.phi, inv_psi0)
-    r_psi = combine(EVEN, "psi_0/phi_0", operator.mul, phi0.psi, inv_phi0)
     q_psi = combine(ODD, "chi_0/psi_0", operator.mul, phi0.chi, inv_psi0)
     q_phi = combine(ODD, "chi_0/phi_0", operator.mul, phi0.chi, inv_phi0)
 
-    def new_psi(r_phi, q_psi, psij, phij, chij):
-        return r_phi * psij * (-lam0) + phij * lamj + (q_psi * chij) * (-1j * cross)
+    def transform(target: WaveTriple) -> WaveTriple:
+        if target.index == phi0.index:
+            raise ValueError("the consumed wavefunction cannot be transformed by itself")
+        lam0, lamj = phi0.lam, target.lam
+        cross = cmath.sqrt(lam0 * lamj)
 
-    def new_phi(r_psi, q_phi, psij, phij, chij):
-        return psij * lamj + r_psi * phij * (-lam0) + (q_phi * chij) * (-1j * cross)
+        def new_psi(phi0_v, inv_psi0, q_psi, psij, phij, chij):
+            return phi0_v * inv_psi0 * psij * (-lam0) + phij * lamj + (q_psi * chij) * (-1j * cross)
 
-    def new_chi(q_psi, q_phi, psij, phij, chij):
-        return (q_psi * psij) * cross + (q_phi * phij) * cross + chij * (-(lam0 + lamj))
+        def new_phi(psi0_v, inv_phi0, q_phi, psij, phij, chij):
+            return psij * lamj + psi0_v * inv_phi0 * phij * (-lam0) + (q_phi * chij) * (-1j * cross)
 
-    idx = target.index
-    psi_f = combine(EVEN, f"psi{idx}[+]", new_psi, r_phi, q_psi, *target.fields())
-    phi_f = combine(EVEN, f"phi{idx}[+]", new_phi, r_psi, q_phi, *target.fields())
-    chi_f = combine(ODD, f"chi{idx}[+]", new_chi, q_psi, q_phi, *target.fields())
-    return WaveTriple(psi_f, phi_f, chi_f, lamj, idx)
+        def new_chi(q_psi, q_phi, psij, phij, chij):
+            return (q_psi * psij) * cross + (q_phi * phij) * cross + chij * (-(lam0 + lamj))
+
+        idx = target.index
+        psi_f = combine(EVEN, f"psi{idx}[+]", new_psi, phi0.phi, inv_psi0, q_psi, *target.fields())
+        phi_f = combine(EVEN, f"phi{idx}[+]", new_phi, phi0.psi, inv_phi0, q_phi, *target.fields())
+        chi_f = combine(ODD, f"chi{idx}[+]", new_chi, q_psi, q_phi, *target.fields())
+        return WaveTriple(psi_f, phi_f, chi_f, lamj, idx)
+
+    return transform
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +265,8 @@ def darboux_chain(k: int, seeds: Sequence[SeedParams], n: int) -> DarbouxChain:
     for step in range(n):
         consumed = live[0]
         solutions.append(darboux_step_s(solutions[-1], consumed))
-        live = [darboux_step_wavefunction(consumed, t) for t in live[1:]]
+        transform = _step_transform(consumed)
+        live = [transform(t) for t in live[1:]]
         waves.append(list(live))
         ledger.append({
             "step": step + 1,

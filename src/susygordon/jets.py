@@ -107,29 +107,36 @@ def derivative_sequence(name: str, z: complex, kmax: int,
 
 
 # ---------------------------------------------------------------------------
-# truncated product table, cached per shape pair
+# truncated product table, cached per shape
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _mul_table(shape_a: tuple[int, ...], shape_b: tuple[int, ...]):
-    """Matrix M with ``out.ravel() = M @ outer(a, b).ravel()`` for jet products."""
-    out_shape = tuple(min(a, b) for a, b in zip(shape_a, shape_b))
-    na = int(np.prod(shape_a))
-    nb = int(np.prod(shape_b))
-    no = int(np.prod(out_shape))
-    m = np.zeros((no, na * nb))
-    for p in np.ndindex(*shape_a):
-        if any(pi >= oi for pi, oi in zip(p, out_shape)):
-            continue
-        fa = int(np.ravel_multi_index(p, shape_a))
-        for q in np.ndindex(*shape_b):
-            r = tuple(pi + qi for pi, qi in zip(p, q))
-            if any(ri >= oi for ri, oi in zip(r, out_shape)):
-                continue
-            fb = int(np.ravel_multi_index(q, shape_b))
-            fo = int(np.ravel_multi_index(r, out_shape))
-            m[fo, fa * nb + fb] += 1.0
-    return out_shape, m
+def _product_table(shape: tuple[int, ...]):
+    """Index pairs ``(p, q)`` of the truncated product on one jet shape.
+
+    ``out.flat[r]`` sums ``a.flat[p] * b.flat[q]`` over the pairs whose
+    multi-indices add up to that of ``r``.  Pairs come sorted by ``r``, then
+    ``p``; ``starts`` marks each run (never empty: ``r`` always has ``(0, r)``).
+    """
+    grid = np.indices(shape).reshape(3, -1)        # multi-index of each flat slot
+    diff = grid[:, :, None] - grid[:, None, :]     # r - p for every (r, p)
+    r, p = np.nonzero((diff >= 0).all(axis=0))
+    q = np.ravel_multi_index(tuple(diff[:, r, p]), shape)
+    return p, q, np.flatnonzero(np.diff(r, prepend=-1))
+
+
+@lru_cache(maxsize=None)
+def _derivative_slice(axis: int, size: int):
+    """Index dropping order 0 along ``axis``, and the factors ``1..size-1`` after it."""
+    factors = np.arange(1, size, dtype=float).reshape((-1,) + (1,) * (2 - axis))
+    return (slice(None),) * axis + (slice(1, None),), factors
+
+
+def _wrap(arr: np.ndarray) -> "JetScalar":
+    """A jet around a complex rank-3 array made by this module (no re-checks)."""
+    jet = object.__new__(JetScalar)
+    jet.c = arr
+    return jet
 
 
 class JetScalar:
@@ -189,29 +196,31 @@ class JetScalar:
         return float(np.max(np.abs(self.c))) if self.c.size else 0.0
 
     def is_zero(self) -> bool:
-        return not self.c.any()
+        return np.count_nonzero(self.c) == 0
 
     # -- arithmetic ----------------------------------------------------------
 
     def _crop_pair(self, other: "JetScalar"):
-        shape = tuple(min(a, b) for a, b in zip(self.c.shape, other.c.shape))
-        return (self.c[: shape[0], : shape[1], : shape[2]],
-                other.c[: shape[0], : shape[1], : shape[2]])
+        a, b = self.c, other.c
+        if a.shape == b.shape:
+            return a, b
+        shape = tuple(map(min, a.shape, b.shape))
+        return a[: shape[0], : shape[1], : shape[2]], b[: shape[0], : shape[1], : shape[2]]
 
     def __add__(self, other):
         if isinstance(other, JetScalar):
             a, b = self._crop_pair(other)
-            return JetScalar(a + b)
+            return _wrap(a + b)
         if isinstance(other, (int, float, complex)):
             c = self.c.copy()
             c[0, 0, 0] += other
-            return JetScalar(c)
+            return _wrap(c)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return JetScalar(-self.c)
+        return _wrap(-self.c)
 
     def __sub__(self, other):
         if isinstance(other, (JetScalar, int, float, complex)):
@@ -223,18 +232,18 @@ class JetScalar:
 
     def __mul__(self, other):
         if isinstance(other, JetScalar):
-            out_shape, m = _mul_table(self.c.shape, other.c.shape)
-            flat = m @ np.multiply.outer(self.c.ravel(), other.c.ravel()).ravel()
-            return JetScalar(flat.reshape(out_shape))
+            a, b = self._crop_pair(other)
+            p, q, starts = _product_table(a.shape)
+            return _wrap(np.add.reduceat(a.take(p) * b.take(q), starts).reshape(a.shape))
         if isinstance(other, (int, float, complex)):
-            return JetScalar(self.c * other)
+            return _wrap(self.c * other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, float, complex)):
-            return JetScalar(self.c / other)
+            return _wrap(self.c / other)
         if isinstance(other, JetScalar):
             return self * other.reciprocal()
         return NotImplemented
@@ -264,11 +273,8 @@ class JetScalar:
         axis = axis_of(var)
         if self.c.shape[axis] <= 1:
             raise JetBudgetError(f"derivative budget exhausted for {var}")
-        moved = np.moveaxis(self.c, axis, 0)
-        top = moved.shape[0]
-        factors = np.arange(1, top).reshape((-1,) + (1,) * (moved.ndim - 1))
-        out = moved[1:] * factors
-        return JetScalar(np.moveaxis(out, 0, axis))
+        index, factors = _derivative_slice(axis, self.c.shape[axis])
+        return _wrap(self.c[index] * factors)
 
     def extract(self, index: Sequence[int]) -> complex:
         """Raw partial derivative ``d^i d^j d^k f`` (Taylor coeff times factorials)."""

@@ -47,7 +47,15 @@ def complex_json(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def json_object(data, what: str) -> dict:
+    """``data`` itself if it is a JSON object; anything else is a ConfigError."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {data!r}")
+    return data
+
+
 def parse_seed(data: dict) -> SeedParams:
+    json_object(data, "seed entry")
     try:
         lam = parse_complex(data["lambda"])
         c = parse_complex(data["c"])
@@ -85,7 +93,7 @@ def _zero_odd(gens: GeneratorSet) -> Superfield:
 
 
 def build_solution(data: dict) -> SolutionBundle:
-    kind = data.get("kind")
+    kind = json_object(data, "solution").get("kind")
     if kind == "trivial":
         k = int(data.get("k", 0))
         gens = GeneratorSet(BASE_GENERATORS)

@@ -143,6 +143,9 @@ def test_exit_codes(tmp_path, capsys):
     for argv in (
         ["verify", "ssge", "--solution", write(tmp_path, "z.json", {**DARBOUX1, "lambda0": [0, 0]})],
         ["verify", "ssge", "--solution", str(truncated)],
+        ["verify", "ssge", "--solution", write(tmp_path, "list.json", [1, 2])],
+        ["verify", "ssge", "--solution", write(tmp_path, "seed3.json", {**DARBOUX2, "seeds": [3]})],
+        ["solve", "darboux", "--seeds", write(tmp_path, "seeds_list.json", [1, 2])],
         ["verify", "zcc-bosonic", "--solution", str(SAMPLES / "one_soliton.json"),
          "--jet-spec", "1,1,0"],
     ):

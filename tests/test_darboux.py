@@ -5,6 +5,7 @@ import cmath
 import numpy as np
 import pytest
 
+import susygordon.darboux as darboux_module
 from susygordon.darboux import (
     ClosedFormConventions,
     CONVENTION_FINGERPRINT,
@@ -205,6 +206,23 @@ def test_chain_solves_equation_to_depth_four(deep, deep_points):
         worst = max(residual_magnitude(ssge_residual(chain.solutions[n], pt))
                     for pt in deep_points[:6])
         assert worst < 1e-10, f"n={n}: {worst}"
+
+
+def test_chain_inverts_each_consumed_triple_once_per_step(deep, monkeypatch):
+    """s[4] needs one ginv per s step (psi_0/phi_0) plus 1/psi_0 and 1/phi_0 once
+    for each of the three steps with live targets: 10, not one pair per target (16)."""
+    seeds, gens = deep
+    chain = darboux_chain(0, seeds, 4)
+    calls = []
+    monkeypatch.setattr(darboux_module, "ginv", lambda v: calls.append(v) or ginv(v))
+    pt = sample_grid(gens, count=1)[0]
+    chain.solution().evaluate(pt)
+    assert 0 < len(calls) <= 10
+    # the shared inverses give exactly the values of the one-target transformation
+    for shared, target in zip(chain.waves[1], chain.waves[0][1:]):
+        alone = darboux_step_wavefunction(chain.waves[0][0], target)
+        for f, g in zip(shared.fields(), alone.fields()):
+            assert (f.evaluate(pt) - g.evaluate(pt)).max_abs() == 0.0
 
 
 def test_chain_with_mixed_degenerate_seeds():

@@ -192,3 +192,70 @@ def test_reciprocal_and_scalar_mixing():
     assert jet_allclose(j * j.reciprocal(), jet_constant(1.0), 1e-13, 1e-13)
     assert jet_allclose((2 + j) - 2, j, 1e-14, 1e-14)
     assert jet_allclose(1 / j, j.reciprocal(), 1e-14, 1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the product kernel against a naive convolution and an exact oracle
+# ---------------------------------------------------------------------------
+
+def _naive_product(a, b):
+    """Truncated convolution by a loop over output and left multi-indices."""
+    shape = tuple(min(x, y) for x, y in zip(a.shape, b.shape))
+    out = np.zeros(shape, dtype=complex)
+    for r in np.ndindex(*shape):
+        for p in np.ndindex(*shape):
+            q = tuple(ri - pi for ri, pi in zip(r, p))
+            if min(q) >= 0:
+                out[r] += a[p] * b[q]
+    return out
+
+
+SHAPES = [(i, j, k) for i in (1, 2, 3) for j in (1, 2, 3) for k in (1, 2)]
+
+
+def test_product_matches_naive_convolution_on_every_shape_pair():
+    # float64 bound fixed beforehand: 64 eps times the convolution of |a| and |b|
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(1729)
+    for shape_a in SHAPES:
+        for shape_b in SHAPES:
+            a = rng.normal(size=shape_a) + 1j * rng.normal(size=shape_a)
+            b = rng.normal(size=shape_b) + 1j * rng.normal(size=shape_b)
+            bound = 64 * eps * _naive_product(np.abs(a), np.abs(b)).real
+            got = (JetScalar(a) * JetScalar(b)).c
+            assert got.shape == bound.shape
+            assert np.all(np.abs(got - _naive_product(a, b)) <= bound), (shape_a, shape_b)
+        z = complex(*rng.normal(size=2))
+        for got in ((JetScalar(a) * z).c, (z * JetScalar(a)).c):
+            assert np.all(np.abs(got - a * z) <= 64 * eps * np.abs(a) * abs(z)), shape_a
+
+
+def test_product_and_derivative_match_exact_polynomials():
+    # dyadic rationals are exact in float64, so the products must agree exactly
+    import sympy
+
+    xs = sympy.symbols("x y z")
+    rng = np.random.default_rng(42)
+
+    def random_poly(shape):
+        coeffs = {idx: sympy.Rational(int(rng.integers(-64, 65)), 8)
+                  + sympy.I * sympy.Rational(int(rng.integers(-64, 65)), 16)
+                  for idx in np.ndindex(*shape)}
+        jet = JetScalar(np.array([complex(coeffs[idx]) for idx in np.ndindex(*shape)])
+                        .reshape(shape))
+        return jet, sum(c * sympy.prod(v ** e for v, e in zip(xs, idx))
+                        for idx, c in coeffs.items())
+
+    def coefficients(expr, shape):
+        poly = sympy.Poly(sympy.expand(expr), *xs)
+        return np.array([complex(poly.coeff_monomial(sympy.prod(v ** e for v, e in zip(xs, idx))))
+                         for idx in np.ndindex(*shape)]).reshape(shape)
+
+    for shape_a, shape_b in (((3, 3, 2), (3, 3, 2)), ((3, 2, 2), (2, 3, 1))):
+        (ja, pa), (jb, pb) = random_poly(shape_a), random_poly(shape_b)
+        prod = ja * jb
+        assert np.array_equal(prod.c, coefficients(pa * pb, prod.c.shape))
+        for axis, var in enumerate(("x_plus", "x_minus", "lambda")):
+            if shape_a[axis] > 1:
+                d = ja.derivative(var)
+                assert np.array_equal(d.c, coefficients(sympy.diff(pa, xs[axis]), d.c.shape))
