@@ -23,7 +23,9 @@ point was singular checked nothing and fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import operator
 import sys
 
 from .darboux import closed_form_sn, darboux_chain, generator_set, lsp_normalized_triple
@@ -31,7 +33,7 @@ from .errors import ConfigError
 from .geometry import BetaFunction, surface_data
 from .grassmann import element_to_json
 from .reporting import make_report, parse_jet_spec, sample_points, sweep, write_report
-from .solutions import SolutionBundle, json_object, load_solution, parse_seed
+from .solutions import SolutionBundle, json_list, json_number, json_object, load_solution, parse_seed
 from .ssge import (
     build_constraint_matrices,
     lsp_residual,
@@ -75,7 +77,9 @@ def _sample(args, gens, complex_parts: bool = False) -> tuple[list, dict]:
 
 
 def _expected(diffs: list[dict]) -> dict:
-    return {"expected": diffs, "passed": all(d["passed"] for d in diffs)}
+    # per point on a batch: "passed" values may be arrays
+    return {"expected": diffs,
+            "passed": functools.reduce(operator.and_, (d["passed"] for d in diffs), True)}
 
 
 def _residual_fn(kind: str, bundle: SolutionBundle):
@@ -132,8 +136,8 @@ def cmd_verify(args) -> dict:
 def cmd_solve(args) -> dict:
     with open(args.seeds, "r", encoding="utf-8") as handle:
         data = json_object(json.load(handle), "seeds file")
-    seeds = [parse_seed(entry) for entry in data["seeds"]]
-    k = int(data.get("k", 0))
+    seeds = [parse_seed(entry) for entry in json_list(data.get("seeds"), "seeds")]
+    k = json_number(data.get("k", 0), "k")
     n = args.iterations if args.iterations is not None else len(seeds)
     gens = generator_set(seeds)
     chain = darboux_chain(k, seeds, n)
@@ -170,7 +174,7 @@ def cmd_geometry(args) -> dict:
     def check(pt) -> dict:
         if expected is None:
             sd = surface_data(bundle.s, pt, beta)
-            skew = max((sd.b21 + sd.b12).max_abs(), 0.0)
+            skew = (sd.b21 + sd.b12).max_abs()
             entry = {"skew_defect": skew, "passed": skew <= args.tol}
         else:
             sd, diffs = expected(bundle, pt, args.tol, beta)
@@ -276,8 +280,9 @@ def main(argv=None) -> int:
     try:
         report = args.fn(args)
         text = write_report(report, args.out)
-    except (ValueError, OSError, KeyError) as err:
-        # ConfigError, JSONDecodeError and JetBudgetError are ValueErrors
+    except (ValueError, OSError, KeyError, OverflowError, FloatingPointError) as err:
+        # ConfigError, JSONDecodeError and JetBudgetError are ValueErrors;
+        # float overflow (cmath per point, numpy on a batch) is an input out of range
         print(f"error: {err}", file=sys.stderr)
         return 2
     if args.out is None:

@@ -31,12 +31,14 @@ import cmath
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 from .errors import SingularBodyError
 from .grassmann import EVEN, ODD, GeneratorSet, GrassmannElement, analytic_lift, ginv
-from .jets import TINY, JetScalar, scalar_value
+from .jets import JetScalar, near_zero, scalar_value
 from .superfield import (
     BASE_GENERATORS,
     Superfield,
@@ -143,11 +145,22 @@ def seed_wavefunction(params: SeedParams) -> tuple[Superfield, Superfield, Super
 
 @dataclass(frozen=True)
 class WaveTriple:
+    """A live wavefunction; ``inv_psi``/``inv_phi`` are its shared inverses,
+    used by every transformation that consumes it."""
+
     psi: Superfield
     phi: Superfield
     chi: Superfield
     lam: complex
     index: int
+    inv_psi: Superfield = field(init=False, repr=False, compare=False)
+    inv_phi: Superfield = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "inv_psi", combine(
+            EVEN, "1/psi_0", lambda v: _checked_inverse(v, "psi_0"), self.psi))
+        object.__setattr__(self, "inv_phi", combine(
+            EVEN, "1/phi_0", lambda v: _checked_inverse(v, "phi_0"), self.phi))
 
     def fields(self) -> tuple[Superfield, Superfield, Superfield]:
         return (self.psi, self.phi, self.chi)
@@ -157,7 +170,7 @@ class WaveTriple:
 
 
 def _checked_inverse(value: GrassmannElement, what: str) -> GrassmannElement:
-    if abs(scalar_value(value.body())) < TINY:
+    if near_zero(scalar_value(value.body())):
         raise SingularBodyError(f"singular point: body of {what} vanishes")
     return ginv(value)
 
@@ -166,10 +179,8 @@ def darboux_step_s(s: Superfield, phi0: WaveTriple) -> Superfield:
     """s[1] = s - i ln(psi_0/phi_0); singular where either body vanishes."""
 
     def ev(pt: SuperspacePoint) -> GrassmannElement:
-        psi0 = phi0.psi.evaluate(pt)
-        phi0_v = phi0.phi.evaluate(pt)
-        ratio = psi0 * _checked_inverse(phi0_v, "phi_0")
-        if abs(scalar_value(ratio.body())) < TINY:
+        ratio = phi0.psi.evaluate(pt) * phi0.inv_phi.evaluate(pt)
+        if near_zero(scalar_value(ratio.body())):
             raise SingularBodyError("singular point: body of psi_0 vanishes")
         return s.evaluate(pt) - 1j * analytic_lift("ln", ratio)
 
@@ -199,8 +210,7 @@ def darboux_step_wavefunction(phi0: WaveTriple, target: WaveTriple) -> WaveTripl
 def _step_transform(phi0: WaveTriple):
     """``Phi_j -> Phi_j[1]`` for one consumed triple; its inverses and odd
     ratios are built once and shared by every target."""
-    inv_psi0 = combine(EVEN, "1/psi_0", lambda v: _checked_inverse(v, "psi_0"), phi0.psi)
-    inv_phi0 = combine(EVEN, "1/phi_0", lambda v: _checked_inverse(v, "phi_0"), phi0.phi)
+    inv_psi0, inv_phi0 = phi0.inv_psi, phi0.inv_phi
     q_psi = combine(ODD, "chi_0/psi_0", operator.mul, phi0.chi, inv_psi0)
     q_phi = combine(ODD, "chi_0/phi_0", operator.mul, phi0.chi, inv_phi0)
 
@@ -250,8 +260,8 @@ class DarbouxChain:
 
 def darboux_chain(k: int, seeds: Sequence[SeedParams], n: int) -> DarbouxChain:
     """Iterate the transformation n times, consuming the lowest index first."""
-    if n > len(seeds):
-        raise ValueError(f"{n} iterations need at least {n} seeds, got {len(seeds)}")
+    if not 0 <= n <= len(seeds):
+        raise ValueError(f"iterations must lie in 0..{len(seeds)} (one seed per step), got {n}")
     lams = [p.lam for p in seeds]
     if len(set(lams)) != len(lams):
         raise ValueError("spectral constants lambda_j must be distinct")
@@ -473,7 +483,7 @@ def closed_form_sn(k: int, seeds: Sequence[SeedParams], n: int,
         num = _closed_form_side(psis, phis, chis, lams, n, 1, conv)
         den = _closed_form_side(psis, phis, chis, lams, n, 2, conv)
         ratio = num * _checked_inverse(den, "closed-form denominator")
-        if abs(scalar_value(ratio.body())) < TINY:
+        if near_zero(scalar_value(ratio.body())):
             raise SingularBodyError("singular point: closed-form numerator body vanishes")
         return pt.scalar(pt.const_jet(base)) - 1j * analytic_lift("ln", ratio)
 
@@ -489,13 +499,13 @@ def values_match_mod_2pi(a: GrassmannElement, b: GrassmannElement,
     """Equality of solution values allowing the body to differ by 2 pi k.
 
     Log branches shift s[n] by whole multiples of 2 pi; every derivative and
-    every soul coefficient must still agree exactly.
+    every soul coefficient must still agree exactly.  Batches compare per point.
     """
     diff = a - b
     body = diff.terms.get(0, None)
     shifted = dict(diff.terms)
     if body is not None:
         v = scalar_value(body)
-        v -= TWO_PI * round(v.real / TWO_PI)
+        v = v - TWO_PI * np.round(v.real / TWO_PI)
         shifted[0] = body - scalar_value(body) + v
     return GrassmannElement(a.gens, shifted).max_abs() <= tol

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import SingularBodyError
 from .grassmann import (
     EVEN,
@@ -36,7 +38,7 @@ from .grassmann import (
     ginv,
     gsqrt,
 )
-from .jets import JetScalar, TINY, scalar_value
+from .jets import TINY, JetScalar, near_zero, peak, scalar_value, uniform
 from .ssge import LaxPairFermionic, fermionic_u_pair
 from .superfield import Superfield, SuperspacePoint, cov_derivative, d_lambda
 from .supermatrix import SuperMatrix
@@ -106,19 +108,19 @@ def normal_core(td: TangentData) -> SuperMatrix:
     solutions) and would flip sign with the branch of the square root, which
     the reported closed forms do not; the cancellation is performed exactly
     whenever the diagonal structure is detected, with the generic quotient as
-    the fallback.
+    the fallback.  A batch must take one of the two ways at every point.
     """
     anti = td.ebd_plus.bracket(td.ebd_minus, "anticommutator")
     gens = anti.gens
-    scale = max(anti.max_abs(), 1.0)
-    off_diag = max(anti.entry(i, j).max_abs()
-                   for i in range(3) for j in range(3) if i != j)
+    scale = peak((anti.max_abs(), 1.0))
+    off_diag = peak(anti.entry(i, j).max_abs()
+                    for i in range(3) for j in range(3) if i != j)
     q = anti.entry(0, 0)
-    structured = (off_diag <= 1e-12 * scale
-                  and anti.entry(2, 2).max_abs() <= 1e-12 * scale
-                  and (q + anti.entry(1, 1)).max_abs() <= 1e-12 * scale)
-    if structured:
-        if anti.max_abs() <= 1e-12:
+    structured = ((off_diag <= 1e-12 * scale)
+                  & (anti.entry(2, 2).max_abs() <= 1e-12 * scale)
+                  & ((q + anti.entry(1, 1)).max_abs() <= 1e-12 * scale))
+    if uniform(structured):
+        if np.any(anti.max_abs() <= 1e-12):
             raise SingularBodyError("normal undefined: the tangent anticommutator vanishes")
         # orientation pinned by the reported second-fundamental forms
         zero = GrassmannElement.zero(gens)
@@ -126,7 +128,7 @@ def normal_core(td: TangentData) -> SuperMatrix:
         return SuperMatrix(2, 1, [[-one, zero, zero], [zero, one, zero], [zero, zero, zero]],
                            parity=EVEN)
     norm_sq = anti.killing(anti)
-    if abs(scalar_value(norm_sq.body())) < TINY:
+    if near_zero(scalar_value(norm_sq.body())):
         raise SingularBodyError("normal undefined: the tangent anticommutator is null")
     inv_norm = ginv(gsqrt(norm_sq))
     return anti.map_entries(lambda e: e * inv_norm, anti.parity)
@@ -159,15 +161,19 @@ class CurvatureData:
 
 
 def curvatures(g11, g12, g22, b11, b12, b22) -> CurvatureData:
-    """K and H as discriminant quotients; 'undefined' is an outcome, not an error."""
+    """K and H as discriminant quotients; 'undefined' is an outcome, not an error.
+
+    A batch whose points fall on different sides of a branch raises
+    :class:`SingularBodyError`, so each point is then evaluated on its own.
+    """
     g_disc = g11 * g22 + g12 * g12
     b_disc = b11 * b22 + b12 * b12
-    if abs(scalar_value(g_disc.body())) >= TINY:
+    if uniform(abs(scalar_value(g_disc.body())) >= TINY):
         inv = ginv(g_disc)
         k = b_disc * inv
         h = (b11 * g22 + b22 * g11 + b12 * g12 * 2) * inv * 0.5
         return CurvatureData(g_disc, b_disc, k, "quotient", h, "quotient")
-    if allclose(b_disc, g_disc):
+    if uniform(allclose(b_disc, g_disc)):
         one = GrassmannElement.from_scalar(g_disc.gens, 1.0 + 0.0j)
         return CurvatureData(g_disc, b_disc, one,
                              "degenerate: numerator and denominator coincide",

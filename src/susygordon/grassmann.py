@@ -10,6 +10,9 @@ Coefficients live in an abstract scalar ring: plain ``complex`` for exact
 algebra, or :class:`~susygordon.jets.JetScalar` when the element is the value
 of a superfield and has to carry partial derivatives.  The two may be mixed;
 scalar dispatch is handled by the helpers in :mod:`susygordon.jets`.
+Coefficient jets may carry a point axis (a batch of sample points); a
+monomial is dropped only when its coefficient is zero at every point, and
+:meth:`GrassmannElement.at` gives the element at one point.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from typing import Iterable, Mapping
 from .errors import GeneratorMismatchError, ParityError, SingularBodyError
 from .jets import (
     JetScalar,
-    TINY,
+    PerPoint,
+    near_zero,
+    peak,
     scalar_analytic_derivatives,
     scalar_is_zero,
     scalar_max_abs,
@@ -100,6 +105,7 @@ class GrassmannElement:
     """
 
     __slots__ = ("gens", "terms")
+    __array_ufunc__ = None  # ``ndarray op element`` defers to the element's operators
 
     def __init__(self, gens: GeneratorSet, terms: Mapping[int, object]) -> None:
         self.gens = gens
@@ -139,9 +145,20 @@ class GrassmannElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def max_abs(self) -> float:
-        """Largest coefficient magnitude (over all stored jet orders)."""
-        return max((scalar_max_abs(c) for c in self.terms.values()), default=0.0)
+    def max_abs(self):
+        """Largest coefficient magnitude (over all stored jet orders), per point
+        for a batch."""
+        return peak(scalar_max_abs(c) for c in self.terms.values())
+
+    def points(self) -> int:
+        """Number of points of a batched element; 0 when no coefficient has a point axis."""
+        return max((c.c.shape[0] for c in self.terms.values()
+                    if isinstance(c, JetScalar) and c.c.ndim == 4), default=0)
+
+    def at(self, i: int) -> "GrassmannElement":
+        """The element at point ``i`` of a batch, without the monomials zero there."""
+        return GrassmannElement(self.gens, {m: c.at(i) if isinstance(c, JetScalar) else c
+                                            for m, c in self.terms.items()})
 
     def value_terms(self) -> dict[int, complex]:
         """Monomial map of plain complex values (jet coefficients collapsed)."""
@@ -215,6 +232,8 @@ class GrassmannElement:
     def __repr__(self) -> str:
         if not self.terms:
             return "GrassmannElement(0)"
+        if self.points():
+            return f"GrassmannElement({len(self.terms)} monomials at {self.points()} points)"
         bits = []
         for m in sorted(self.terms):
             names = [self.gens.names[i] for i in range(len(self.gens)) if m >> i & 1]
@@ -286,7 +305,7 @@ def ginv(a: GrassmannElement) -> GrassmannElement:
     """Exact multiplicative inverse of an even element with invertible body."""
     if a.parity() != EVEN:
         raise ParityError("ginv requires an even element")
-    if abs(scalar_value(a.body())) < TINY:
+    if near_zero(scalar_value(a.body())):
         raise SingularBodyError("ginv: body is not invertible")
     return analytic_lift("power", a, exponent=-1)
 
@@ -300,7 +319,7 @@ def allclose(a: GrassmannElement, b: GrassmannElement,
              atol: float = 1e-10, rtol: float = 1e-10) -> bool:
     """Coefficient-wise comparison: ``max|delta| <= atol + rtol*max(1, |a|, |b|)``."""
     diff = a - b
-    tol = atol + rtol * max(1.0, a.max_abs(), b.max_abs())
+    tol = atol + rtol * peak((1.0, a.max_abs(), b.max_abs()))
     return diff.max_abs() <= tol
 
 
@@ -309,7 +328,13 @@ def allclose(a: GrassmannElement, b: GrassmannElement,
 # ---------------------------------------------------------------------------
 
 def element_to_json(a: GrassmannElement) -> list[dict]:
-    """Serialize the element's evaluated values (jets collapse to their value)."""
+    """Serialize the element's evaluated values (jets collapse to their value).
+
+    A batched element gives one list per point, as a :class:`PerPoint`.
+    """
+    count = a.points()
+    if count:
+        return PerPoint(element_to_json(a.at(i)) for i in range(count))
     entries = []
     for m, c in a.terms.items():
         names = [a.gens.names[i] for i in range(len(a.gens)) if m >> i & 1]

@@ -18,8 +18,11 @@ from . import __version__
 from .darboux import CONVENTION_FINGERPRINT
 from .errors import ConfigError, SingularBodyError
 from .grassmann import GeneratorSet
-from .jets import DEFAULT_SPEC, JetSpec
-from .superfield import SuperspacePoint
+from .jets import DEFAULT_SPEC, JetSpec, PerPoint
+from .superfield import PointBatch, SuperspacePoint
+
+#: most points a sweep evaluates together as one :class:`PointBatch` (larger is unmeasured)
+CHUNK = 20
 
 
 def parse_jet_spec(text: str | None) -> JetSpec:
@@ -71,24 +74,58 @@ def _point_json(pt: SuperspacePoint) -> dict:
     }
 
 
+def _at(value, i: int):
+    """Point ``i``'s part of a check result, in plain JSON types.
+
+    Arrays and :class:`PerPoint` values hold one entry per point of a batch;
+    anything else is the same at every point.
+    """
+    if isinstance(value, dict):
+        return {k: _at(v, i) for k, v in value.items()}
+    if isinstance(value, PerPoint):
+        return value[i]
+    if isinstance(value, list):
+        return [_at(v, i) for v in value]
+    if isinstance(value, np.ndarray):
+        return value[i].item()
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _chunk_results(chunk: Sequence[SuperspacePoint], check: Callable) -> list[dict]:
+    """check() on the chunk as one batch; point by point if the batch is singular."""
+    if len(chunk) > 1:
+        try:
+            result = check(PointBatch.of(chunk))
+            return [_at(result, i) for i in range(len(chunk))]
+        except SingularBodyError:
+            pass
+    results = []
+    for pt in chunk:
+        try:
+            results.append(_at(check(pt), 0))
+        except SingularBodyError as err:
+            results.append({"singular": str(err), "passed": True})
+    return results
+
+
 def sweep(points: Sequence[SuperspacePoint], name: str,
-          check: Callable[[SuperspacePoint], dict]) -> list[dict]:
+          check: Callable[[SuperspacePoint | PointBatch], dict]) -> list[dict]:
     """One report entry per point: ``name.format(index)``, the point, check(pt).
 
-    A point where the solution is singular (a Darboux denominator body
-    vanishes there) is outside its domain, not a defect: its entry records
-    the reason and passes, and only ``make_report`` fails a sweep whose
-    points were all singular.
+    Points are checked ``CHUNK`` at a time as one :class:`PointBatch`; the
+    check's per-point values (arrays, :class:`PerPoint`) are split into the
+    entries.  A point where the solution is singular (a Darboux denominator
+    body vanishes there) is outside its domain, not a defect: a batch that
+    meets one is re-run point by point, the singular entry records the reason
+    and passes, and only ``make_report`` fails a sweep whose points were all
+    singular.  Floating-point overflow and invalid operations raise.
     """
     checks = []
-    for i, pt in enumerate(points):
-        entry = {"name": name.format(i), "point": _point_json(pt)}
-        try:
-            entry.update(check(pt))
-        except SingularBodyError as err:
-            entry["singular"] = str(err)
-            entry["passed"] = True
-        checks.append(entry)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for start in range(0, len(points), CHUNK):
+            chunk = points[start:start + CHUNK]
+            for i, (pt, result) in enumerate(zip(chunk, _chunk_results(chunk, check)), start):
+                checks.append({"name": name.format(i), "point": _point_json(pt), **result})
     return checks
 
 

@@ -34,10 +34,14 @@ from .ssge import scaling_map
 from .superfield import BASE_GENERATORS, Superfield
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def parse_complex(value) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value)):
         return complex(value[0], value[1])
     raise ConfigError(f"expected a number or [re, im] pair, got {value!r}")
 
@@ -54,6 +58,21 @@ def json_object(data, what: str) -> dict:
     return data
 
 
+def json_list(data, what: str) -> list:
+    """``data`` itself if it is a JSON array; anything else is a ConfigError."""
+    if not isinstance(data, list):
+        raise ConfigError(f"{what} must be a JSON array, got {data!r}")
+    return data
+
+
+def json_number(data, what: str, cast=int):
+    """``cast(data)`` for a JSON number (a whole one for ``int``); else a ConfigError."""
+    if not _is_number(data) or (cast is int and data != int(data)):
+        kind = "whole number" if cast is int else "number"
+        raise ConfigError(f"{what} must be a {kind}, got {data!r}")
+    return cast(data)
+
+
 def parse_seed(data: dict) -> SeedParams:
     json_object(data, "seed entry")
     try:
@@ -61,8 +80,10 @@ def parse_seed(data: dict) -> SeedParams:
         c = parse_complex(data["c"])
     except KeyError as missing:
         raise ConfigError(f"seed entry is missing {missing}") from None
-    return SeedParams(lam=lam, c=c, b=parse_complex(data.get("b", 0.0)),
-                      a=data.get("a"))
+    a = data.get("a")
+    if a is not None and not isinstance(a, str):
+        raise ConfigError(f"seed generator name must be a string or null, got {a!r}")
+    return SeedParams(lam=lam, c=c, b=parse_complex(data.get("b", 0.0)), a=a)
 
 
 def seed_json(p: SeedParams) -> dict:
@@ -94,13 +115,12 @@ def _zero_odd(gens: GeneratorSet) -> Superfield:
 
 def build_solution(data: dict) -> SolutionBundle:
     kind = json_object(data, "solution").get("kind")
+    k = json_number(data.get("k", 0), "k")
     if kind == "trivial":
-        k = int(data.get("k", 0))
         gens = GeneratorSet(BASE_GENERATORS)
         return SolutionBundle(kind, seed_trivial(k), gens, k=k, spec_echo=data)
 
     if kind == "darboux1":
-        k = int(data.get("k", 0))
         seed = SeedParams(lam=parse_complex(data["lambda0"]),
                           c=parse_complex(data["c0"]),
                           b=parse_complex(data.get("b0", 0.0)),
@@ -110,11 +130,10 @@ def build_solution(data: dict) -> SolutionBundle:
                                "_echo": data})
 
     if kind == "darboux":
-        k = int(data.get("k", 0))
-        seeds = [parse_seed(entry) for entry in data.get("seeds", [])]
+        seeds = [parse_seed(entry) for entry in json_list(data.get("seeds", []), "seeds")]
         if not seeds:
             raise ConfigError("darboux solution needs at least one seed")
-        n = int(data.get("iterations", len(seeds)))
+        n = json_number(data.get("iterations", len(seeds)), "iterations")
         mode = data.get("mode", "chain")
         gens = generator_set(seeds)
         chain = darboux_chain(k, seeds, n)
@@ -129,8 +148,7 @@ def build_solution(data: dict) -> SolutionBundle:
                               spec_echo={k2: v for k2, v in echo.items() if k2 != "_echo"})
 
     if kind == "backlund_trivial":
-        k = int(data.get("k", 0))
-        k_tilde = int(data.get("k_tilde", 0))
+        k_tilde = json_number(data.get("k_tilde", 0), "k_tilde")
         gens = GeneratorSet(BASE_GENERATORS)
         return SolutionBundle(kind, seed_trivial(k), gens, k=k,
                               partner=seed_trivial(k_tilde),
@@ -138,8 +156,8 @@ def build_solution(data: dict) -> SolutionBundle:
 
     if kind == "scaled":
         base = build_solution(data["base"])
-        mu = float(data.get("mu", 0.0))
-        sign = int(data.get("sign", 1))
+        mu = json_number(data.get("mu", 0.0), "mu", float)
+        sign = json_number(data.get("sign", 1), "sign")
         scaled = scaling_map(base.s, mu, sign)
         return SolutionBundle(kind, scaled, base.gens, k=base.k, seeds=base.seeds,
                               chain=base.chain, spec_echo=data)

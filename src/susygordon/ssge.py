@@ -14,6 +14,8 @@ together with the coupled Riccati system for p = phi/psi, q = chi/psi, the
 auto-Backlund system relating two solutions through an odd auxiliary
 function f, and the scaling symmetry that introduces the spectral parameter.
 All residuals vanish identically exactly when s solves the equation.
+Every function takes a point or a :class:`~susygordon.superfield.PointBatch`;
+on a batch, magnitudes and guards are per point.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import LaxConsistencyError, ParityError
 from .grassmann import EVEN, ODD, GeneratorSet, GrassmannElement, analytic_lift
-from .jets import JetScalar
+from .jets import JetScalar, peak
 from .superfield import (
     Superfield,
     SuperspacePoint,
@@ -88,18 +92,23 @@ class LaxPairBosonic:
     v_plus: SuperMatrix
     v_minus: SuperMatrix
     #: largest deviation between the defining formula and the closed forms
+    #: (one per point on a batch)
     defect: float
 
 
-def fermionic_u_pair(s_val: GrassmannElement, lam: JetScalar) -> LaxPairFermionic:
+def _lax_parts(s_val: GrassmannElement, lam: JetScalar) -> tuple:
+    """sqrt(lambda), exp(i s), exp(-i s) and D- s: what both Lax pairs are built from."""
+    return (lam.analytic("sqrt"), analytic_lift("exp", 1j * s_val),
+            analytic_lift("exp", -1j * s_val), d_minus(s_val))
+
+
+def fermionic_u_pair(s_val: GrassmannElement, lam: JetScalar,
+                     parts: tuple | None = None) -> LaxPairFermionic:
     """The odd potential matrices built from a solution value and lambda."""
     gens = s_val.gens
     zero = GrassmannElement.zero(gens)
-    sqrt_lam = lam.analytic("sqrt")
+    sqrt_lam, eis, emis, dms = parts or _lax_parts(s_val, lam)
     half = (2 * sqrt_lam).reciprocal()
-    eis = analytic_lift("exp", 1j * s_val)
-    emis = analytic_lift("exp", -1j * s_val)
-    dms = d_minus(s_val)
 
     u_plus = SuperMatrix(2, 1, [
         [zero, zero, eis * (1j * half)],
@@ -127,39 +136,39 @@ def zcc_fermionic_residual(s: Superfield, pt: SuperspacePoint,
                            lam: complex | None = None) -> SuperMatrix:
     """D+ U- + D- U+ - {E U+, E U-}; the zero matrix iff s solves the equation."""
     pair = build_lax_fermionic(s, pt, lam)
-    du_minus = pair.u_minus.map_entries(d_plus, parity=EVEN)
-    du_plus = pair.u_plus.map_entries(d_minus, parity=EVEN)
-    eu_plus = pair.u_plus.e_twist()
-    eu_minus = pair.u_minus.e_twist()
-    return du_minus + du_plus - eu_plus.bracket(eu_minus, "anticommutator")
+    u_plus, u_minus = pair.u_plus, pair.u_minus
+    eu_plus, eu_minus = u_plus.e_twist(), u_minus.e_twist()
+    return SuperMatrix.from_entries(2, 1, lambda i, k: (
+        d_plus(u_minus.entry(i, k)) + d_minus(u_plus.entry(i, k))
+        - (eu_plus.product_entry(eu_minus, i, k) + eu_minus.product_entry(eu_plus, i, k))),
+        parity=EVEN)
 
 
-def bosonic_v_pair_defining(pair: LaxPairFermionic) -> tuple[SuperMatrix, SuperMatrix]:
-    """V+- = i (D+- U+- - (E U+-)^2)."""
-    out = []
-    for u, deriv in ((pair.u_plus, d_plus), (pair.u_minus, d_minus)):
-        eu = u.e_twist()
-        v = (u.map_entries(deriv, parity=EVEN) - eu @ eu).scale(1j)
-        out.append(v)
-    return out[0], out[1]
+def bosonic_v_defining_entries(u: SuperMatrix, deriv):
+    """V = i (D U - (E U)^2) for U+- with D+-, yielded as ``(i, k, entry)``.
+
+    One entry at a time: a batch of points never holds a whole product.
+    """
+    eu = u.e_twist()
+    for i in range(u.size):
+        for k in range(u.size):
+            yield i, k, 1j * (deriv(u.entry(i, k)) - eu.product_entry(eu, i, k))
 
 
-def bosonic_v_pair_closed(s_val: GrassmannElement, lam: JetScalar) -> tuple[SuperMatrix, SuperMatrix]:
+def bosonic_v_pair_closed(s_val: GrassmannElement, lam: JetScalar,
+                          parts: tuple) -> tuple[SuperMatrix, SuperMatrix]:
     """The displayed closed forms of the bosonic potential matrices."""
     gens = s_val.gens
 
     def emb(c) -> GrassmannElement:
         return GrassmannElement.from_scalar(gens, c)
 
-    sqrt_lam = lam.analytic("sqrt")
+    sqrt_lam, eis, emis, dms = parts
     inv_sqrt = sqrt_lam.reciprocal()
     inv_lam = lam.reciprocal()
     e2is = analytic_lift("exp", 2j * s_val)
     e2mis = analytic_lift("exp", -2j * s_val)
-    eis = analytic_lift("exp", 1j * s_val)
-    emis = analytic_lift("exp", -1j * s_val)
     dps = d_plus(s_val)
-    dms = d_minus(s_val)
     dxm_s = dx_minus(s_val)
 
     half_inv = 0.5 * inv_lam
@@ -183,28 +192,34 @@ def build_lax_bosonic(s: Superfield, pt: SuperspacePoint, lam: complex | None = 
     """V+- from both constructions; they must agree or the transcription is wrong.
 
     The guard is relative to the matrix scale (solutions deep in a Darboux
-    chain carry large soul coefficients); the reported defect stays absolute.
+    chain carry large soul coefficients) and decides per point; the reported
+    defect stays absolute.
     """
     lam_jet = pt.lam_jet() if lam is None else pt.const_jet(lam)
     s_val = s.evaluate(pt)
-    defining = bosonic_v_pair_defining(fermionic_u_pair(s_val, lam_jet))
-    closed = bosonic_v_pair_closed(s_val, lam_jet)
-    defect = max((defining[0] - closed[0]).max_abs(),
-                 (defining[1] - closed[1]).max_abs())
-    scale = max(1.0, closed[0].max_abs(), closed[1].max_abs())
-    if defect > consistency_tol * scale:
+    parts = _lax_parts(s_val, lam_jet)
+    v_plus, v_minus = bosonic_v_pair_closed(s_val, lam_jet, parts)
+    pair = fermionic_u_pair(s_val, lam_jet, parts)
+    del parts  # a batch's exponentials are large; the guard below needs only the pairs
+    defect = peak((entry - v.entry(i, k)).max_abs()
+                  for u, deriv, v in ((pair.u_plus, d_plus, v_plus), (pair.u_minus, d_minus, v_minus))
+                  for i, k, entry in bosonic_v_defining_entries(u, deriv))
+    scale = peak((1.0, v_plus.max_abs(), v_minus.max_abs()))
+    if np.any(defect > consistency_tol * scale):
         raise LaxConsistencyError(
-            f"defining and closed bosonic Lax matrices disagree by {defect:.3e}")
-    return LaxPairBosonic(closed[0], closed[1], defect)
+            f"defining and closed bosonic Lax matrices disagree by {np.max(defect):.3e}")
+    return LaxPairBosonic(v_plus, v_minus, defect)
 
 
 def zcc_bosonic_residual(s: Superfield, pt: SuperspacePoint,
                          lam: complex | None = None) -> SuperMatrix:
     """d/dx+ V- - d/dx- V+ + [V-, V+]; zero iff s solves the equation."""
     pair = build_lax_bosonic(s, pt, lam)
-    term = pair.v_minus.map_entries(dx_plus, parity=EVEN) \
-        - pair.v_plus.map_entries(dx_minus, parity=EVEN)
-    return term + pair.v_minus.bracket(pair.v_plus, "commutator")
+    v_plus, v_minus = pair.v_plus, pair.v_minus
+    return SuperMatrix.from_entries(2, 1, lambda i, k: (
+        (dx_plus(v_minus.entry(i, k)) - dx_minus(v_plus.entry(i, k)))
+        + (v_minus.product_entry(v_plus, i, k) - v_plus.product_entry(v_minus, i, k))),
+        parity=EVEN)
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +333,7 @@ def scaling_map(s: Superfield, mu: float, sign: int = 1) -> Superfield:
     root = cmath.sqrt(scale)
 
     def ev(pt: SuperspacePoint) -> GrassmannElement:
-        moved = SuperspacePoint(x_plus=scale * pt.x_plus, x_minus=pt.x_minus / scale,
-                                lam=pt.lam, spec=pt.spec, gens=pt.gens)
-        v = s.evaluate(moved)
+        v = s.evaluate(pt.rescaled(scale))
         ip = v.gens.index("theta_plus")
         im = v.gens.index("theta_minus")
         terms = {}
@@ -343,7 +356,8 @@ def scaling_map(s: Superfield, mu: float, sign: int = 1) -> Superfield:
 # ---------------------------------------------------------------------------
 
 def residual_magnitude(obj) -> float:
-    """Largest coefficient magnitude of an element/matrix/tuple-of-them."""
+    """Largest coefficient magnitude of an element/matrix/tuple-of-them
+    (one per point for a batch)."""
     if isinstance(obj, (GrassmannElement, SuperMatrix)):
         return obj.max_abs()
-    return max((residual_magnitude(x) for x in obj), default=0.0)
+    return peak(residual_magnitude(x) for x in obj)

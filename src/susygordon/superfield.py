@@ -13,12 +13,16 @@ coefficients, on which the covariant derivatives
 act algebraically: the theta part is the exact left derivative in the
 Grassmann algebra and the x part is a coefficient-wise jet shift.  They
 satisfy D+-^2 = -i d/dx+- and {D+, D-} = 0.
+
+A :class:`PointBatch` stands in for a point anywhere a point is taken: it
+holds several sample points, and every jet built from it carries one
+expansion per point, so a whole chunk of a sweep is one evaluation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
 
 from .errors import ParityError
 from .grassmann import (
@@ -37,15 +41,8 @@ THETA_MINUS = "theta_minus"
 BASE_GENERATORS = (THETA_PLUS, THETA_MINUS)
 
 
-@dataclass(frozen=True)
-class SuperspacePoint:
-    """Bosonic sample point; the fermionic directions remain symbolic."""
-
-    x_plus: complex
-    x_minus: complex
-    lam: complex
-    spec: JetSpec = DEFAULT_SPEC
-    gens: GeneratorSet = field(default_factory=lambda: GeneratorSet(BASE_GENERATORS))
+class _PointBlocks:
+    """The building blocks shared by a point and a batch of points."""
 
     def __post_init__(self) -> None:
         for name in BASE_GENERATORS:
@@ -76,6 +73,47 @@ class SuperspacePoint:
     def theta(self, sign: str) -> GrassmannElement:
         return GrassmannElement.generator(
             self.gens, THETA_PLUS if sign == "+" else THETA_MINUS)
+
+
+@dataclass(frozen=True)
+class SuperspacePoint(_PointBlocks):
+    """Bosonic sample point; the fermionic directions remain symbolic."""
+
+    x_plus: complex
+    x_minus: complex
+    lam: complex
+    spec: JetSpec = DEFAULT_SPEC
+    gens: GeneratorSet = field(default_factory=lambda: GeneratorSet(BASE_GENERATORS))
+
+    def rescaled(self, factor: complex) -> "SuperspacePoint":
+        """The point moved by x+ -> factor x+, x- -> x-/factor."""
+        return replace(self, x_plus=factor * self.x_plus, x_minus=self.x_minus / factor)
+
+
+@dataclass(frozen=True)
+class PointBatch(_PointBlocks):
+    """Several sample points sharing ``spec`` and ``gens``, evaluated as one.
+
+    ``const_jet`` takes one value for all points or a sequence of one per point.
+    """
+
+    x_plus: tuple
+    x_minus: tuple
+    lam: tuple
+    spec: JetSpec = DEFAULT_SPEC
+    gens: GeneratorSet = field(default_factory=lambda: GeneratorSet(BASE_GENERATORS))
+
+    @classmethod
+    def of(cls, points: Sequence[SuperspacePoint]) -> "PointBatch":
+        spec, gens = points[0].spec, points[0].gens
+        if any(pt.spec != spec or pt.gens != gens for pt in points):
+            raise ValueError("a batch needs one jet spec and one generator set")
+        return cls(tuple(pt.x_plus for pt in points), tuple(pt.x_minus for pt in points),
+                   tuple(pt.lam for pt in points), spec, gens)
+
+    def rescaled(self, factor: complex) -> "PointBatch":
+        return replace(self, x_plus=tuple(factor * x for x in self.x_plus),
+                       x_minus=tuple(x / factor for x in self.x_minus))
 
 
 # ---------------------------------------------------------------------------
@@ -152,16 +190,16 @@ class Superfield:
 
     __slots__ = ("_fn", "parity", "label", "_cache")
 
-    def __init__(self, fn: Callable[[SuperspacePoint], GrassmannElement],
+    def __init__(self, fn: Callable[[SuperspacePoint | PointBatch], GrassmannElement],
                  parity: str, label: str = "") -> None:
         if parity not in (EVEN, ODD):
             raise ParityError(f"superfield parity must be even or odd, got {parity!r}")
         self._fn = fn
         self.parity = parity
         self.label = label
-        self._cache: dict[SuperspacePoint, GrassmannElement] = {}
+        self._cache: dict[SuperspacePoint | PointBatch, GrassmannElement] = {}
 
-    def evaluate(self, pt: SuperspacePoint) -> GrassmannElement:
+    def evaluate(self, pt: SuperspacePoint | PointBatch) -> GrassmannElement:
         got = self._cache.get(pt)
         if got is None:
             got = self._fn(pt)

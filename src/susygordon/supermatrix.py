@@ -13,10 +13,12 @@ is even and ``(1/2) tr(AB)`` when it is odd.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Sequence
 
 from .errors import ParityError, ShapeMismatchError
 from .grassmann import EVEN, GrassmannElement, GeneratorSet, INHOMOGENEOUS, ODD, element_to_json
+from .jets import peak
 
 
 def _entry_fits(entry: GrassmannElement, wanted: str) -> bool:
@@ -71,6 +73,17 @@ class SuperMatrix:
         z = GrassmannElement.zero(gens)
         size = m + n
         return cls(m, n, [[z] * size for _ in range(size)])
+
+    @classmethod
+    def from_entries(cls, m: int, n: int, entry: Callable[[int, int], GrassmannElement],
+                     parity: str | None = None) -> "SuperMatrix":
+        """The matrix with entries ``entry(i, k)``, built one at a time.
+
+        Composite expressions built this way never hold a whole intermediate
+        matrix, which bounds the memory a batch of points needs.
+        """
+        size = m + n
+        return cls(m, n, [[entry(i, k) for k in range(size)] for i in range(size)], parity)
 
     @classmethod
     def identity(cls, gens: GeneratorSet, m: int, n: int) -> "SuperMatrix":
@@ -143,33 +156,33 @@ class SuperMatrix:
 
     # -- products ----------------------------------------------------------------
 
+    def product_entry(self, other: "SuperMatrix", i: int, k: int) -> GrassmannElement:
+        """Entry ``(i, k)`` of ``self @ other``."""
+        acc = None
+        for j in range(self.size):
+            a = self.rows[i][j]
+            b = other.rows[j][k]
+            if a.is_zero() or b.is_zero():
+                continue
+            term = a * b
+            acc = term if acc is None else acc + term
+        return acc if acc is not None else GrassmannElement.zero(self.gens)
+
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
         if not isinstance(other, SuperMatrix):
             return NotImplemented
         self._check_shape(other)
-        size = self.size
-        rows = []
-        for i in range(size):
-            row = []
-            for k in range(size):
-                acc = None
-                for j in range(size):
-                    a = self.rows[i][j]
-                    b = other.rows[j][k]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    term = a * b
-                    acc = term if acc is None else acc + term
-                row.append(acc if acc is not None else GrassmannElement.zero(self.gens))
-            rows.append(row)
-        return SuperMatrix(self.m, self.n, rows)
+        return SuperMatrix.from_entries(self.m, self.n,
+                                        lambda i, k: self.product_entry(other, i, k))
 
     def bracket(self, other: "SuperMatrix", kind: str = "commutator") -> "SuperMatrix":
-        if kind == "commutator":
-            return self @ other - other @ self
-        if kind == "anticommutator":
-            return self @ other + other @ self
-        raise ValueError(f"unknown bracket kind {kind!r}")
+        """``AB - BA`` or ``AB + BA``, entry by entry (neither product is held whole)."""
+        if kind not in ("commutator", "anticommutator"):
+            raise ValueError(f"unknown bracket kind {kind!r}")
+        self._check_shape(other)
+        combine = operator.sub if kind == "commutator" else operator.add
+        return SuperMatrix.from_entries(self.m, self.n, lambda i, k: combine(
+            self.product_entry(other, i, k), other.product_entry(self, i, k)))
 
     # -- traces and the invariant form ----------------------------------------------
 
@@ -222,13 +235,13 @@ class SuperMatrix:
 
     # -- comparisons / reporting ------------------------------------------------------
 
-    def max_abs(self) -> float:
-        return max((a.max_abs() for r in self.rows for a in r), default=0.0)
+    def max_abs(self):
+        return peak(a.max_abs() for r in self.rows for a in r)
 
     def allclose(self, other: "SuperMatrix", atol: float = 1e-10, rtol: float = 1e-10) -> bool:
         self._check_shape(other)
         diff = self - other
-        tol = atol + rtol * max(1.0, self.max_abs(), other.max_abs())
+        tol = atol + rtol * peak((1.0, self.max_abs(), other.max_abs()))
         return diff.max_abs() <= tol
 
     def to_json(self) -> dict:

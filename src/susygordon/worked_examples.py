@@ -21,7 +21,7 @@ import cmath
 from .darboux import SeedParams, darboux_chain, eta_jet, generator_set
 from .geometry import BetaFunction, SurfaceData, surface_data
 from .grassmann import GrassmannElement, analytic_lift, ginv
-from .jets import scalar_value
+from .jets import pointwise, scalar_value
 from .solutions import SolutionBundle
 from .superfield import SuperspacePoint
 
@@ -98,7 +98,7 @@ def example2_checks(bundle: SolutionBundle, pt: SuperspacePoint, tol: float,
     # closed form of the cosine body in the seed constants
     w = (seed.b ** 2 / (4 * seed.lam))
     e2 = (eta_jet(pt, seed.lam) * 2).analytic("exp").value
-    cos_body = (seed.c ** 2 + w * e2) / (seed.c ** 2 - w * e2)
+    cos_body = pointwise(lambda e: (seed.c ** 2 + w * e) / (seed.c ** 2 - w * e), e2)
     body_gap = abs(scalar_value(cos_s.body()) - cos_body)
 
     checks = [

@@ -13,6 +13,7 @@ from susygordon.solutions import build_solution
 
 GENS = GeneratorSet(("theta_plus", "theta_minus"))
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+DEEP_CHAIN = SAMPLES.parent / "perfbench" / "inputs" / "deep_chain.json"
 
 DARBOUX1 = {"kind": "darboux1", "k": 0, "lambda0": [1.25, 0.0], "a0": "a0",
             "b0": [0.0, 0.0], "c0": [1.4, 0.3]}
@@ -148,6 +149,18 @@ def test_exit_codes(tmp_path, capsys):
         ["solve", "darboux", "--seeds", write(tmp_path, "seeds_list.json", [1, 2])],
         ["verify", "zcc-bosonic", "--solution", str(SAMPLES / "one_soliton.json"),
          "--jet-spec", "1,1,0"],
+        # JSON of the right shape holding values of the wrong type
+        ["verify", "ssge", "--solution", write(tmp_path, "n.json", {"kind": "darboux", "seeds": 3})],
+        ["verify", "ssge", "--solution", write(tmp_path, "k.json", {"kind": "trivial", "k": [1]})],
+        ["verify", "ssge", "--solution", write(tmp_path, "k15.json", {"kind": "trivial", "k": 1.5})],
+        ["solve", "darboux", "--seeds", write(tmp_path, "s5.json", {"k": 0, "seeds": 5})],
+        # a negative iteration count would verify the trivial seed
+        ["verify", "ssge", "--solution", write(tmp_path, "neg.json", {**DARBOUX2, "iterations": -1})],
+        ["solve", "darboux", "--seeds", write(tmp_path, "s2.json", {"k": 0, "seeds": DARBOUX2["seeds"]}),
+         "--iterations", "-1"],
+        # float64 overflow: cmath per point, numpy on a batch
+        ["verify", "ssge", "--solution", str(DEEP_CHAIN), "--x-range=-1e4,1e4"],
+        ["verify", "ssge", "--solution", str(SAMPLES / "one_soliton.json"), "--x-range=-1e3,1e3"],
     ):
         capsys.readouterr()
         assert main(argv + ["--points", "2"]) == 2, argv

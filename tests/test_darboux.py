@@ -209,15 +209,16 @@ def test_chain_solves_equation_to_depth_four(deep, deep_points):
 
 
 def test_chain_inverts_each_consumed_triple_once_per_step(deep, monkeypatch):
-    """s[4] needs one ginv per s step (psi_0/phi_0) plus 1/psi_0 and 1/phi_0 once
-    for each of the three steps with live targets: 10, not one pair per target (16)."""
+    """s[4] needs 1/psi_0 and 1/phi_0 once for each of the three steps with live
+    targets, and 1/phi_0 of the last step: 7.  The s step reuses the step's
+    1/phi_0 (separately it made 10), and one pair per target would make 16."""
     seeds, gens = deep
     chain = darboux_chain(0, seeds, 4)
     calls = []
     monkeypatch.setattr(darboux_module, "ginv", lambda v: calls.append(v) or ginv(v))
     pt = sample_grid(gens, count=1)[0]
     chain.solution().evaluate(pt)
-    assert 0 < len(calls) <= 10
+    assert len(calls) == 7
     # the shared inverses give exactly the values of the one-target transformation
     for shared, target in zip(chain.waves[1], chain.waves[0][1:]):
         alone = darboux_step_wavefunction(chain.waves[0][0], target)

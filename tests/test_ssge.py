@@ -125,6 +125,22 @@ def test_v_consistency_defining_vs_closed(chain):
             assert build_lax_bosonic(s, pt).defect < 1e-12
 
 
+def test_bosonic_lax_pair_lifts_each_exponential_once(chain, monkeypatch):
+    """exp(+-i s) serve both constructions of V+-: with exp(+-2i s) that is 4
+    lifts per evaluation (building them twice made 6)."""
+    import susygordon.ssge as ssge_module
+
+    s = chain.solutions[2]
+    pt = points(1)[0]
+    s.evaluate(pt)  # the solution's own lifts are not the Lax pair's
+    lift = ssge_module.analytic_lift
+    calls = []
+    monkeypatch.setattr(ssge_module, "analytic_lift",
+                        lambda name, v, *rest: calls.append(name) or lift(name, v, *rest))
+    assert residual_magnitude(zcc_bosonic_residual(s, pt)) < 1e-10
+    assert calls == ["exp"] * 4
+
+
 def test_zcc_bosonic(chain):
     for pt in points(4):
         assert residual_magnitude(zcc_bosonic_residual(seed_trivial(0), pt)) < 1e-12
