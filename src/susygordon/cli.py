@@ -25,15 +25,16 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import operator
 import sys
 
-from .darboux import closed_form_sn, darboux_chain, generator_set, lsp_normalized_triple
+from .darboux import lsp_normalized_triple
 from .errors import ConfigError
 from .geometry import BetaFunction, surface_data
 from .grassmann import element_to_json
 from .reporting import make_report, parse_jet_spec, sample_points, sweep, write_report
-from .solutions import SolutionBundle, json_list, json_number, json_object, load_solution, parse_seed
+from .solutions import SolutionBundle, build_solution, json_object, load_solution, seed_json
 from .ssge import (
     build_constraint_matrices,
     lsp_residual,
@@ -59,6 +60,8 @@ def _parse_range(text: str, what: str) -> tuple[float, float]:
         lo, hi = (float(p) for p in text.split(","))
     except ValueError:
         raise ConfigError(f"bad {what} {text!r}; expected 'lo,hi'") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{what} bounds must be finite, got {text!r}")
     if hi <= lo:
         raise ConfigError(f"{what} must satisfy lo < hi")
     return lo, hi
@@ -136,24 +139,20 @@ def cmd_verify(args) -> dict:
 def cmd_solve(args) -> dict:
     with open(args.seeds, "r", encoding="utf-8") as handle:
         data = json_object(json.load(handle), "seeds file")
-    seeds = [parse_seed(entry) for entry in json_list(data.get("seeds"), "seeds")]
-    k = json_number(data.get("k", 0), "k")
-    n = args.iterations if args.iterations is not None else len(seeds)
-    gens = generator_set(seeds)
-    chain = darboux_chain(k, seeds, n)
-    s = chain.solution() if args.mode == "chain" else closed_form_sn(k, seeds, n)
-    points, echo = _sample(args, gens)
+    spec = {"kind": "darboux", "k": data.get("k", 0), "seeds": data.get("seeds"),
+            "mode": args.mode}
+    if args.iterations is not None:
+        spec["iterations"] = args.iterations
+    bundle = build_solution(spec)
+    n = bundle.chain.order
+    points, echo = _sample(args, bundle.gens)
     checks = sweep(points, f"s[{n}] at point {{}}",
-                   lambda pt: {"value": element_to_json(s.evaluate(pt)), "passed": True})
-    config = {"seeds_file": str(args.seeds), "k": k, "iterations": n, "mode": args.mode,
+                   lambda pt: {"value": element_to_json(bundle.s.evaluate(pt)), "passed": True})
+    config = {"seeds_file": str(args.seeds), "k": bundle.k, "iterations": n, "mode": args.mode,
               **echo}
     report = make_report("solve", config, checks)
-    report["ledger"] = chain.ledger
-    report["seeds"] = [
-        {"lambda": [complex(p.lam).real, complex(p.lam).imag], "a": p.a,
-         "b": [complex(p.b).real, complex(p.b).imag],
-         "c": [complex(p.c).real, complex(p.c).imag]} for p in seeds
-    ]
+    report["ledger"] = bundle.chain.ledger
+    report["seeds"] = [seed_json(p) for p in bundle.seeds]
     return report
 
 
@@ -167,6 +166,9 @@ def _parse_beta(text: str) -> BetaFunction:
 
 def cmd_geometry(args) -> dict:
     bundle = load_solution(args.solution)
+    if args.expect is not None and not bundle.seeds:
+        raise ConfigError(
+            f"--expect {args.expect} needs a Darboux solution; it reads the first seed")
     beta = _parse_beta(args.beta)
     points, echo = _sample(args, bundle.gens)
     expected = {"example1": example1_checks, "example2": example2_checks}.get(args.expect)

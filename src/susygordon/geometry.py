@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularBodyError
+from .errors import LaxConsistencyError, SingularBodyError
 from .grassmann import (
     EVEN,
     ODD,
@@ -36,9 +36,8 @@ from .grassmann import (
     allclose,
     element_to_json,
     ginv,
-    gsqrt,
 )
-from .jets import TINY, JetScalar, near_zero, peak, scalar_value, uniform
+from .jets import TINY, JetScalar, peak, scalar_value, uniform
 from .ssge import LaxPairFermionic, fermionic_u_pair
 from .superfield import Superfield, SuperspacePoint, cov_derivative, d_lambda
 from .supermatrix import SuperMatrix
@@ -70,9 +69,8 @@ class TangentData:
     ebd_minus: SuperMatrix
 
 
-def tangent_data(s: Superfield, pt: SuperspacePoint, beta: BetaFunction,
-                 lam: complex | None = None) -> TangentData:
-    lam_jet = pt.lam_jet() if lam is None else pt.const_jet(lam)
+def tangent_data(s: Superfield, pt: SuperspacePoint, beta: BetaFunction) -> TangentData:
+    lam_jet = pt.lam_jet()
     pair = fermionic_u_pair(s.evaluate(pt), lam_jet)
     b = beta.jet(lam_jet)
     bd_plus = pair.u_plus.map_entries(d_lambda, parity=ODD).scale(b)
@@ -103,35 +101,27 @@ def normal_core(td: TangentData) -> SuperMatrix:
 
     For this spectral problem the anticommutator is always diag(q, -q, 0)
     with q proportional to sin(s): the quotient by its norm sqrt(q^2) cancels
-    q formally, leaving the constant diag(1, -1, 0).  Dividing numerically
-    instead would fail where the body of q vanishes (the purely fermionic
-    solutions) and would flip sign with the branch of the square root, which
-    the reported closed forms do not; the cancellation is performed exactly
-    whenever the diagonal structure is detected, with the generic quotient as
-    the fallback.  A batch must take one of the two ways at every point.
+    q formally, leaving a constant matrix.  Dividing numerically instead
+    would fail where the body of q vanishes (the purely fermionic solutions)
+    and would flip sign with the branch of the square root, which the
+    reported closed forms do not.  An anticommutator of any other shape
+    means the tangents are wrong and raises :class:`LaxConsistencyError`.
     """
     anti = td.ebd_plus.bracket(td.ebd_minus, "anticommutator")
     gens = anti.gens
     scale = peak((anti.max_abs(), 1.0))
-    off_diag = peak(anti.entry(i, j).max_abs()
-                    for i in range(3) for j in range(3) if i != j)
-    q = anti.entry(0, 0)
-    structured = ((off_diag <= 1e-12 * scale)
-                  & (anti.entry(2, 2).max_abs() <= 1e-12 * scale)
-                  & ((q + anti.entry(1, 1)).max_abs() <= 1e-12 * scale))
-    if uniform(structured):
-        if np.any(anti.max_abs() <= 1e-12):
-            raise SingularBodyError("normal undefined: the tangent anticommutator vanishes")
-        # orientation pinned by the reported second-fundamental forms
-        zero = GrassmannElement.zero(gens)
-        one = GrassmannElement.from_scalar(gens, 1.0 + 0.0j)
-        return SuperMatrix(2, 1, [[-one, zero, zero], [zero, one, zero], [zero, zero, zero]],
-                           parity=EVEN)
-    norm_sq = anti.killing(anti)
-    if near_zero(scalar_value(norm_sq.body())):
-        raise SingularBodyError("normal undefined: the tangent anticommutator is null")
-    inv_norm = ginv(gsqrt(norm_sq))
-    return anti.map_entries(lambda e: e * inv_norm, anti.parity)
+    defect = peak((*(anti.entry(i, j).max_abs() for i in range(3) for j in range(3) if i != j),
+                   anti.entry(2, 2).max_abs(), (anti.entry(0, 0) + anti.entry(1, 1)).max_abs()))
+    if np.any(defect > 1e-12 * scale):
+        raise LaxConsistencyError(
+            f"tangent anticommutator departs from diag(q, -q, 0) by {np.max(defect):.3e}")
+    if np.any(anti.max_abs() <= 1e-12):
+        raise SingularBodyError("normal undefined: the tangent anticommutator vanishes")
+    # orientation pinned by the reported second-fundamental forms
+    zero = GrassmannElement.zero(gens)
+    one = GrassmannElement.from_scalar(gens, 1.0 + 0.0j)
+    return SuperMatrix(2, 1, [[-one, zero, zero], [zero, one, zero], [zero, zero, zero]],
+                       parity=EVEN)
 
 
 def second_form_coeffs(td: TangentData, normal: SuperMatrix) -> tuple[GrassmannElement, ...]:
@@ -219,10 +209,9 @@ class SurfaceData:
         }
 
 
-def surface_data(s: Superfield, pt: SuperspacePoint, beta: BetaFunction,
-                 lam: complex | None = None) -> SurfaceData:
+def surface_data(s: Superfield, pt: SuperspacePoint, beta: BetaFunction) -> SurfaceData:
     """Full per-point geometry of the surface induced by the solution s."""
-    td = tangent_data(s, pt, beta, lam)
+    td = tangent_data(s, pt, beta)
     metric = metric_coeffs(td)
     normal = normal_core(td)
     b11, b12, b22, b21 = second_form_coeffs(td, normal)

@@ -310,11 +310,6 @@ def ginv(a: GrassmannElement) -> GrassmannElement:
     return analytic_lift("power", a, exponent=-1)
 
 
-def gsqrt(a: GrassmannElement) -> GrassmannElement:
-    """Principal square root of an even element with invertible body."""
-    return analytic_lift("sqrt", a)
-
-
 def allclose(a: GrassmannElement, b: GrassmannElement,
              atol: float = 1e-10, rtol: float = 1e-10) -> bool:
     """Coefficient-wise comparison: ``max|delta| <= atol + rtol*max(1, |a|, |b|)``."""

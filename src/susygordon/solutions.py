@@ -73,17 +73,18 @@ def json_number(data, what: str, cast=int):
     return cast(data)
 
 
-def parse_seed(data: dict) -> SeedParams:
+def parse_seed(data: dict, suffix: str = "") -> SeedParams:
+    """A seed entry; ``suffix="0"`` reads the ``lambda0``, ``a0``, ... of a darboux1 file."""
     json_object(data, "seed entry")
     try:
-        lam = parse_complex(data["lambda"])
-        c = parse_complex(data["c"])
+        lam = parse_complex(data["lambda" + suffix])
+        c = parse_complex(data["c" + suffix])
     except KeyError as missing:
         raise ConfigError(f"seed entry is missing {missing}") from None
-    a = data.get("a")
+    a = data.get("a" + suffix)
     if a is not None and not isinstance(a, str):
         raise ConfigError(f"seed generator name must be a string or null, got {a!r}")
-    return SeedParams(lam=lam, c=c, b=parse_complex(data.get("b", 0.0)), a=a)
+    return SeedParams(lam=lam, c=c, b=parse_complex(data.get("b" + suffix, 0.0)), a=a)
 
 
 def seed_json(p: SeedParams) -> dict:
@@ -95,7 +96,6 @@ def seed_json(p: SeedParams) -> dict:
 class SolutionBundle:
     """A loaded solution plus whatever companion data its kind provides."""
 
-    kind: str
     s: Superfield
     gens: GeneratorSet
     k: int = 0
@@ -118,24 +118,18 @@ def build_solution(data: dict) -> SolutionBundle:
     k = json_number(data.get("k", 0), "k")
     if kind == "trivial":
         gens = GeneratorSet(BASE_GENERATORS)
-        return SolutionBundle(kind, seed_trivial(k), gens, k=k, spec_echo=data)
+        return SolutionBundle(seed_trivial(k), gens, k=k, spec_echo=data)
 
-    if kind == "darboux1":
-        seed = SeedParams(lam=parse_complex(data["lambda0"]),
-                          c=parse_complex(data["c0"]),
-                          b=parse_complex(data.get("b0", 0.0)),
-                          a=data.get("a0"))
-        return build_solution({"kind": "darboux", "k": k, "iterations": 1,
-                               "mode": "chain", "seeds": [seed_json(seed)],
-                               "_echo": data})
-
-    if kind == "darboux":
-        seeds = [parse_seed(entry) for entry in json_list(data.get("seeds", []), "seeds")]
-        if not seeds:
-            raise ConfigError("darboux solution needs at least one seed")
-        n = json_number(data.get("iterations", len(seeds)), "iterations")
-        mode = data.get("mode", "chain")
-        gens = generator_set(seeds)
+    if kind in ("darboux1", "darboux"):
+        if kind == "darboux1":
+            seeds = [parse_seed(data, suffix="0")]
+            n, mode = 1, "chain"
+        else:
+            seeds = [parse_seed(entry) for entry in json_list(data.get("seeds", []), "seeds")]
+            if not seeds:
+                raise ConfigError("darboux solution needs at least one seed")
+            n = json_number(data.get("iterations", len(seeds)), "iterations")
+            mode = data.get("mode", "chain")
         chain = darboux_chain(k, seeds, n)
         if mode == "chain":
             s = chain.solution()
@@ -143,15 +137,13 @@ def build_solution(data: dict) -> SolutionBundle:
             s = closed_form_sn(k, seeds, n)
         else:
             raise ConfigError(f"unknown darboux mode {mode!r}")
-        echo = data.get("_echo", data)
-        return SolutionBundle(kind, s, gens, k=k, seeds=seeds, chain=chain,
-                              spec_echo={k2: v for k2, v in echo.items() if k2 != "_echo"})
+        return SolutionBundle(s, generator_set(seeds), k=k, seeds=seeds, chain=chain,
+                              spec_echo=data)
 
     if kind == "backlund_trivial":
         k_tilde = json_number(data.get("k_tilde", 0), "k_tilde")
         gens = GeneratorSet(BASE_GENERATORS)
-        return SolutionBundle(kind, seed_trivial(k), gens, k=k,
-                              partner=seed_trivial(k_tilde),
+        return SolutionBundle(seed_trivial(k), gens, k=k, partner=seed_trivial(k_tilde),
                               odd_function=_zero_odd(gens), spec_echo=data)
 
     if kind == "scaled":
@@ -159,7 +151,7 @@ def build_solution(data: dict) -> SolutionBundle:
         mu = json_number(data.get("mu", 0.0), "mu", float)
         sign = json_number(data.get("sign", 1), "sign")
         scaled = scaling_map(base.s, mu, sign)
-        return SolutionBundle(kind, scaled, base.gens, k=base.k, seeds=base.seeds,
+        return SolutionBundle(scaled, base.gens, k=base.k, seeds=base.seeds,
                               chain=base.chain, spec_echo=data)
 
     raise ConfigError(f"unknown solution kind {kind!r}")

@@ -125,17 +125,14 @@ def fermionic_u_pair(s_val: GrassmannElement, lam: JetScalar,
     return LaxPairFermionic(u_plus, u_minus)
 
 
-def build_lax_fermionic(s: Superfield, pt: SuperspacePoint,
-                        lam: complex | None = None) -> LaxPairFermionic:
-    """U+- at the point; lambda defaults to the point's (jet-seeded) value."""
-    lam_jet = pt.lam_jet() if lam is None else pt.const_jet(lam)
-    return fermionic_u_pair(s.evaluate(pt), lam_jet)
+def build_lax_fermionic(s: Superfield, pt: SuperspacePoint) -> LaxPairFermionic:
+    """U+- at the point, at the point's (jet-seeded) lambda."""
+    return fermionic_u_pair(s.evaluate(pt), pt.lam_jet())
 
 
-def zcc_fermionic_residual(s: Superfield, pt: SuperspacePoint,
-                           lam: complex | None = None) -> SuperMatrix:
+def zcc_fermionic_residual(s: Superfield, pt: SuperspacePoint) -> SuperMatrix:
     """D+ U- + D- U+ - {E U+, E U-}; the zero matrix iff s solves the equation."""
-    pair = build_lax_fermionic(s, pt, lam)
+    pair = build_lax_fermionic(s, pt)
     u_plus, u_minus = pair.u_plus, pair.u_minus
     eu_plus, eu_minus = u_plus.e_twist(), u_minus.e_twist()
     return SuperMatrix.from_entries(2, 1, lambda i, k: (
@@ -187,7 +184,7 @@ def bosonic_v_pair_closed(s_val: GrassmannElement, lam: JetScalar,
     return v_plus, v_minus
 
 
-def build_lax_bosonic(s: Superfield, pt: SuperspacePoint, lam: complex | None = None,
+def build_lax_bosonic(s: Superfield, pt: SuperspacePoint,
                       consistency_tol: float = 1e-9) -> LaxPairBosonic:
     """V+- from both constructions; they must agree or the transcription is wrong.
 
@@ -195,7 +192,7 @@ def build_lax_bosonic(s: Superfield, pt: SuperspacePoint, lam: complex | None = 
     chain carry large soul coefficients) and decides per point; the reported
     defect stays absolute.
     """
-    lam_jet = pt.lam_jet() if lam is None else pt.const_jet(lam)
+    lam_jet = pt.lam_jet()
     s_val = s.evaluate(pt)
     parts = _lax_parts(s_val, lam_jet)
     v_plus, v_minus = bosonic_v_pair_closed(s_val, lam_jet, parts)
@@ -211,10 +208,9 @@ def build_lax_bosonic(s: Superfield, pt: SuperspacePoint, lam: complex | None = 
     return LaxPairBosonic(v_plus, v_minus, defect)
 
 
-def zcc_bosonic_residual(s: Superfield, pt: SuperspacePoint,
-                         lam: complex | None = None) -> SuperMatrix:
+def zcc_bosonic_residual(s: Superfield, pt: SuperspacePoint) -> SuperMatrix:
     """d/dx+ V- - d/dx- V+ + [V-, V+]; zero iff s solves the equation."""
-    pair = build_lax_bosonic(s, pt, lam)
+    pair = build_lax_bosonic(s, pt)
     v_plus, v_minus = pair.v_plus, pair.v_minus
     return SuperMatrix.from_entries(2, 1, lambda i, k: (
         (dx_plus(v_minus.entry(i, k)) - dx_minus(v_plus.entry(i, k)))
@@ -262,12 +258,8 @@ def riccati_residuals(p: Superfield, q: Superfield, s: Superfield, lam: complex,
     """Defects of the four coupled equations for p (even) and q (odd)."""
     pv = p.evaluate(pt)
     qv = q.evaluate(pt)
-    sv = s.evaluate(pt)
-    sqrt_lam = pt.const_jet(lam).analytic("sqrt")
+    sqrt_lam, eis, emis, dms = _lax_parts(s.evaluate(pt), pt.const_jet(lam))
     half = (2 * sqrt_lam).reciprocal()
-    eis = analytic_lift("exp", 1j * sv)
-    emis = analytic_lift("exp", -1j * sv)
-    dms = d_minus(sv)
 
     r1 = d_plus(pv) - (emis * qv * (-1j * half) + eis * (pv * qv) * (-1j * half))
     r2 = d_minus(pv) - ((-2j) * (dms * pv) + (pv + 1) * qv * (1j * sqrt_lam))

@@ -21,6 +21,7 @@ expansion per point, so a whole chunk of a sweep is one evaluation.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -186,6 +187,8 @@ class Superfield:
     subexpressions (the same seed wavefunction appears under several
     transformed wavefunctions), and residual checks re-evaluate the same
     solution at the same sweep points for several different residuals.
+    The memo holds its points weakly, so a value lives only as long as its
+    point (or batch) object does.
     """
 
     __slots__ = ("_fn", "parity", "label", "_cache")
@@ -197,7 +200,8 @@ class Superfield:
         self._fn = fn
         self.parity = parity
         self.label = label
-        self._cache: dict[SuperspacePoint | PointBatch, GrassmannElement] = {}
+        self._cache: weakref.WeakKeyDictionary[SuperspacePoint | PointBatch,
+                                               GrassmannElement] = weakref.WeakKeyDictionary()
 
     def evaluate(self, pt: SuperspacePoint | PointBatch) -> GrassmannElement:
         got = self._cache.get(pt)

@@ -215,10 +215,14 @@ class SuperMatrix:
         """``<A, B> = (1/2) tr(E^(deg(AB)+1) A B)`` for homogeneous A, B."""
         if self.parity not in (EVEN, ODD) or other.parity not in (EVEN, ODD):
             raise ParityError("killing form requires homogeneous supermatrices")
-        product = self @ other
+        self._check_shape(other)
+        # only the diagonal of AB: its supertrace when AB is even, its trace when odd
         deg_even = self.parity == other.parity
-        inner = product.supertrace() if deg_even else product.trace()
-        return inner * 0.5
+        acc = GrassmannElement.zero(self.gens)
+        for i in range(self.size):
+            d = self.product_entry(other, i, i)
+            acc = acc - d if deg_even and i >= self.m else acc + d
+        return acc * 0.5
 
     # -- entrywise maps --------------------------------------------------------------
 

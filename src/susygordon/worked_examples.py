@@ -18,34 +18,25 @@ from __future__ import annotations
 
 import cmath
 
-from .darboux import SeedParams, darboux_chain, eta_jet, generator_set
+from .darboux import eta_jet
 from .geometry import BetaFunction, SurfaceData, surface_data
 from .grassmann import GrassmannElement, analytic_lift, ginv
 from .jets import pointwise, scalar_value
-from .solutions import SolutionBundle
+from .solutions import SolutionBundle, build_solution, complex_json
 from .superfield import SuperspacePoint
 
 DEFAULT_BETA = BetaFunction(2.0, 1)
 
 
 def example1_bundle(lam0: complex = 1.25, c0: complex = 1.0, k: int = 0) -> SolutionBundle:
-    seeds = [SeedParams(lam=lam0, c=c0, b=0.0, a="a0")]
-    chain = darboux_chain(k, seeds, 1)
-    return SolutionBundle("darboux", chain.solution(), generator_set(seeds),
-                          k=k, seeds=seeds, chain=chain,
-                          spec_echo={"kind": "darboux1", "k": k, "lambda0": [complex(lam0).real, complex(lam0).imag],
-                                     "a0": "a0", "b0": [0.0, 0.0], "c0": [complex(c0).real, complex(c0).imag]})
+    return build_solution({"kind": "darboux1", "k": k, "lambda0": complex_json(lam0),
+                           "a0": "a0", "b0": [0.0, 0.0], "c0": complex_json(c0)})
 
 
 def example2_bundle(lam0: complex = 0.9, c0: complex = 1.2, b0: complex = 0.5,
                     k: int = 0) -> SolutionBundle:
-    seeds = [SeedParams(lam=lam0, c=c0, b=b0, a=None)]
-    chain = darboux_chain(k, seeds, 1)
-    return SolutionBundle("darboux", chain.solution(), generator_set(seeds),
-                          k=k, seeds=seeds, chain=chain,
-                          spec_echo={"kind": "darboux1", "k": k, "lambda0": [complex(lam0).real, complex(lam0).imag],
-                                     "a0": None, "b0": [complex(b0).real, complex(b0).imag],
-                                     "c0": [complex(c0).real, complex(c0).imag]})
+    return build_solution({"kind": "darboux1", "k": k, "lambda0": complex_json(lam0),
+                           "a0": None, "b0": complex_json(b0), "c0": complex_json(c0)})
 
 
 def _diff(name: str, got: GrassmannElement | None, want: GrassmannElement,

@@ -8,6 +8,7 @@ for singular points and mixed branches, and a near-miss input that the
 batch must still reject.
 """
 
+import gc
 import json
 
 import numpy as np
@@ -118,6 +119,20 @@ def test_point_batch_is_a_memo_key():
     with pytest.raises(ValueError):
         PointBatch.of([pts[0], SuperspacePoint(0.1, 0.2, 1.0, spec=JetSpec((1, 1, 1)),
                                                gens=GENS)])
+
+
+def test_memo_entry_lives_as_long_as_its_batch():
+    pts = grid(3)
+    calls = []
+    field = Superfield(lambda pt: calls.append(1) or pt.scalar(pt.xp_jet()), EVEN, "x+")
+    batch = PointBatch.of(pts)
+    field.evaluate(batch)
+    assert len(calls) == 1
+    del batch
+    gc.collect()
+    # an equal batch misses: nothing was kept for the one that is gone
+    field.evaluate(PointBatch.of(pts))
+    assert len(calls) == 2
 
 
 def test_lax_guard_decides_per_point():

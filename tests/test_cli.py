@@ -1,10 +1,14 @@
 """CLI: schemas, determinism, exit codes, and command behavior."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import susygordon
 from susygordon.cli import main
 from susygordon.errors import ConfigError
 from susygordon.grassmann import GeneratorSet
@@ -134,9 +138,8 @@ def test_exit_codes(tmp_path, capsys):
                  "--tol", "1e-30", "--out", str(tmp_path / "f.json")])
     assert code == 1
     # a config problem exits 2
-    assert main(["verify", "lsp", "--solution",
-                 write(tmp_path, "t.json", {"kind": "trivial"}),
-                 "--out", str(tmp_path / "x.json")]) == 2
+    trivial = write(tmp_path, "t.json", {"kind": "trivial"})
+    assert main(["verify", "lsp", "--solution", trivial, "--out", str(tmp_path / "x.json")]) == 2
     assert main(["verify", "ssge", "--solution", str(tmp_path / "missing.json")]) == 2
     # malformed input exits 2 with an error line, never a traceback
     truncated = tmp_path / "cut.json"
@@ -154,6 +157,8 @@ def test_exit_codes(tmp_path, capsys):
         ["verify", "ssge", "--solution", write(tmp_path, "k.json", {"kind": "trivial", "k": [1]})],
         ["verify", "ssge", "--solution", write(tmp_path, "k15.json", {"kind": "trivial", "k": 1.5})],
         ["solve", "darboux", "--seeds", write(tmp_path, "s5.json", {"k": 0, "seeds": 5})],
+        # as in a solution file, an empty seed list has nothing to transform
+        ["solve", "darboux", "--seeds", write(tmp_path, "s0.json", {"k": 0, "seeds": []})],
         # a negative iteration count would verify the trivial seed
         ["verify", "ssge", "--solution", write(tmp_path, "neg.json", {**DARBOUX2, "iterations": -1})],
         ["solve", "darboux", "--seeds", write(tmp_path, "s2.json", {"k": 0, "seeds": DARBOUX2["seeds"]}),
@@ -161,11 +166,54 @@ def test_exit_codes(tmp_path, capsys):
         # float64 overflow: cmath per point, numpy on a batch
         ["verify", "ssge", "--solution", str(DEEP_CHAIN), "--x-range=-1e4,1e4"],
         ["verify", "ssge", "--solution", str(SAMPLES / "one_soliton.json"), "--x-range=-1e3,1e3"],
+        # sampling and geometry flags that do not parse, are not finite or are out of order
+        ["verify", "ssge", "--solution", sol, "--x-range=1,0"],
+        ["verify", "ssge", "--solution", sol, "--x-range", "abc"],
+        ["verify", "ssge", "--solution", sol, "--x-range=nan,1"],
+        ["verify", "ssge", "--solution", sol, "--lam-range=0.5,inf"],
+        ["geometry", "--solution", sol, "--beta", "x"],
+        # a check the solution kind cannot supply
+        ["verify", "riccati", "--solution", trivial],
+        ["verify", "backlund", "--solution", sol],
+        ["verify", "ssge", "--solution",
+         write(tmp_path, "bogus.json", {**DARBOUX2, "mode": "bogus"})],
+        # the worked-example tables read the first seed; these solutions have none
+        ["geometry", "--solution", trivial, "--expect", "example1"],
+        ["geometry", "--solution", str(SAMPLES / "backlund_trivial.json"), "--expect", "example2"],
+        ["geometry", "--solution", write(tmp_path, "sc.json", {"kind": "scaled", "mu": 0.2,
+                                                               "base": {"kind": "trivial"}}),
+         "--expect", "example1"],
     ):
         capsys.readouterr()
         assert main(argv + ["--points", "2"]) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, argv
+
+
+def test_solution_echo_is_the_file_as_written(tmp_path):
+    # a key the schema does not use, even one named like an internal field, is echoed verbatim
+    payload = {**DARBOUX2, "_echo": {"kind": "trivial"}}
+    out = tmp_path / "echo.json"
+    assert main(["verify", "ssge", "--solution", write(tmp_path, "e.json", payload),
+                 "--points", "1", "--x-range=-0.4,0.4", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["solution"] == payload
+
+
+def test_verify_closed_form_solution(tmp_path):
+    sol = write(tmp_path, "cf.json", {**DARBOUX2, "mode": "closed-form"})
+    assert main(["verify", "ssge", "--solution", sol, "--points", "3", "--seed", "4",
+                 "--x-range=-0.4,0.4", "--out", str(tmp_path / "cf_report.json")]) == 0
+
+
+def test_module_entry_point_runs():
+    src = Path(susygordon.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-m", "susygordon", "reproduce", "constraints"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["passed"] and report["command"] == "reproduce"
 
 
 def test_all_singular_sweep_fails(tmp_path):
