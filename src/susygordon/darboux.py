@@ -10,7 +10,7 @@ transformation
 
 is iterated, always consuming the lowest surviving index, to produce the
 multisoliton solutions s[n].  A consumed wavefunction is never reused; the
-iteration ledger records the consumption order and replays deterministically.
+iteration ledger records the (deterministic) consumption order.
 
 The same solutions have a closed determinant form built from
 
@@ -285,15 +285,6 @@ def darboux_chain(k: int, seeds: Sequence[SeedParams], n: int) -> DarbouxChain:
             if isinstance(consumed.lam, complex) else [float(consumed.lam), 0.0],
         })
     return DarbouxChain(solutions, waves, ledger)
-
-
-def replay_chain(k: int, seeds: Sequence[SeedParams], ledger: Sequence[dict]) -> DarbouxChain:
-    """Re-run a recorded ledger; the consumption order must reproduce exactly."""
-    chain = darboux_chain(k, seeds, len(ledger))
-    for want, got in zip(ledger, chain.ledger):
-        if want["consumed_index"] != got["consumed_index"]:
-            raise ValueError(f"ledger mismatch at step {want['step']}")
-    return chain
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ class BetaFunction:
             raise ValueError("beta coefficient must be nonzero")
 
     def jet(self, lam: JetScalar) -> JetScalar:
-        return lam.analytic("power", exponent=self.power) * self.coefficient
+        return lam ** self.power * self.coefficient
 
 
 @dataclass
@@ -171,11 +171,6 @@ def curvatures(g11, g12, g22, b11, b12, b22) -> CurvatureData:
     return CurvatureData(g_disc, b_disc, None,
                          "undefined: vanishing discriminant",
                          None, "undefined: vanishing discriminant")
-
-
-def fundamental_forms(metric: MetricCoefficients, b11, b12, b22):
-    """Coefficient triples of I and II (the odd differentials stay notational)."""
-    return metric.triple(), (b11, b12, b22)
 
 
 @dataclass

@@ -277,8 +277,7 @@ def fermi_derivative(a: GrassmannElement, name: str) -> GrassmannElement:
     return a.fermi_derivative(name)
 
 
-def analytic_lift(name: str, a: GrassmannElement,
-                  exponent: complex | None = None) -> GrassmannElement:
+def analytic_lift(name: str, a: GrassmannElement) -> GrassmannElement:
     """Apply an analytic function to an even element via its finite Taylor sum.
 
     ``f(body + soul) = sum_k f^(k)(body)/k! soul^k`` where the even soul is
@@ -289,7 +288,7 @@ def analytic_lift(name: str, a: GrassmannElement,
         raise ParityError(f"analytic_lift({name}) requires an even element, got {a.parity()}")
     body = a.body()
     kmax = len(a.gens) // 2
-    seq = scalar_analytic_derivatives(body, name, kmax, exponent)
+    seq = scalar_analytic_derivatives(body, name, kmax)
     result = GrassmannElement.from_scalar(a.gens, seq[0])
     soul = a.soul()
     power = GrassmannElement.from_scalar(a.gens, 1.0 + 0.0j)
@@ -302,12 +301,25 @@ def analytic_lift(name: str, a: GrassmannElement,
 
 
 def ginv(a: GrassmannElement) -> GrassmannElement:
-    """Exact multiplicative inverse of an even element with invertible body."""
+    """Exact multiplicative inverse of an even element with invertible body.
+
+    ``1/(body + soul) = r sum_k (-soul r)^k`` with ``r = 1/body``; the sum
+    stops at ``k = floor(N/2)``, where the even soul is nilpotent.
+    """
     if a.parity() != EVEN:
         raise ParityError("ginv requires an even element")
-    if near_zero(scalar_value(a.body())):
+    body = a.body()
+    if near_zero(scalar_value(body)):
         raise SingularBodyError("ginv: body is not invertible")
-    return analytic_lift("power", a, exponent=-1)
+    r = body.reciprocal() if isinstance(body, JetScalar) else 1 / complex(body)
+    step = a.soul() * -r
+    term = result = GrassmannElement.from_scalar(a.gens, r)
+    for _ in range(len(a.gens) // 2):
+        term = term * step
+        if term.is_zero():
+            break
+        result = result + term
+    return result
 
 
 def allclose(a: GrassmannElement, b: GrassmannElement,
@@ -334,20 +346,8 @@ def element_to_json(a: GrassmannElement) -> list[dict]:
     for m, c in a.terms.items():
         names = [a.gens.names[i] for i in range(len(a.gens)) if m >> i & 1]
         v = scalar_value(c)
-        entries.append({"monomial": names, "re": v.real, "im": v.imag})
+        # + 0.0 writes a zero as 0.0 whatever its sign bit: the sign of an exact
+        # zero can depend on whether a monomial was stored (batch) or dropped (point)
+        entries.append({"monomial": names, "re": v.real + 0.0, "im": v.imag + 0.0})
     entries.sort(key=lambda e: e["monomial"])
     return entries
-
-
-def element_from_json(gens: GeneratorSet, data: Iterable[Mapping]) -> GrassmannElement:
-    terms: dict[int, object] = {}
-    for entry in data:
-        m = 0
-        for name in entry["monomial"]:
-            bit = 1 << gens.index(name)
-            if m & bit:
-                raise ValueError(f"repeated generator {name!r} in monomial")
-            m |= bit
-        c = complex(entry["re"], entry["im"])
-        terms[m] = terms[m] + c if m in terms else c
-    return GrassmannElement(gens, terms)

@@ -5,7 +5,10 @@ A jet carries the value of a function of the bosonic variables
 fixed order per variable.  Stored coefficients are Taylor coefficients,
 ``c[i, j, k] = d^i_{x+} d^j_{x-} d^k_lam f / (i! j! k!)`` at the base point,
 so products are truncated polynomial convolutions and derivatives are exact
-within the truncation.
+within the truncation.  Division is built from the product alone:
+:meth:`JetScalar.reciprocal` takes Newton steps ``r <- r (2 - a r)`` from
+``1/body``, and ``1/a``, ``b/a`` and ``a ** -n`` go through it.  Analytic
+functions (``exp sin cos ln sqrt``) compose their derivative sequences.
 
 A jet may also carry a leading point axis, ``c.shape == (P, ...)``: one
 expansion per point of a batch, propagated together (vectorised forward-mode
@@ -108,17 +111,16 @@ class PerPoint(tuple):
     """Report values of a batch, one per point (see ``reporting.sweep``)."""
 
 
-def derivative_sequence(name: str, z, kmax: int,
-                        exponent: complex | None = None) -> list:
+def derivative_sequence(name: str, z, kmax: int) -> list:
     """Return ``[f(z), f'(z), ..., f^(kmax)(z)]`` for a named analytic f.
 
-    ``ln``, ``sqrt`` and non-integer/negative powers use the principal branch
-    and require ``abs(z) >= TINY``.  An array ``z`` (the bodies of a batch)
-    gives one array per order, computed point by point with ``cmath``; it
-    fails if any point is singular.
+    ``ln`` and ``sqrt`` use the principal branch and require
+    ``abs(z) >= TINY``.  An array ``z`` (the bodies of a batch) gives one
+    array per order, computed point by point with ``cmath``; it fails if any
+    point is singular.
     """
     if isinstance(z, np.ndarray):
-        seqs = [derivative_sequence(name, w, kmax, exponent) for w in z.tolist()]
+        seqs = [derivative_sequence(name, w, kmax) for w in z.tolist()]
         return [np.array(col, dtype=complex) for col in zip(*seqs)]
     z = complex(z)
     if name == "exp":
@@ -130,30 +132,19 @@ def derivative_sequence(name: str, z, kmax: int,
     if name == "cos":
         cycle = [cmath.cos(z), -cmath.sin(z), -cmath.cos(z), cmath.sin(z)]
         return [cycle[k % 4] for k in range(kmax + 1)]
+    if name in ("ln", "sqrt") and abs(z) < TINY:
+        raise SingularBodyError(f"{name} requires an invertible body")
     if name == "ln":
-        if abs(z) < TINY:
-            raise SingularBodyError("ln requires an invertible body")
         seq = [cmath.log(z)]
         for k in range(1, kmax + 1):
             seq.append((-1) ** (k - 1) * math.factorial(k - 1) / z ** k)
         return seq
     if name == "sqrt":
-        return derivative_sequence("power", z, kmax, exponent=0.5)
-    if name == "power":
-        if exponent is None:
-            raise ValueError("power requires an exponent")
-        r = complex(exponent)
-        integral = r.imag == 0 and r.real == int(r.real) and r.real >= 0
-        if not integral and abs(z) < TINY:
-            raise SingularBodyError(f"power({exponent}) requires an invertible body")
-        seq: list = []
-        coef: complex = 1.0
+        seq = []
+        coef = 1.0
         for k in range(kmax + 1):
-            if coef == 0:
-                seq.append(0.0)
-            else:
-                seq.append(coef * z ** (r - k))
-            coef *= r - k
+            seq.append(coef * z ** (0.5 - k))
+            coef *= 0.5 - k
         return seq
     raise ValueError(f"unknown analytic function {name!r}")
 
@@ -334,8 +325,13 @@ class JetScalar:
         if n < 0:
             return self.reciprocal() ** (-n)
         out = JetScalar.constant(1.0, JetSpec(self.spec))
-        for _ in range(n):
-            out = out * self
+        base = self
+        while n:  # square and multiply
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __repr__(self) -> str:
@@ -387,20 +383,34 @@ class JetScalar:
             acc = acc * h + pointwise(operator.truediv, seq[j], math.factorial(j))
         return acc
 
-    def analytic(self, name: str, exponent: complex | None = None) -> "JetScalar":
+    def analytic(self, name: str) -> "JetScalar":
         """Taylor composition ``f(self)`` truncated to this jet's spec."""
-        seq = derivative_sequence(name, self.value, sum(self.spec), exponent)
+        seq = derivative_sequence(name, self.value, sum(self.spec))
         return self._compose(seq)
 
-    def analytic_derivatives(self, name: str, kmax: int,
-                             exponent: complex | None = None) -> list["JetScalar"]:
+    def analytic_derivatives(self, name: str, kmax: int) -> list["JetScalar"]:
         """Jets of ``f(self), f'(self), ..., f^(kmax)(self)``."""
         total = sum(self.spec)
-        seq = derivative_sequence(name, self.value, kmax + total, exponent)
+        seq = derivative_sequence(name, self.value, kmax + total)
         return [self._compose(seq[k:]) for k in range(kmax + 1)]
 
     def reciprocal(self) -> "JetScalar":
-        return self.analytic("power", exponent=-1)
+        """``1/self`` by Newton steps ``r <- r (2 - self r)`` from ``r = 1/body``.
+
+        Each step doubles the total order to which ``r`` is exact, so
+        ``ceil(log2(total + 1))`` steps fill the whole jet.  Composing the
+        series of ``1/z`` instead sums powers of ``soul/body``, whose partial
+        sums dwarf the result when the derivative coefficients dwarf the body.
+        """
+        value = self.value
+        if near_zero(value):
+            raise SingularBodyError("reciprocal requires an invertible body")
+        r = JetScalar.constant(pointwise(lambda z: 1 / z, value), JetSpec(self.spec))
+        known = 1
+        while known <= sum(self.spec):
+            r = r * (2 - self * r)
+            known *= 2
+        return r
 
     def sqrt(self) -> "JetScalar":
         return self.analytic("sqrt")
@@ -418,8 +428,8 @@ def jet_constant(value: complex, spec: JetSpec = DEFAULT_SPEC) -> JetScalar:
     return JetScalar.constant(value, spec)
 
 
-def jet_fn(name: str, a: JetScalar, exponent: complex | None = None) -> JetScalar:
-    return a.analytic(name, exponent)
+def jet_fn(name: str, a: JetScalar) -> JetScalar:
+    return a.analytic(name)
 
 
 def jet_extract(a: JetScalar, index: Sequence[int]) -> complex:
@@ -449,7 +459,7 @@ def scalar_max_abs(c) -> float:
     return c.max_abs() if isinstance(c, JetScalar) else abs(c)
 
 
-def scalar_analytic_derivatives(c, name: str, kmax: int, exponent=None) -> list:
+def scalar_analytic_derivatives(c, name: str, kmax: int) -> list:
     if isinstance(c, JetScalar):
-        return c.analytic_derivatives(name, kmax, exponent)
-    return derivative_sequence(name, complex(c), kmax, exponent)
+        return c.analytic_derivatives(name, kmax)
+    return derivative_sequence(name, complex(c), kmax)

@@ -150,9 +150,9 @@ def build_solution(data: dict) -> SolutionBundle:
         base = build_solution(data["base"])
         mu = json_number(data.get("mu", 0.0), "mu", float)
         sign = json_number(data.get("sign", 1), "sign")
-        scaled = scaling_map(base.s, mu, sign)
-        return SolutionBundle(scaled, base.gens, k=base.k, seeds=base.seeds,
-                              chain=base.chain, spec_echo=data)
+        # the base's chain and seeds describe the base solution, not this one
+        return SolutionBundle(scaling_map(base.s, mu, sign), base.gens, k=base.k,
+                              spec_echo=data)
 
     raise ConfigError(f"unknown solution kind {kind!r}")
 

