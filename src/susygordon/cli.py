@@ -67,6 +67,12 @@ def _parse_range(text: str, what: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _tol(args) -> float:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ConfigError(f"--tol must be a finite non-negative number, got {args.tol!r}")
+    return args.tol
+
+
 def _sample(args, gens, complex_parts: bool = False) -> tuple[list, dict]:
     """Points from the common sampling flags, and their echo for the config."""
     spec = parse_jet_spec(args.jet_spec)
@@ -123,15 +129,16 @@ def _residual_fn(kind: str, bundle: SolutionBundle):
 
 
 def cmd_verify(args) -> dict:
+    tol = _tol(args)
     bundle = load_solution(args.solution)
     points, echo = _sample(args, bundle.gens, args.complex_parts)
     residual = _residual_fn(args.kind, bundle)
 
     def check(pt) -> dict:
         mag = residual_magnitude(residual(pt))
-        return {"residual": mag, "passed": mag <= args.tol}
+        return {"residual": mag, "passed": mag <= tol}
 
-    config = {"kind": args.kind, "solution": bundle.spec_echo, "tol": args.tol,
+    config = {"kind": args.kind, "solution": bundle.spec_echo, "tol": tol,
               "complex": args.complex_parts, **echo}
     return make_report("verify", config, sweep(points, args.kind + "[{}]", check))
 
@@ -165,6 +172,7 @@ def _parse_beta(text: str) -> BetaFunction:
 
 
 def cmd_geometry(args) -> dict:
+    tol = _tol(args)
     bundle = load_solution(args.solution)
     if args.expect is not None and not bundle.seeds:
         raise ConfigError(
@@ -177,20 +185,20 @@ def cmd_geometry(args) -> dict:
         if expected is None:
             sd = surface_data(bundle.s, pt, beta)
             skew = (sd.b21 + sd.b12).max_abs()
-            entry = {"skew_defect": skew, "passed": skew <= args.tol}
+            entry = {"skew_defect": skew, "passed": skew <= tol}
         else:
-            sd, diffs = expected(bundle, pt, args.tol, beta)
+            sd, diffs = expected(bundle, pt, tol, beta)
             entry = _expected(diffs)
         entry["surface"] = sd.to_json()
         return entry
 
-    config = {"solution": bundle.spec_echo, "beta": args.beta, "tol": args.tol,
+    config = {"solution": bundle.spec_echo, "beta": args.beta, "tol": tol,
               "expect": args.expect, **echo}
     return make_report("geometry", config, sweep(points, "surface[{}]", check))
 
 
 def cmd_reproduce(args) -> dict:
-    tol = args.tol
+    tol = _tol(args)
     config = {"target": args.target, "points": args.points, "seed": args.seed, "tol": tol}
     if args.target == "constraints":
         j, k, m, n = build_constraint_matrices()

@@ -1,18 +1,32 @@
 """Exact arithmetic in a finitely generated Grassmann algebra.
 
-Elements are sparse maps from monomials to scalar coefficients.  A monomial
-is a subset of the (ordered, named) odd generators, stored as a bitmask over
-the generator indices; every generator squares to zero and distinct
-generators anticommute.  All sign bookkeeping from reordering products into
-the canonical ascending-index form is absorbed into the coefficients.
+A monomial is a subset of the (ordered, named) odd generators, stored as a
+bitmask over the generator indices; every generator squares to zero and
+distinct generators anticommute.  All sign bookkeeping from reordering
+products into the canonical ascending-index form is absorbed into the
+coefficients.
 
-Coefficients live in an abstract scalar ring: plain ``complex`` for exact
-algebra, or :class:`~susygordon.jets.JetScalar` when the element is the value
-of a superfield and has to carry partial derivatives.  The two may be mixed;
-scalar dispatch is handled by the helpers in :mod:`susygordon.jets`.
-Coefficient jets may carry a point axis (a batch of sample points); a
-monomial is dropped only when its coefficient is zero at every point, and
-:meth:`GrassmannElement.at` gives the element at one point.
+Coefficients are plain ``complex`` numbers for exact algebra, or
+:class:`~susygordon.jets.JetScalar` values when the element is the value of
+a superfield and has to carry partial derivatives; the two may be mixed.
+
+Packed layout.  An element holds the sorted tuple of its monomial keys and
+one complex block of shape ``(M, [P,] s+, s-, slam)``: one row per monomial,
+an optional point axis for a batch of sample points, and the jet axes.  Each
+row keeps the jet shape to which it is known: a product or sum of two
+coefficients is known to the common (elementwise-minimum) shape of what it
+combines, and a plain complex coefficient is a constant, known to every
+order.  The block's jet axes are the largest known shape, and entries
+beyond a row's own shape are held at zero.  Keys and known shapes together
+form an interned layout, so the table of a product or sum is cached per pair
+of layouts: it holds the disjoint monomial pairs, their signs and the runs of
+pairs that land on one output monomial.  A product is then one gather of
+both blocks, one jet product (:func:`susygordon.jets._product_table`) per
+pair, one ``np.add.reduceat`` over the runs and one nonzero pass that drops
+the monomials that came out zero; large products run in chunks of pairs, so
+the intermediate stays within ``PRODUCT_BUDGET`` entries.  A monomial is
+dropped only when it is zero at every point; :meth:`GrassmannElement.at`
+gives the element at one point.
 """
 
 from __future__ import annotations
@@ -21,15 +35,20 @@ import math
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .errors import GeneratorMismatchError, ParityError, SingularBodyError
+import numpy as np
+
+from .errors import GeneratorMismatchError, JetBudgetError, ParityError, SingularBodyError
 from .jets import (
     JetScalar,
     PerPoint,
+    _derivative_slice,
+    _product_table,
+    _wrap,
+    axis_of,
     near_zero,
     peak,
     scalar_analytic_derivatives,
     scalar_is_zero,
-    scalar_max_abs,
     scalar_value,
 )
 
@@ -39,6 +58,13 @@ MAX_GENERATORS = 64
 EVEN = "even"
 ODD = "odd"
 INHOMOGENEOUS = "inhomogeneous"
+
+#: known order of a plain complex coefficient: a constant is known to every order
+CONSTANT = 1 << 30
+_CONSTANT_SHAPE = (CONSTANT,) * 3
+
+#: complex entries one chunk of a product's pair-by-jet intermediate may hold
+PRODUCT_BUDGET = 1 << 14
 
 
 class GeneratorSet:
@@ -97,68 +123,415 @@ def _product_sign(ma: int, mb: int) -> int:
     return -1 if swaps & 1 else 1
 
 
+# ---------------------------------------------------------------------------
+# layouts and their cached tables
+# ---------------------------------------------------------------------------
+
+class _Layout:
+    """Sorted monomial keys and the known jet shape of each (interned).
+
+    ``grid`` is the largest known shape, ``(1, 1, 1)`` when every coefficient
+    is a constant; a block of this layout has the jet axes ``grid``.
+    ``derived`` caches the layouts and tables built from this one.
+    """
+
+    __slots__ = ("keys", "shapes", "known", "grid", "parity", "derived", "_zero_where")
+
+    def __init__(self, keys: tuple, shapes: tuple) -> None:
+        self.keys = keys
+        self.shapes = shapes
+        self.known = np.array(shapes, dtype=np.int64).reshape(-1, 3)
+        finite = [s for s in shapes if s[0] != CONSTANT]
+        self.grid = tuple(map(max, zip(*finite))) if finite else (1, 1, 1)
+        degs = {m.bit_count() & 1 for m in keys}
+        self.parity = EVEN if degs <= {0} else ODD if degs == {1} else INHOMOGENEOUS
+        self.derived: dict = {}
+        self._zero_where = False
+
+    def zero_where(self):
+        """Where a block of this layout must be zero (beyond each row's known
+        shape), as a ``(M, *grid)`` mask; None when no row is short of the grid."""
+        if self._zero_where is False:
+            known = np.minimum(self.known, self.grid)
+            if (known == self.grid).all():
+                self._zero_where = None
+            else:
+                index = np.indices(self.grid)[None]
+                self._zero_where = (index >= known[:, :, None, None, None]).any(axis=1)
+        return self._zero_where
+
+
+_LAYOUTS: dict[tuple, _Layout] = {}
+
+
+def _layout(keys: tuple, shapes: tuple) -> _Layout:
+    got = _LAYOUTS.get((keys, shapes))
+    if got is None:
+        shapes = tuple(_SHAPES.setdefault(s, s) for s in shapes)
+        got = _LAYOUTS[(keys, shapes)] = _Layout(keys, shapes)
+    return got
+
+
+_SHAPES: dict[tuple, tuple] = {}
+
+
+_EMPTY = _layout((), ())
+_EMPTY_BLOCK = np.zeros((0, 1, 1, 1), dtype=complex)
+_CONSTANT_BODY = _layout((0,), (_CONSTANT_SHAPE,))
+
+
+class _KeyPairs:
+    """The disjoint monomial pairs of two key tuples, grouped by output monomial.
+
+    Pairs ``(ia[k], ib[k])`` are sorted by output monomial, and within one by
+    ``(ia, ib)``; ``starts`` marks each output's run and ``neg`` the pairs whose
+    reordering sign is -1 (None when there are none).
+    """
+
+    __slots__ = ("ia", "ib", "neg", "out_keys", "starts", "single")
+
+    def __init__(self, ka: tuple, kb: tuple) -> None:
+        pairs = sorted(((ma | mb, i, j) for i, ma in enumerate(ka)
+                        for j, mb in enumerate(kb) if not ma & mb), key=lambda t: t[0])
+        self.ia = np.array([i for _, i, _ in pairs], dtype=np.intp)
+        self.ib = np.array([j for _, _, j in pairs], dtype=np.intp)
+        neg = np.array([_product_sign(ka[i], kb[j]) < 0 for _, i, j in pairs], dtype=bool)
+        self.neg = neg if neg.any() else None
+        starts = [k for k, t in enumerate(pairs) if k == 0 or t[0] != pairs[k - 1][0]]
+        self.out_keys = tuple(pairs[k][0] for k in starts)
+        self.starts = np.array(starts, dtype=np.intp)
+        self.single = len(starts) == len(pairs)
+
+
+_KEY_PAIRS: dict[tuple, _KeyPairs] = {}
+
+
+class _Product:
+    """A cached product of two layouts: its key pairs, its output layout and
+    the number of jet index pairs one row product takes."""
+
+    __slots__ = ("pairs", "layout", "jet_pairs")
+
+    def __init__(self, la: _Layout, lb: _Layout) -> None:
+        pairs = _KEY_PAIRS.get((la.keys, lb.keys))
+        if pairs is None:
+            pairs = _KEY_PAIRS[(la.keys, lb.keys)] = _KeyPairs(la.keys, lb.keys)
+        self.pairs = pairs
+        self.layout, self.jet_pairs = _EMPTY, 1
+        if pairs.out_keys:
+            known = np.minimum(la.known[pairs.ia], lb.known[pairs.ib])
+            known = np.minimum.reduceat(known, pairs.starts, axis=0)
+            self.layout = _layout(pairs.out_keys, tuple(map(tuple, known.tolist())))
+            self.jet_pairs = len(_product_table(self.layout.grid)[0])
+
+
+class _Sum:
+    """A cached sum of two layouts: where each operand's rows go in the output."""
+
+    __slots__ = ("layout", "pos_a", "pos_b", "common", "masked")
+
+    def __init__(self, la: _Layout, lb: _Layout) -> None:
+        shape = dict(zip(lb.keys, lb.shapes))
+        for m, s in zip(la.keys, la.shapes):
+            shape[m] = tuple(map(min, s, shape[m])) if m in shape else s
+        keys = tuple(sorted(shape))
+        self.layout = _layout(keys, tuple(shape[m] for m in keys))
+        slot = {m: i for i, m in enumerate(keys)}
+        self.pos_a = _index([slot[m] for m in la.keys], len(keys))
+        self.pos_b = _index([slot[m] for m in lb.keys], len(keys))
+        both = set(la.keys) & set(lb.keys)
+        self.common = np.array([slot[m] for m in sorted(both)], dtype=np.intp) if both else None
+        # a common row known to less than one operand's jet holds that jet's extra orders
+        self.masked = any(s != shape[m] and s[0] != CONSTANT
+                          for keys, shapes in ((la.keys, la.shapes), (lb.keys, lb.shapes))
+                          for m, s in zip(keys, shapes) if m in both) \
+            and self.layout.zero_where() is not None
+
+
+_SUMS: dict[tuple, _Sum] = {}
+
+
+def _index(rows: list, size: int):
+    """Rows as a slice when they are all ``size`` rows in order, else an index array."""
+    if rows == list(range(size)):
+        return slice(None)
+    return np.array(rows, dtype=np.intp)
+
+
+# ---------------------------------------------------------------------------
+# block helpers
+# ---------------------------------------------------------------------------
+
+def _new(gens: GeneratorSet, layout: _Layout, block: np.ndarray) -> "GrassmannElement":
+    elem = object.__new__(GrassmannElement)
+    elem.gens = gens
+    elem.layout = layout
+    elem.block = block
+    return elem
+
+
+def _crop(block: np.ndarray, grid: tuple) -> np.ndarray:
+    if block.shape[-3:] == grid:
+        return block
+    return block[..., : grid[0], : grid[1], : grid[2]]
+
+
+def _fit(block: np.ndarray, grid: tuple) -> np.ndarray:
+    """Crop or zero-pad the jet axes to ``grid``; a ``(1, 1, 1)`` block is kept
+    as it is, a constant factor that broadcasts."""
+    have = block.shape[-3:]
+    if have == grid or have == (1, 1, 1):
+        return block
+    block = _crop(block, grid)
+    if block.shape[-3:] == grid:
+        return block
+    out = np.zeros(block.shape[:-3] + grid, dtype=complex)
+    out[..., : block.shape[-3], : block.shape[-2], : block.shape[-1]] = block
+    return out
+
+
+def _with_points(a: np.ndarray, b: np.ndarray):
+    """Give a rank-3 row block a point axis of length 1 when the other has one."""
+    if a.ndim == b.ndim:
+        return a, b
+    return (a[:, None], b) if a.ndim < b.ndim else (a, b[:, None])
+
+
+def _jet_rows(x: np.ndarray, y: np.ndarray, grid: tuple) -> np.ndarray:
+    """Row-by-row truncated jet product of two row blocks fitted to ``grid``."""
+    x, y = _with_points(x, y)
+    if x.shape[-3:] == (1, 1, 1) or y.shape[-3:] == (1, 1, 1):
+        return x * y
+    p, q, starts = _product_table(grid)
+    size = len(starts)
+    xf = x.reshape(x.shape[:-3] + (size,))
+    yf = y.reshape(y.shape[:-3] + (size,))
+    if xf.shape[1] < yf.shape[1]:  # gather the batched operand first, multiply in place
+        terms = yf.take(q, axis=-1)
+        terms *= xf.take(p, axis=-1)
+    else:
+        terms = xf.take(p, axis=-1)
+        terms *= yf.take(q, axis=-1)
+    out = np.add.reduceat(terms, starts, axis=-1)
+    return out.reshape(out.shape[:-1] + grid)
+
+
+def _pair_rows(a: np.ndarray, b: np.ndarray, ia, ib, neg, grid: tuple) -> np.ndarray:
+    """Signed jet products of the row pairs ``(a[ia], b[ib])``."""
+    ga = a.take(ia, axis=0)
+    if neg is not None:
+        np.negative(ga, out=ga, where=neg[(slice(None),) + (None,) * (ga.ndim - 1)])
+    return _jet_rows(_fit(ga, grid), _fit(b.take(ib, axis=0), grid), grid)
+
+
+def _rows(gens: GeneratorSet, elem_layout: _Layout, block: np.ndarray,
+          rows: np.ndarray) -> "GrassmannElement":
+    """The element made of some rows of a block (its grid shrinks to fit)."""
+    key = ("rows", rows.tobytes())
+    layout = elem_layout.derived.get(key)
+    if layout is None:
+        picked = rows.tolist()
+        layout = elem_layout.derived[key] = _layout(
+            tuple(elem_layout.keys[i] for i in picked),
+            tuple(elem_layout.shapes[i] for i in picked))
+    if not layout.keys:
+        return GrassmannElement.zero(gens)
+    return _new(gens, layout, _crop(block[rows], layout.grid))
+
+
+def _pruned(gens: GeneratorSet, layout: _Layout, block: np.ndarray) -> "GrassmannElement":
+    """The element without the rows that are zero at every point."""
+    count = len(layout.keys)
+    if not count:
+        return GrassmannElement.zero(gens)
+    nonzero = np.logical_or.reduce(block.reshape(count, -1), axis=1)
+    if nonzero.all():
+        return _new(gens, layout, block)
+    return _rows(gens, layout, block, np.flatnonzero(nonzero))
+
+
+def _product(a: "GrassmannElement", b: "GrassmannElement") -> "GrassmannElement":
+    plan = _PRODUCTS.get((a.layout, b.layout))
+    if plan is None:
+        plan = _PRODUCTS[(a.layout, b.layout)] = _Product(a.layout, b.layout)
+    layout, pairs = plan.layout, plan.pairs
+    if not layout.keys:
+        return GrassmannElement.zero(a.gens)
+    grid = layout.grid
+    ba, bb = a.block, b.block
+    points = ba.shape[1] if ba.ndim == 5 else bb.shape[1] if bb.ndim == 5 else 1
+    limit = max(1, PRODUCT_BUDGET // (points * plan.jet_pairs))
+    if len(pairs.ia) <= limit:
+        out = _pair_rows(ba, bb, pairs.ia, pairs.ib, pairs.neg, grid)
+        if not pairs.single:
+            out = np.add.reduceat(out, pairs.starts, axis=0)
+    else:  # bound the intermediate; a run split between chunks carries its partial sum over
+        lead = (len(layout.keys),) + ((points,) if max(ba.ndim, bb.ndim) == 5 else ())
+        out = np.empty(lead + grid, dtype=complex)
+        for k0 in range(0, len(pairs.ia), limit):
+            k1 = min(k0 + limit, len(pairs.ia))
+            o0, o1 = np.searchsorted(pairs.starts, (k0, k1 - 1), side="right")
+            o0 -= 1
+            neg = None if pairs.neg is None else pairs.neg[k0:k1]
+            part = _pair_rows(ba, bb, pairs.ia[k0:k1], pairs.ib[k0:k1], neg, grid)
+            if pairs.starts[o0] < k0:  # the first run began in the chunk before
+                part[0] += out[o0]
+            starts = np.concatenate(([0], pairs.starts[o0 + 1:o1] - k0))
+            out[o0:o1] = np.add.reduceat(part, starts, axis=0)
+    zero_where = layout.zero_where()
+    if zero_where is not None:
+        np.copyto(out, 0, where=zero_where if out.ndim == 4 else zero_where[:, None])
+    return _pruned(a.gens, layout, out)
+
+
+_PRODUCTS: dict[tuple, _Product] = {}
+
+
+def _sum(a: "GrassmannElement", b: "GrassmannElement") -> "GrassmannElement":
+    if not a.layout.keys:
+        return b
+    if not b.layout.keys:
+        return a
+    ba, bb = a.block, b.block
+    if a.layout is b.layout:
+        x, y = _with_points(ba, bb)
+        return _pruned(a.gens, a.layout, x + y)
+    plan = _SUMS.get((a.layout, b.layout))
+    if plan is None:
+        plan = _SUMS[(a.layout, b.layout)] = _Sum(a.layout, b.layout)
+    layout, grid = plan.layout, plan.layout.grid
+    points = (ba.shape[1],) if ba.ndim == 5 else (bb.shape[1],) if bb.ndim == 5 else ()
+    out = np.zeros((len(layout.keys),) + points + grid, dtype=complex)
+    for pos, block, add in ((plan.pos_a, ba, False), (plan.pos_b, bb, True)):
+        block = _crop(block, grid)
+        if block.ndim < out.ndim:
+            block = block[:, None]
+        s = block.shape[-3:]
+        index = (pos, Ellipsis, slice(0, s[0]), slice(0, s[1]), slice(0, s[2]))
+        if add:
+            out[index] += block
+        else:
+            out[index] = block
+    if plan.masked:
+        zero_where = layout.zero_where()
+        np.copyto(out, 0, where=zero_where if out.ndim == 4 else zero_where[:, None])
+    if plan.common is None:
+        return _new(a.gens, layout, out)
+    # only a monomial both operands hold can cancel
+    rows = out.take(plan.common, axis=0)
+    if np.logical_or.reduce(rows.reshape(len(rows), -1), axis=1).all():
+        return _new(a.gens, layout, out)
+    return _pruned(a.gens, layout, out)
+
+
 class GrassmannElement:
     """A sparse Grassmann-algebra element over a fixed generator set.
 
-    Immutable by convention: operations return new elements and never mutate
-    ``terms``.  Exactly-zero coefficients are never stored.
+    Immutable by convention: operations return new elements and never write
+    into a block they did not allocate.  Monomials that are exactly zero (at
+    every point of a batch) are never stored.  ``GrassmannElement(gens, terms)``
+    packs a ``monomial -> coefficient`` mapping; :attr:`terms` unpacks it.
     """
 
-    __slots__ = ("gens", "terms")
+    __slots__ = ("gens", "layout", "block")
     __array_ufunc__ = None  # ``ndarray op element`` defers to the element's operators
 
     def __init__(self, gens: GeneratorSet, terms: Mapping[int, object]) -> None:
+        items = sorted(((m, c) for m, c in terms.items() if not scalar_is_zero(c)),
+                       key=lambda t: t[0])
+        shapes = tuple(c.c.shape[-3:] if isinstance(c, JetScalar) else _CONSTANT_SHAPE
+                       for _, c in items)
+        layout = _layout(tuple(m for m, _ in items), shapes)
+        points = max((c.c.shape[0] for _, c in items
+                      if isinstance(c, JetScalar) and c.c.ndim == 4), default=0)
+        block = np.zeros((len(items),) + ((points,) if points else ()) + layout.grid,
+                         dtype=complex)
+        for row, (_, c) in zip(block, items):
+            if isinstance(c, JetScalar):
+                s = c.c.shape[-3:]
+                row[..., : s[0], : s[1], : s[2]] = c.c
+            else:
+                row[..., 0, 0, 0] = complex(c)
         self.gens = gens
-        self.terms = {m: c for m, c in terms.items() if not scalar_is_zero(c)}
+        self.layout = layout
+        self.block = block
 
     # -- constructors ----------------------------------------------------------
 
     @classmethod
     def zero(cls, gens: GeneratorSet) -> "GrassmannElement":
-        return cls(gens, {})
+        return _new(gens, _EMPTY, _EMPTY_BLOCK)
 
     @classmethod
     def from_scalar(cls, gens: GeneratorSet, value) -> "GrassmannElement":
-        return cls(gens, {0: value})
+        if isinstance(value, JetScalar):
+            if value.is_zero():
+                return cls.zero(gens)
+            return _new(gens, _layout((0,), (value.c.shape[-3:],)), value.c[None])
+        if value == 0:
+            return cls.zero(gens)
+        return _new(gens, _CONSTANT_BODY, np.full((1, 1, 1, 1), value, dtype=complex))
 
     @classmethod
     def generator(cls, gens: GeneratorSet, name: str) -> "GrassmannElement":
-        return cls(gens, {1 << gens.index(name): 1.0 + 0.0j})
+        layout = _layout((1 << gens.index(name),), (_CONSTANT_SHAPE,))
+        return _new(gens, layout, np.ones((1, 1, 1, 1), dtype=complex))
 
     # -- structure --------------------------------------------------------------
 
+    @property
+    def keys(self) -> tuple:
+        """The sorted monomial bitmasks, one per block row."""
+        return self.layout.keys
+
+    def _coefficient(self, row: int):
+        shape = self.layout.shapes[row]
+        if shape[0] == CONSTANT:
+            return complex(self.block[row].flat[0])
+        return _wrap(self.block[row][..., : shape[0], : shape[1], : shape[2]])
+
+    @property
+    def terms(self) -> dict[int, object]:
+        """The ``monomial -> coefficient`` mapping: a jet cut to its known shape,
+        or a complex number for a constant."""
+        return {m: self._coefficient(row) for row, m in enumerate(self.layout.keys)}
+
     def body(self):
         """Coefficient of the empty monomial (0j when absent)."""
-        return self.terms.get(0, 0.0j)
+        keys = self.layout.keys
+        return self._coefficient(0) if keys and keys[0] == 0 else 0.0j
 
     def soul(self) -> "GrassmannElement":
-        return GrassmannElement(self.gens, {m: c for m, c in self.terms.items() if m})
+        keys = self.layout.keys
+        if not keys or keys[0]:
+            return self
+        return _rows(self.gens, self.layout, self.block, np.arange(1, len(keys)))
 
     def parity(self) -> str:
-        degs = {m.bit_count() & 1 for m in self.terms}
-        if not degs or degs == {0}:
-            return EVEN
-        if degs == {1}:
-            return ODD
-        return INHOMOGENEOUS
+        return self.layout.parity
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.layout.keys
 
     def max_abs(self):
         """Largest coefficient magnitude (over all stored jet orders), per point
         for a batch."""
-        return peak(scalar_max_abs(c) for c in self.terms.values())
+        if not self.layout.keys:
+            return 0.0
+        mags = np.abs(self.block)
+        if self.block.ndim == 5:
+            return mags.max(axis=(0, 2, 3, 4))
+        return float(mags.max())
 
     def points(self) -> int:
-        """Number of points of a batched element; 0 when no coefficient has a point axis."""
-        return max((c.c.shape[0] for c in self.terms.values()
-                    if isinstance(c, JetScalar) and c.c.ndim == 4), default=0)
+        """Number of points of a batched element; 0 when it has no point axis."""
+        return self.block.shape[1] if self.block.ndim == 5 else 0
 
     def at(self, i: int) -> "GrassmannElement":
         """The element at point ``i`` of a batch, without the monomials zero there."""
-        return GrassmannElement(self.gens, {m: c.at(i) if isinstance(c, JetScalar) else c
-                                            for m, c in self.terms.items()})
+        if self.block.ndim == 4:
+            return self
+        return _pruned(self.gens, self.layout, self.block[:, i])
 
     def value_terms(self) -> dict[int, complex]:
         """Monomial map of plain complex values (jet coefficients collapsed)."""
@@ -167,27 +540,22 @@ class GrassmannElement:
     # -- ring operations ---------------------------------------------------------
 
     def _check_gens(self, other: "GrassmannElement") -> None:
-        if self.gens != other.gens:
+        if self.gens is not other.gens and self.gens != other.gens:
             raise GeneratorMismatchError(
                 f"generator sets differ: {self.gens.names} vs {other.gens.names}")
 
     def __add__(self, other):
         if isinstance(other, GrassmannElement):
             self._check_gens(other)
-            terms = dict(self.terms)
-            for m, c in other.terms.items():
-                terms[m] = terms[m] + c if m in terms else c
-            return GrassmannElement(self.gens, terms)
+            return _sum(self, other)
         if isinstance(other, (int, float, complex, JetScalar)):
-            terms = dict(self.terms)
-            terms[0] = terms[0] + other if 0 in terms else other
-            return GrassmannElement(self.gens, terms)
+            return _sum(self, GrassmannElement.from_scalar(self.gens, other))
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GrassmannElement(self.gens, {m: -c for m, c in self.terms.items()})
+        return _new(self.gens, self.layout, -self.block)
 
     def __sub__(self, other):
         if isinstance(other, (GrassmannElement, int, float, complex, JetScalar)):
@@ -200,19 +568,13 @@ class GrassmannElement:
     def __mul__(self, other):
         if isinstance(other, GrassmannElement):
             self._check_gens(other)
-            out: dict[int, object] = {}
-            for ma, ca in self.terms.items():
-                for mb, cb in other.terms.items():
-                    if ma & mb:
-                        continue  # repeated generator
-                    m = ma | mb
-                    c = ca * cb
-                    if _product_sign(ma, mb) < 0:
-                        c = -c
-                    out[m] = out[m] + c if m in out else c
-            return GrassmannElement(self.gens, out)
-        if isinstance(other, (int, float, complex, JetScalar)):
-            return GrassmannElement(self.gens, {m: c * other for m, c in self.terms.items()})
+            return _product(self, other)
+        if isinstance(other, (int, float, complex)):
+            if other == 0:
+                return GrassmannElement.zero(self.gens)
+            return _pruned(self.gens, self.layout, self.block * other)
+        if isinstance(other, JetScalar):
+            return _product(self, GrassmannElement.from_scalar(self.gens, other))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -230,15 +592,15 @@ class GrassmannElement:
         return out
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.layout.keys:
             return "GrassmannElement(0)"
         if self.points():
-            return f"GrassmannElement({len(self.terms)} monomials at {self.points()} points)"
+            return f"GrassmannElement({len(self.layout.keys)} monomials at {self.points()} points)"
         bits = []
-        for m in sorted(self.terms):
+        for m, c in self.terms.items():
             names = [self.gens.names[i] for i in range(len(self.gens)) if m >> i & 1]
             label = "*".join(names) if names else "1"
-            bits.append(f"{label}: {scalar_value(self.terms[m]):.6g}")
+            bits.append(f"{label}: {scalar_value(c):.6g}")
         return "GrassmannElement({" + ", ".join(bits) + "})"
 
     # -- derivations ---------------------------------------------------------------
@@ -249,16 +611,52 @@ class GrassmannElement:
         On a monomial containing the generator, move it to the front
         (collecting one sign per generator passed) and delete it.
         """
-        idx = self.gens.index(name)
-        bit = 1 << idx
-        below = bit - 1
-        out: dict[int, object] = {}
-        for m, c in self.terms.items():
-            if not m & bit:
-                continue
-            sign = -1 if (m & below).bit_count() & 1 else 1
-            out[m ^ bit] = c if sign > 0 else -c
-        return GrassmannElement(self.gens, out)
+        bit = 1 << self.gens.index(name)
+        table = self.layout.derived.get(("fermi", bit))
+        if table is None:
+            below = bit - 1
+            rows = [i for i, m in enumerate(self.layout.keys) if m & bit]
+            neg = np.array([(self.layout.keys[i] & below).bit_count() & 1 for i in rows], bool)
+            layout = _layout(tuple(self.layout.keys[i] ^ bit for i in rows),
+                             tuple(self.layout.shapes[i] for i in rows))
+            table = self.layout.derived[("fermi", bit)] = (
+                np.array(rows, dtype=np.intp), neg if neg.any() else None, layout)
+        rows, neg, layout = table
+        if not layout.keys:
+            return GrassmannElement.zero(self.gens)
+        block = self.block[rows]
+        if neg is not None:
+            np.negative(block, out=block, where=neg[(slice(None),) + (None,) * (block.ndim - 1)])
+        return _new(self.gens, layout, _crop(block, layout.grid))
+
+    def derivative(self, var: str) -> "GrassmannElement":
+        """Coefficient-wise bosonic partial derivative; constants drop out.
+
+        Consumes one order of each jet's budget for ``var``, and raises
+        :class:`JetBudgetError` when any stored jet has none left.
+        """
+        axis = axis_of(var)
+        table = self.layout.derived.get(("d", axis))
+        if table is None:
+            known = self.layout.known
+            rows = np.flatnonzero(known[:, 0] != CONSTANT)
+            if (known[rows, axis] <= 1).any():
+                table = None, None
+            else:
+                shapes = tuple(tuple(s - (j == axis) for j, s in enumerate(self.layout.shapes[i]))
+                               for i in rows.tolist())
+                layout = _layout(tuple(self.layout.keys[i] for i in rows.tolist()), shapes)
+                table = (_index(rows.tolist(), len(self.layout.keys)), layout)
+            self.layout.derived[("d", axis)] = table
+        rows, layout = table
+        if layout is None:
+            raise JetBudgetError(f"derivative budget exhausted for {var}")
+        if not layout.keys:
+            return GrassmannElement.zero(self.gens)
+        block = self.block[rows]
+        lead = block.ndim - 3
+        index, factors = _derivative_slice(axis, block.shape[lead + axis], lead)
+        return _pruned(self.gens, layout, block[index] * factors)
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +741,9 @@ def element_to_json(a: GrassmannElement) -> list[dict]:
     if count:
         return PerPoint(element_to_json(a.at(i)) for i in range(count))
     entries = []
-    for m, c in a.terms.items():
+    for m, row in zip(a.layout.keys, a.block):
         names = [a.gens.names[i] for i in range(len(a.gens)) if m >> i & 1]
-        v = scalar_value(c)
+        v = complex(row.flat[0])
         # + 0.0 writes a zero as 0.0 whatever its sign bit: the sign of an exact
         # zero can depend on whether a monomial was stored (batch) or dropped (point)
         entries.append({"monomial": names, "re": v.real + 0.0, "im": v.imag + 0.0})

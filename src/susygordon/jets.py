@@ -161,11 +161,14 @@ def _product_table(shape: tuple[int, ...]):
     multi-indices add up to that of ``r``.  Pairs come sorted by ``r``, then
     ``p``; ``starts`` marks each run (never empty: ``r`` always has ``(0, r)``).
     """
-    grid = np.indices(shape).reshape(3, -1)        # multi-index of each flat slot
-    diff = grid[:, :, None] - grid[:, None, :]     # r - p for every (r, p)
-    r, p = np.nonzero((diff >= 0).all(axis=0))
-    q = np.ravel_multi_index(tuple(diff[:, r, p]), shape)
-    return p, q, np.flatnonzero(np.diff(r, prepend=-1))
+    ps, qs, sizes = [], [], []
+    for r in np.ndindex(*shape):
+        box = np.indices(tuple(i + 1 for i in r)).reshape(3, -1)  # every p <= r, in flat order
+        ps.append(np.ravel_multi_index(box, shape))
+        qs.append(np.ravel_multi_index(np.array(r)[:, None] - box, shape))
+        sizes.append(box.shape[1])
+    starts = np.cumsum([0] + sizes[:-1])
+    return np.concatenate(ps), np.concatenate(qs), starts
 
 
 @lru_cache(maxsize=None)
@@ -453,10 +456,6 @@ def scalar_is_zero(c) -> bool:
 
 def scalar_value(c) -> complex:
     return c.value if isinstance(c, JetScalar) else complex(c)
-
-
-def scalar_max_abs(c) -> float:
-    return c.max_abs() if isinstance(c, JetScalar) else abs(c)
 
 
 def scalar_analytic_derivatives(c, name: str, kmax: int) -> list:

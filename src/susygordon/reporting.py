@@ -24,6 +24,9 @@ from .superfield import PointBatch, SuperspacePoint
 #: most points a sweep evaluates together as one :class:`PointBatch` (larger is unmeasured)
 CHUNK = 20
 
+#: highest derivative order ``--jet-spec`` accepts per axis; no check needs more than 2
+MAX_JET_ORDER = 4
+
 
 def parse_jet_spec(text: str | None) -> JetSpec:
     if not text:
@@ -34,6 +37,8 @@ def parse_jet_spec(text: str | None) -> JetSpec:
         raise ConfigError(f"bad jet spec {text!r}; expected e.g. '2,2,1'") from None
     if len(orders) != 3:
         raise ConfigError(f"bad jet spec {text!r}; expected three comma-separated orders")
+    if any(o > MAX_JET_ORDER for o in orders):
+        raise ConfigError(f"jet spec {text!r} exceeds the largest order {MAX_JET_ORDER} per axis")
     return JetSpec(orders)
 
 

@@ -120,26 +120,16 @@ class PointBatch(_PointBlocks):
 # derivatives acting on evaluated values
 # ---------------------------------------------------------------------------
 
-def _jet_shift(v: GrassmannElement, var: str) -> GrassmannElement:
-    """Coefficient-wise bosonic partial derivative; plain constants drop out."""
-    terms = {}
-    for m, c in v.terms.items():
-        if isinstance(c, JetScalar):
-            terms[m] = c.derivative(var)
-        # complex coefficients are constants: derivative contributes nothing
-    return GrassmannElement(v.gens, terms)
-
-
 def dx_plus(v: GrassmannElement) -> GrassmannElement:
-    return _jet_shift(v, "x_plus")
+    return v.derivative("x_plus")
 
 
 def dx_minus(v: GrassmannElement) -> GrassmannElement:
-    return _jet_shift(v, "x_minus")
+    return v.derivative("x_minus")
 
 
 def d_lambda(v: GrassmannElement) -> GrassmannElement:
-    return _jet_shift(v, "lambda")
+    return v.derivative("lambda")
 
 
 def cov_derivative(v: GrassmannElement, which: str) -> GrassmannElement:
@@ -153,7 +143,7 @@ def cov_derivative(v: GrassmannElement, which: str) -> GrassmannElement:
     else:
         raise ValueError(f"unknown covariant derivative {which!r}")
     theta_elem = GrassmannElement.generator(v.gens, theta)
-    return v.fermi_derivative(theta) - 1j * (theta_elem * _jet_shift(v, var))
+    return v.fermi_derivative(theta) - 1j * (theta_elem * v.derivative(var))
 
 
 def d_plus(v: GrassmannElement) -> GrassmannElement:

@@ -175,6 +175,14 @@ def test_exit_codes(tmp_path, capsys):
         ["verify", "ssge", "--solution", sol, "--x-range=nan,1"],
         ["verify", "ssge", "--solution", sol, "--lam-range=0.5,inf"],
         ["geometry", "--solution", sol, "--beta", "x"],
+        # a tolerance that is not finite or is negative would pass or fail every check
+        *([*cmd, "--tol", tol] for cmd in (["verify", "ssge", "--solution", sol],
+                                          ["geometry", "--solution", sol],
+                                          ["reproduce", "example1"])
+          for tol in ("nan", "inf", "-1")),
+        # orders past the accepted maximum would build an oversized product table
+        ["verify", "ssge", "--solution", str(SAMPLES / "one_soliton.json"), "--points", "1",
+         "--jet-spec", "20,20,20"],
         # a check the solution kind cannot supply
         ["verify", "riccati", "--solution", trivial],
         ["verify", "backlund", "--solution", sol],

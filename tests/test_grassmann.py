@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from susygordon.errors import GeneratorMismatchError, ParityError, SingularBodyError
+from susygordon.darboux import SeedParams, darboux_chain, generator_set
+from susygordon.errors import GeneratorMismatchError, JetBudgetError, ParityError, SingularBodyError
+from susygordon import grassmann
 from susygordon.grassmann import (
     EVEN,
     INHOMOGENEOUS,
+    MAX_GENERATORS,
     ODD,
     GeneratorSet,
     GrassmannElement,
@@ -19,9 +22,12 @@ from susygordon.grassmann import (
     element_to_json,
     fermi_derivative,
     ginv,
+    CONSTANT,
     gmul,
     parity,
 )
+from susygordon.jets import JetScalar, scalar_is_zero
+from susygordon.superfield import SuperspacePoint, d_minus, d_plus, dx_plus
 
 G4 = GeneratorSet(("theta_plus", "theta_minus", "a0", "a1"))
 G8 = GeneratorSet(("theta_plus", "theta_minus") + tuple(f"a{i}" for i in range(6)))
@@ -226,3 +232,236 @@ def test_json_entries_sorted_lexicographically():
     e = (a0 * a1) * 1.0 + tm * 2.0
     monos = [entry["monomial"] for entry in element_to_json(e)]
     assert monos == sorted(monos)
+
+
+# ---------------------------------------------------------------------------
+# the packed product against the dict-of-coefficients product it replaced
+# ---------------------------------------------------------------------------
+
+def oracle_sign(ma, mb):
+    """(-1) to the number of generator pairs (i in ma, j in mb) with i > j."""
+    swaps = sum(1 for i in range(64) if ma >> i & 1 for j in range(i) if mb >> j & 1)
+    return -1 if swaps & 1 else 1
+
+
+def oracle_drop_zeros(terms):
+    return {m: c for m, c in terms.items() if not scalar_is_zero(c)}
+
+
+def oracle_product(a, b, signed=True):
+    """The monomial -> coefficient double loop, dropping each exact zero."""
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            if ma & mb:
+                continue  # repeated generator
+            m = ma | mb
+            c = ca * cb
+            if signed and oracle_sign(ma, mb) < 0:
+                c = -c
+            out[m] = out[m] + c if m in out else c
+    return oracle_drop_zeros(out)
+
+
+def oracle_sum(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out[m] + c if m in out else c
+    return oracle_drop_zeros(out)
+
+
+def oracle_scale(a, factor):
+    return oracle_drop_zeros({m: c * factor for m, c in a.items()})
+
+
+def oracle_shift(a, var):
+    """Coefficient-wise bosonic derivative; a constant contributes nothing."""
+    return oracle_drop_zeros({m: c.derivative(var) for m, c in a.items()
+                              if isinstance(c, JetScalar)})
+
+
+def oracle_fermi(a, gens, name):
+    bit = 1 << gens.index(name)
+    return {m ^ bit: (-c if (m & (bit - 1)).bit_count() & 1 else c)
+            for m, c in a.items() if m & bit}
+
+
+def magnitudes(terms):
+    return {m: JetScalar(np.abs(c.c)) if isinstance(c, JetScalar) else abs(c)
+            for m, c in terms.items()}
+
+
+def kind_of(c):
+    """A coefficient's kind and known jet shape: ``None`` for a constant."""
+    return c.c.shape[-3:] if isinstance(c, JetScalar) else None
+
+
+def stored_beyond_known(elem):
+    """Largest magnitude a block stores past a monomial's known jet shape (a
+    constant is known everywhere but holds only its value): the packed layout
+    keeps it at zero, so magnitudes and zero tests see only known orders."""
+    worst = 0.0
+    for row, shape in zip(elem.block, elem.layout.shapes):
+        beyond = np.ones(row.shape[-3:], dtype=bool)
+        if shape[0] == CONSTANT:
+            beyond[0, 0, 0] = False
+        else:
+            beyond[: shape[0], : shape[1], : shape[2]] = False
+        worst = max(worst, float(np.abs(row[..., beyond]).max(initial=0.0)))
+    return worst
+
+
+def assert_matches_oracle(got, want, bound=None):
+    """Same monomials, same known shapes, values within ``64 eps`` of ``bound``."""
+    assert stored_beyond_known(got) == 0.0
+    terms = got.terms
+    assert set(terms) == set(want)
+    for m, c in want.items():
+        assert kind_of(terms[m]) == kind_of(c), m
+        if bound is None:
+            continue
+        g = terms[m].c if isinstance(terms[m], JetScalar) else terms[m]
+        w = c.c if isinstance(c, JetScalar) else c
+        b = bound[m].c if isinstance(bound[m], JetScalar) else bound[m]
+        assert np.all(np.abs(g - w) <= 64 * np.finfo(float).eps * b), m
+
+
+def random_coefficient(rng, kind, shape, points):
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if kind == "complex":
+        return complex(values.flat[0])
+    if kind == "batch":
+        return JetScalar(values + rng.normal(size=(points,) + shape))
+    return JetScalar(values)
+
+
+def random_terms(rng, count, monomials, shapes, kinds, points):
+    chosen = rng.choice(len(monomials), size=min(count, len(monomials)), replace=False)
+    return {monomials[i]: random_coefficient(rng, kinds[rng.integers(len(kinds))],
+                                             shapes[rng.integers(len(shapes))], points)
+            for i in chosen}
+
+
+FULL = (3, 3, 2)
+#: the default jet shape and the shapes one or two bosonic derivatives leave
+SHAPES = [FULL, (2, 3, 2), (3, 2, 2), (2, 2, 2), (1, 3, 2), (3, 3, 1)]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1), st.integers(0, 8), st.integers(0, 8),
+       st.sampled_from([("complex",), ("jet",), ("complex", "jet"), ("complex", "jet", "batch"),
+                        ("batch",)]),
+       st.sampled_from([SHAPES[:1], SHAPES]),
+       st.sampled_from([None, "x_plus", "x_minus"]),
+       st.booleans())
+def test_packed_product_matches_dict_oracle(n, seed, count_a, count_b, kinds, shapes, shift,
+                                            cancel):
+    rng = np.random.default_rng(seed)
+    gens = GeneratorSet(tuple(f"g{i}" for i in range(n)))
+    monomials = list(range(1 << n))
+    if cancel and n >= 3:
+        # every other monomial holds the top generator, so only the pairs
+        # (g0, g1) and (g1, g0) reach g0*g1, and they cancel exactly
+        top = 1 << (n - 1)
+        monomials = [m | top for m in monomials if m | top != top]
+    a = random_terms(rng, count_a, monomials, shapes, kinds, 3)
+    b = random_terms(rng, count_b, monomials, shapes, kinds, 3)
+    if cancel and n >= 3:
+        u = random_coefficient(rng, kinds[-1], shapes[-1], 3)
+        v = random_coefficient(rng, kinds[0], shapes[0], 3)
+        a.update({0b01: u, 0b10: u})
+        b.update({0b01: v, 0b10: v})
+    x, y = GrassmannElement(gens, a), GrassmannElement(gens, b)
+    assert_matches_oracle(x, oracle_drop_zeros(a))
+    if shift is not None:
+        # shapes shrunk by a derivative, through the packed derivative itself
+        try:
+            want = oracle_shift(a, shift)
+        except JetBudgetError:
+            with pytest.raises(JetBudgetError):
+                x.derivative(shift)
+            return
+        x, a = x.derivative(shift), want
+        assert_matches_oracle(x, a, magnitudes(a))
+    want = oracle_product(a, b)
+    assert_matches_oracle(x * y, want, oracle_product(magnitudes(a), magnitudes(b), signed=False))
+    if cancel and n >= 3:
+        assert 0b11 not in want and 0b11 not in (x * y).terms
+    bound = oracle_sum(magnitudes(a), magnitudes(b))
+    assert_matches_oracle(x + y, oracle_sum(a, b), bound)
+    assert_matches_oracle(x - y, oracle_sum(a, oracle_scale(b, -1)), bound)
+    # the monomials only y holds cancel exactly and are dropped
+    bound = oracle_sum(bound, magnitudes(b))
+    assert_matches_oracle((x + y) - y, oracle_sum(oracle_sum(a, b), oracle_scale(b, -1)), bound)
+
+
+def test_packed_product_at_sixty_four_generators():
+    gens = GeneratorSet(tuple(f"g{i}" for i in range(MAX_GENERATORS)))
+    high, low = 1 << 63, 1 << 62
+    rng = np.random.default_rng(64)
+    a = {high: JetScalar(rng.normal(size=FULL) + 0j), 1: 2.0 - 1j,
+         low | 2: JetScalar(rng.normal(size=(2, 3, 2)) + 0j)}
+    b = {low: 0.5 + 0j, 2 | 1: JetScalar(rng.normal(size=FULL) + 1j), high | 4: -1.5 + 0j}
+    x, y = GrassmannElement(gens, a), GrassmannElement(gens, b)
+    want = oracle_product(a, b)
+    assert high | low in want and high | 2 | 1 in want
+    assert_matches_oracle(x * y, want, oracle_product(magnitudes(a), magnitudes(b), signed=False))
+    assert_matches_oracle(y * x, oracle_product(b, a),
+                          oracle_product(magnitudes(b), magnitudes(a), signed=False))
+    # the top generator is the last in canonical order: moving it past g62 flips the sign
+    tail = GrassmannElement.generator(gens, "g63") * GrassmannElement.generator(gens, "g62")
+    assert tail.terms == {high | low: -1 + 0j}
+    assert fermi_derivative(tail, "g63").terms == {low: 1 + 0j}
+
+
+def test_covariant_derivative_keeps_each_monomials_known_order():
+    seeds = [SeedParams(lam=0.6, c=1.4 + 0.3j, b=0.2, a="a0"),
+             SeedParams(lam=1.7, c=0.9 - 0.2j, b=-0.1, a="a1")]
+    chain = darboux_chain(0, seeds, 2)
+    pt = SuperspacePoint(0.3, -0.2, 1.1, gens=generator_set(seeds))
+    v = chain.solutions[1].evaluate(pt)
+    plus = 1 << pt.gens.index("theta_plus")
+    w = d_plus(v)
+    # the theta_plus-free monomials come from d/dtheta+ and keep the full jet,
+    # the theta_plus ones from theta+ d/dx+ and lose one x+ order
+    assert {kind_of(c) for m, c in w.terms.items() if not m & plus} == {FULL}
+    assert {kind_of(c) for m, c in w.terms.items() if m & plus} == {(2, 3, 2)}
+    # the same steps through the dict oracle give the same monomials and shapes
+    vt = v.terms
+    theta = {plus: 1.0 + 0.0j}
+    wt = oracle_sum(oracle_fermi(vt, pt.gens, "theta_plus"),
+                    oracle_scale(oracle_product(theta, oracle_shift(vt, "x_plus")), -1j))
+    assert_matches_oracle(w, wt)
+    u = chain.solutions[2].evaluate(pt)
+    x, xt = u * w, oracle_product(u.terms, wt)        # one more product
+    assert_matches_oracle(x, xt)
+    y, yt = x + d_minus(v), oracle_sum(xt, d_minus(v).terms)    # a sum of mixed orders
+    assert_matches_oracle(y, yt)
+    assert len({kind_of(c) for c in y.terms.values()}) > 1
+    # dx_plus runs out where the oracle does, on the monomials known to fewer orders
+    for step in range(4):
+        try:
+            yt = oracle_shift(yt, "x_plus")
+        except JetBudgetError:
+            with pytest.raises(JetBudgetError):
+                dx_plus(y)
+            break
+        y = dx_plus(y)
+        assert_matches_oracle(y, yt)
+    else:
+        pytest.fail("dx_plus never ran out of x+ orders")
+    assert step == 1
+
+
+@pytest.mark.parametrize("budget", [1, 300, grassmann.PRODUCT_BUDGET])
+def test_chunked_product_matches_dict_oracle(monkeypatch, budget):
+    # full 6-generator elements: long runs, split between chunks at small budgets
+    monkeypatch.setattr(grassmann, "PRODUCT_BUDGET", budget)
+    gens = GeneratorSet(tuple(f"g{i}" for i in range(6)))
+    rng = np.random.default_rng(budget)
+    for kinds, points in ((("complex", "jet"), 1), (("jet", "batch"), 4)):
+        a = random_terms(rng, 40, list(range(64)), SHAPES, kinds, points)
+        b = random_terms(rng, 40, list(range(64)), SHAPES, kinds, points)
+        x, y = GrassmannElement(gens, a), GrassmannElement(gens, b)
+        assert_matches_oracle(x * y, oracle_product(a, b),
+                              oracle_product(magnitudes(a), magnitudes(b), signed=False))
