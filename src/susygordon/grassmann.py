@@ -21,12 +21,13 @@ beyond a row's own shape are held at zero.  Keys and known shapes together
 form an interned layout, so the table of a product or sum is cached per pair
 of layouts: it holds the disjoint monomial pairs, their signs and the runs of
 pairs that land on one output monomial.  A product is then one gather of
-both blocks, one jet product (:func:`susygordon.jets._product_table`) per
-pair, one ``np.add.reduceat`` over the runs and one nonzero pass that drops
-the monomials that came out zero; large products run in chunks of pairs, so
-the intermediate stays within ``PRODUCT_BUDGET`` entries.  A monomial is
-dropped only when it is zero at every point; :meth:`GrassmannElement.at`
-gives the element at one point.
+both blocks, one jet product per pair, one ``np.add.reduceat`` over the runs
+and one nonzero pass that drops the monomials that came out zero.  Up to
+``GATHER_ROWS`` pair rows the jet products gather the index pairs of
+:func:`susygordon.jets._product_table`; a larger product runs in chunks of
+``SHIFT_ROWS`` rows, each summing shifted jet slices with the rows innermost.
+A monomial is dropped only when it is zero at every point;
+:meth:`GrassmannElement.at` gives the element at one point.
 """
 
 from __future__ import annotations
@@ -63,8 +64,14 @@ INHOMOGENEOUS = "inhomogeneous"
 CONSTANT = 1 << 30
 _CONSTANT_SHAPE = (CONSTANT,) * 3
 
-#: complex entries one chunk of a product's pair-by-jet intermediate may hold
-PRODUCT_BUDGET = 1 << 14
+#: pair rows (monomial pairs times points) up to which a product gathers the
+#: jet index pairs of every row at once; past about this many rows the gathered
+#: intermediate (108 entries a row at the default jet shape) no longer stays in cache
+GATHER_ROWS = 150
+
+#: pair rows per chunk of a larger product, which sums shifted jet slices with
+#: the rows innermost (one vector operation per jet slot)
+SHIFT_ROWS = 512
 
 
 class GeneratorSet:
@@ -207,22 +214,20 @@ _KEY_PAIRS: dict[tuple, _KeyPairs] = {}
 
 
 class _Product:
-    """A cached product of two layouts: its key pairs, its output layout and
-    the number of jet index pairs one row product takes."""
+    """A cached product of two layouts: its key pairs and its output layout."""
 
-    __slots__ = ("pairs", "layout", "jet_pairs")
+    __slots__ = ("pairs", "layout")
 
     def __init__(self, la: _Layout, lb: _Layout) -> None:
         pairs = _KEY_PAIRS.get((la.keys, lb.keys))
         if pairs is None:
             pairs = _KEY_PAIRS[(la.keys, lb.keys)] = _KeyPairs(la.keys, lb.keys)
         self.pairs = pairs
-        self.layout, self.jet_pairs = _EMPTY, 1
+        self.layout = _EMPTY
         if pairs.out_keys:
             known = np.minimum(la.known[pairs.ia], lb.known[pairs.ib])
             known = np.minimum.reduceat(known, pairs.starts, axis=0)
             self.layout = _layout(pairs.out_keys, tuple(map(tuple, known.tolist())))
-            self.jet_pairs = len(_product_table(self.layout.grid)[0])
 
 
 class _Sum:
@@ -297,11 +302,35 @@ def _with_points(a: np.ndarray, b: np.ndarray):
     return (a[:, None], b) if a.ndim < b.ndim else (a, b[:, None])
 
 
+@lru_cache(maxsize=None)
+def _slots(grid: tuple) -> tuple:
+    """The jet slots of ``grid`` after the origin, in flat order."""
+    return tuple(np.ndindex(*grid))[1:]
+
+
+def _shifted_product(x: np.ndarray, y: np.ndarray, grid: tuple, lead: tuple) -> np.ndarray:
+    """``out[r] = sum_p x[p] y[r - p]`` with the rows innermost: one multiply-add
+    of whole slices per jet slot ``p``, summed in flat order of ``p``."""
+    n = len(lead)
+    axes = tuple(range(n, n + 3)) + tuple(range(n))
+    rows = grid + (math.prod(lead),)
+    xt = np.ascontiguousarray(np.broadcast_to(x, lead + grid).transpose(axes)).reshape(rows)
+    yt = np.ascontiguousarray(np.broadcast_to(y, lead + grid).transpose(axes)).reshape(rows)
+    out = xt[0, 0, 0] * yt
+    for a, b, c in _slots(grid):
+        out[a:, b:, c:] += xt[a, b, c] * yt[: grid[0] - a, : grid[1] - b, : grid[2] - c]
+    back = tuple(range(3, 3 + n)) + (0, 1, 2)
+    return np.ascontiguousarray(out.reshape(grid + lead).transpose(back))
+
+
 def _jet_rows(x: np.ndarray, y: np.ndarray, grid: tuple) -> np.ndarray:
     """Row-by-row truncated jet product of two row blocks fitted to ``grid``."""
     x, y = _with_points(x, y)
     if x.shape[-3:] == (1, 1, 1) or y.shape[-3:] == (1, 1, 1):
         return x * y
+    lead = np.broadcast_shapes(x.shape[:-3], y.shape[:-3])
+    if math.prod(lead) > GATHER_ROWS:
+        return _shifted_product(x, y, grid, lead)
     p, q, starts = _product_table(grid)
     size = len(starts)
     xf = x.reshape(x.shape[:-3] + (size,))
@@ -360,7 +389,7 @@ def _product(a: "GrassmannElement", b: "GrassmannElement") -> "GrassmannElement"
     grid = layout.grid
     ba, bb = a.block, b.block
     points = ba.shape[1] if ba.ndim == 5 else bb.shape[1] if bb.ndim == 5 else 1
-    limit = max(1, PRODUCT_BUDGET // (points * plan.jet_pairs))
+    limit = max(1, SHIFT_ROWS // points)
     if len(pairs.ia) <= limit:
         out = _pair_rows(ba, bb, pairs.ia, pairs.ib, pairs.neg, grid)
         if not pairs.single:
@@ -478,11 +507,6 @@ class GrassmannElement:
         return _new(gens, layout, np.ones((1, 1, 1, 1), dtype=complex))
 
     # -- structure --------------------------------------------------------------
-
-    @property
-    def keys(self) -> tuple:
-        """The sorted monomial bitmasks, one per block row."""
-        return self.layout.keys
 
     def _coefficient(self, row: int):
         shape = self.layout.shapes[row]

@@ -453,12 +453,15 @@ def test_covariant_derivative_keeps_each_monomials_known_order():
     assert step == 1
 
 
-@pytest.mark.parametrize("budget", [1, 300, grassmann.PRODUCT_BUDGET])
-def test_chunked_product_matches_dict_oracle(monkeypatch, budget):
-    # full 6-generator elements: long runs, split between chunks at small budgets
-    monkeypatch.setattr(grassmann, "PRODUCT_BUDGET", budget)
+@pytest.mark.parametrize("gather_rows, shift_rows", [(1, 1), (4, 9), (150, 40), (
+    grassmann.GATHER_ROWS, grassmann.SHIFT_ROWS)])
+def test_chunked_product_matches_dict_oracle(monkeypatch, gather_rows, shift_rows):
+    # full 6-generator elements: long runs, split between chunks of few rows,
+    # through both the gathered and the shifted jet product
+    monkeypatch.setattr(grassmann, "GATHER_ROWS", gather_rows)
+    monkeypatch.setattr(grassmann, "SHIFT_ROWS", shift_rows)
     gens = GeneratorSet(tuple(f"g{i}" for i in range(6)))
-    rng = np.random.default_rng(budget)
+    rng = np.random.default_rng(shift_rows)
     for kinds, points in ((("complex", "jet"), 1), (("jet", "batch"), 4)):
         a = random_terms(rng, 40, list(range(64)), SHAPES, kinds, points)
         b = random_terms(rng, 40, list(range(64)), SHAPES, kinds, points)
