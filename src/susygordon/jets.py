@@ -161,14 +161,18 @@ def _product_table(shape: tuple[int, ...]):
     multi-indices add up to that of ``r``.  Pairs come sorted by ``r``, then
     ``p``; ``starts`` marks each run (never empty: ``r`` always has ``(0, r)``).
     """
-    ps, qs, sizes = [], [], []
-    for r in np.ndindex(*shape):
-        box = np.indices(tuple(i + 1 for i in r)).reshape(3, -1)  # every p <= r, in flat order
-        ps.append(np.ravel_multi_index(box, shape))
-        qs.append(np.ravel_multi_index(np.array(r)[:, None] - box, shape))
-        sizes.append(box.shape[1])
-    starts = np.cumsum([0] + sizes[:-1])
-    return np.concatenate(ps), np.concatenate(qs), starts
+    # per axis, every pair (r, p) with p <= r; the table is their product over
+    # the three axes, built in O(pairs) memory (never an S x S array)
+    pairs = [np.array([(r, p) for r in range(n) for p in range(r + 1)]).T for n in shape]
+    strides = (shape[1] * shape[2], shape[2], 1)
+
+    def flat(index):  # flat index of every combination of per-axis pairs
+        return sum(np.ix_(*(index(axis) * st for axis, st in zip(pairs, strides)))).ravel()
+
+    r, p = flat(lambda axis: axis[0]), flat(lambda axis: axis[1])
+    q = flat(lambda axis: axis[0] - axis[1])
+    order = np.lexsort((p, r))  # by output slot, then p
+    return p[order], q[order], np.flatnonzero(np.diff(r[order], prepend=-1))
 
 
 @lru_cache(maxsize=None)
