@@ -144,6 +144,7 @@ def cmd_verify(args) -> dict:
 
 
 def cmd_solve(args) -> dict:
+    _tol(args)  # no check reads it, but a bad value is still malformed input
     with open(args.seeds, "r", encoding="utf-8") as handle:
         data = json_object(json.load(handle), "seeds file")
     spec = {"kind": "darboux", "k": data.get("k", 0), "seeds": data.get("seeds"),

@@ -169,6 +169,7 @@ class _Layout:
 
 
 _LAYOUTS: dict[tuple, _Layout] = {}
+_SHAPES: dict[tuple, tuple] = {}  # one tuple object per distinct jet shape
 
 
 def _layout(keys: tuple, shapes: tuple) -> _Layout:
@@ -177,9 +178,6 @@ def _layout(keys: tuple, shapes: tuple) -> _Layout:
         shapes = tuple(_SHAPES.setdefault(s, s) for s in shapes)
         got = _LAYOUTS[(keys, shapes)] = _Layout(keys, shapes)
     return got
-
-
-_SHAPES: dict[tuple, tuple] = {}
 
 
 _EMPTY = _layout((), ())
@@ -246,11 +244,11 @@ class _Sum:
         self.pos_b = _index([slot[m] for m in lb.keys], len(keys))
         both = set(la.keys) & set(lb.keys)
         self.common = np.array([slot[m] for m in sorted(both)], dtype=np.intp) if both else None
-        # a common row known to less than one operand's jet holds that jet's extra orders
-        self.masked = any(s != shape[m] and s[0] != CONSTANT
-                          for keys, shapes in ((la.keys, la.shapes), (lb.keys, lb.shapes))
-                          for m, s in zip(keys, shapes) if m in both) \
-            and self.layout.zero_where() is not None
+        # a common row known to fewer orders than one operand's jet holds that
+        # jet's extra orders, which the sum must zero
+        longer = any(s[0] != CONSTANT and s != shape[m] for operand in (la, lb)
+                     for m, s in zip(operand.keys, operand.shapes) if m in both)
+        self.masked = longer and self.layout.zero_where() is not None
 
 
 _SUMS: dict[tuple, _Sum] = {}

@@ -178,7 +178,9 @@ def test_exit_codes(tmp_path, capsys):
         # a tolerance that is not finite or is negative would pass or fail every check
         *([*cmd, "--tol", tol] for cmd in (["verify", "ssge", "--solution", sol],
                                           ["geometry", "--solution", sol],
-                                          ["reproduce", "example1"])
+                                          ["reproduce", "example1"],
+                                          ["solve", "darboux", "--seeds",
+                                           str(SAMPLES / "two_soliton_seeds.json")])
           for tol in ("nan", "inf", "-1")),
         # orders past the accepted maximum would build an oversized product table
         ["verify", "ssge", "--solution", str(SAMPLES / "one_soliton.json"), "--points", "1",
