@@ -453,8 +453,8 @@ def test_covariant_derivative_keeps_each_monomials_known_order():
     assert step == 1
 
 
-@pytest.mark.parametrize("gather_rows, shift_rows", [(1, 1), (4, 9), (150, 40), (
-    grassmann.GATHER_ROWS, grassmann.SHIFT_ROWS)])
+@pytest.mark.parametrize("gather_rows, shift_rows", [
+    (1, 1), (4, 9), (150, 40), (grassmann.GATHER_ROWS, grassmann.SHIFT_ROWS)])
 def test_chunked_product_matches_dict_oracle(monkeypatch, gather_rows, shift_rows):
     # full 6-generator elements: long runs, split between chunks of few rows,
     # through both the gathered and the shifted jet product
