@@ -236,7 +236,9 @@ def cmd_reproduce(args) -> dict:
     return report
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="susygordon",
         description="residual verification for the supersymmetric sine-Gordon toolkit")
@@ -286,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         report = args.fn(args)
         text = write_report(report, args.out)

@@ -28,6 +28,7 @@ body of s[n] matches modulo 2 pi and every other coefficient matches exactly.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import operator
@@ -94,6 +95,7 @@ def eta_jet(pt: SuperspacePoint, lam: complex) -> JetScalar:
     return pt.xp_jet() * (1.0 / (2 * lam)) - pt.xm_jet() * (2 * lam)
 
 
+@functools.lru_cache(maxsize=64)
 def seed_wavefunction(params: SeedParams) -> tuple[Superfield, Superfield, Superfield]:
     """The explicit wavefunction triple for the trivial solutions s = 2 k pi.
 
@@ -101,18 +103,16 @@ def seed_wavefunction(params: SeedParams) -> tuple[Superfield, Superfield, Super
     of 2 k pi i are 1).  Note the chi component carries
     ``+ b theta-``: the printed form with the opposite sign fails the linear
     problem (see SIGN_CONVENTIONS.md); the residual tests pin this choice.
+    Its values depend only on ``params`` and the point, so one triple is
+    interned per ``params``: a chain and a closed form built from the same
+    seeds share their memoized values.  psi and phi share one superfield
+    ``u`` (psi = c + u, phi = c - u).
     """
     lam = params.lam
     sq = cmath.sqrt(lam)
     b, c = params.b, params.c
 
-    def psi_fn(pt: SuperspacePoint) -> GrassmannElement:
-        return pt.scalar(pt.const_jet(c)) + _seed_u(pt)
-
-    def phi_fn(pt: SuperspacePoint) -> GrassmannElement:
-        return pt.scalar(pt.const_jet(c)) - _seed_u(pt)
-
-    def _seed_u(pt: SuperspacePoint) -> GrassmannElement:
+    def u_fn(pt: SuperspacePoint) -> GrassmannElement:
         e = pt.scalar(eta_jet(pt, lam).analytic("exp"))
         tp = pt.theta("+")
         tm = pt.theta("-")
@@ -134,8 +134,9 @@ def seed_wavefunction(params: SeedParams) -> tuple[Superfield, Superfield, Super
         return w * e
 
     tag = f"lam={lam}"
-    return (Superfield(psi_fn, EVEN, f"psi[{tag}]"),
-            Superfield(phi_fn, EVEN, f"phi[{tag}]"),
+    u_f = Superfield(u_fn, EVEN, f"u[{tag}]")
+    return (Superfield(lambda pt: pt.scalar(pt.const_jet(c)) + u_f.evaluate(pt), EVEN, f"psi[{tag}]"),
+            Superfield(lambda pt: pt.scalar(pt.const_jet(c)) - u_f.evaluate(pt), EVEN, f"phi[{tag}]"),
             Superfield(chi_fn, ODD, f"chi[{tag}]"))
 
 
@@ -145,8 +146,8 @@ def seed_wavefunction(params: SeedParams) -> tuple[Superfield, Superfield, Super
 
 @dataclass(frozen=True)
 class WaveTriple:
-    """A live wavefunction; ``inv_psi``/``inv_phi`` are its shared inverses,
-    used by every transformation that consumes it."""
+    """A live wavefunction with the inverses and ratios that every
+    transformation consuming it shares (each evaluated once per point)."""
 
     psi: Superfield
     phi: Superfield
@@ -155,12 +156,18 @@ class WaveTriple:
     index: int
     inv_psi: Superfield = field(init=False, repr=False, compare=False)
     inv_phi: Superfield = field(init=False, repr=False, compare=False)
+    psi_over_phi: Superfield = field(init=False, repr=False, compare=False)
+    phi_over_psi: Superfield = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "inv_psi", combine(
-            EVEN, "1/psi_0", lambda v: _checked_inverse(v, "psi_0"), self.psi))
-        object.__setattr__(self, "inv_phi", combine(
-            EVEN, "1/phi_0", lambda v: _checked_inverse(v, "phi_0"), self.phi))
+        inv_psi = combine(EVEN, "1/psi_0", lambda v: _checked_inverse(v, "psi_0"), self.psi)
+        inv_phi = combine(EVEN, "1/phi_0", lambda v: _checked_inverse(v, "phi_0"), self.phi)
+        object.__setattr__(self, "inv_psi", inv_psi)
+        object.__setattr__(self, "inv_phi", inv_phi)
+        object.__setattr__(self, "psi_over_phi",
+                           combine(EVEN, "psi_0/phi_0", operator.mul, self.psi, inv_phi))
+        object.__setattr__(self, "phi_over_psi",
+                           combine(EVEN, "phi_0/psi_0", operator.mul, self.phi, inv_psi))
 
     def fields(self) -> tuple[Superfield, Superfield, Superfield]:
         return (self.psi, self.phi, self.chi)
@@ -179,7 +186,7 @@ def darboux_step_s(s: Superfield, phi0: WaveTriple) -> Superfield:
     """s[1] = s - i ln(psi_0/phi_0); singular where either body vanishes."""
 
     def ev(pt: SuperspacePoint) -> GrassmannElement:
-        ratio = phi0.psi.evaluate(pt) * phi0.inv_phi.evaluate(pt)
+        ratio = phi0.psi_over_phi.evaluate(pt)
         if near_zero(scalar_value(ratio.body())):
             raise SingularBodyError("singular point: body of psi_0 vanishes")
         return s.evaluate(pt) - 1j * analytic_lift("ln", ratio)
@@ -208,11 +215,10 @@ def darboux_step_wavefunction(phi0: WaveTriple, target: WaveTriple) -> WaveTripl
 
 
 def _step_transform(phi0: WaveTriple):
-    """``Phi_j -> Phi_j[1]`` for one consumed triple; its inverses and odd
-    ratios are built once and shared by every target."""
-    inv_psi0, inv_phi0 = phi0.inv_psi, phi0.inv_phi
-    q_psi = combine(ODD, "chi_0/psi_0", operator.mul, phi0.chi, inv_psi0)
-    q_phi = combine(ODD, "chi_0/phi_0", operator.mul, phi0.chi, inv_phi0)
+    """``Phi_j -> Phi_j[1]`` for one consumed triple; its odd ratios are built
+    once here and, like its even ratios, shared by every target."""
+    q_psi = combine(ODD, "chi_0/psi_0", operator.mul, phi0.chi, phi0.inv_psi)
+    q_phi = combine(ODD, "chi_0/phi_0", operator.mul, phi0.chi, phi0.inv_phi)
 
     def transform(target: WaveTriple) -> WaveTriple:
         if target.index == phi0.index:
@@ -220,18 +226,18 @@ def _step_transform(phi0: WaveTriple):
         lam0, lamj = phi0.lam, target.lam
         cross = cmath.sqrt(lam0 * lamj)
 
-        def new_psi(phi0_v, inv_psi0, q_psi, psij, phij, chij):
-            return phi0_v * inv_psi0 * psij * (-lam0) + phij * lamj + (q_psi * chij) * (-1j * cross)
+        def new_psi(phi_psi0, q_psi, psij, phij, chij):
+            return phi_psi0 * psij * (-lam0) + phij * lamj + (q_psi * chij) * (-1j * cross)
 
-        def new_phi(psi0_v, inv_phi0, q_phi, psij, phij, chij):
-            return psij * lamj + psi0_v * inv_phi0 * phij * (-lam0) + (q_phi * chij) * (-1j * cross)
+        def new_phi(psi_phi0, q_phi, psij, phij, chij):
+            return psij * lamj + psi_phi0 * phij * (-lam0) + (q_phi * chij) * (-1j * cross)
 
         def new_chi(q_psi, q_phi, psij, phij, chij):
             return (q_psi * psij) * cross + (q_phi * phij) * cross + chij * (-(lam0 + lamj))
 
         idx = target.index
-        psi_f = combine(EVEN, f"psi{idx}[+]", new_psi, phi0.phi, inv_psi0, q_psi, *target.fields())
-        phi_f = combine(EVEN, f"phi{idx}[+]", new_phi, phi0.psi, inv_phi0, q_phi, *target.fields())
+        psi_f = combine(EVEN, f"psi{idx}[+]", new_psi, phi0.phi_over_psi, q_psi, *target.fields())
+        phi_f = combine(EVEN, f"phi{idx}[+]", new_phi, phi0.psi_over_phi, q_phi, *target.fields())
         chi_f = combine(ODD, f"chi{idx}[+]", new_chi, q_psi, q_phi, *target.fields())
         return WaveTriple(psi_f, phi_f, chi_f, lamj, idx)
 
@@ -332,6 +338,31 @@ def _alpha_sign(split: Sequence[int], rule: str) -> int:
     raise ValueError(f"unknown alpha rule {rule!r}")
 
 
+def _minor_table(psis: Sequence[GrassmannElement], phis: Sequence[GrassmannElement],
+                 lams: Sequence[complex], columns: Sequence[int], which: int,
+                 power_rule: str) -> dict[tuple, GrassmannElement]:
+    """Delta over every ascending subset of ``columns``, keyed by the subset.
+
+    Row t of a k-subset (counted from the bottom) does not depend on k, so
+    each Delta is the Laplace expansion along its top displayed row (t = k-1)
+    over the minors one size down: C(n, k) k products per size k >= 2.
+    """
+    first, second = (psis, phis) if which == 1 else (phis, psis)
+    rows = []
+    for t in range(len(columns)):
+        comps, power = (first if t % 2 == 0 else second), _row_power(t, power_rule)
+        rows.append({a: comps[a] * (lams[a] ** power) if power else comps[a] for a in columns})
+    table = {(a,): rows[0][a] for a in columns}
+    for k in range(2, len(columns) + 1):
+        for sub in itertools.combinations(sorted(columns), k):
+            total = rows[k - 1][sub[0]] * table[sub[1:]]
+            for j in range(1, k):
+                term = rows[k - 1][sub[j]] * table[sub[:j] + sub[j + 1:]]
+                total = total - term if j % 2 else total + term
+            table[sub] = total
+    return table
+
+
 def delta_determinant(psis: Sequence[GrassmannElement], phis: Sequence[GrassmannElement],
                       lams: Sequence[complex], indices: Sequence[int], which: int,
                       power_rule: str = DELTA_POWER_RULE) -> GrassmannElement:
@@ -339,10 +370,11 @@ def delta_determinant(psis: Sequence[GrassmannElement], phis: Sequence[Grassmann
 
     Row t (counted from the bottom) holds lambda_a^power(t) times psi_a for
     even t and phi_a for odd t; Delta^2 swaps psi and phi.  Entries are even,
-    so the ordinary alternating sum applies.  No indices gives zero (the
-    printed blanket convention); the one place the closed form needs the
-    empty determinant to count as 1 instead (the n = 2 top tier) is handled
-    there, see SIGN_CONVENTIONS.md.
+    so the ordinary alternating sum applies; it is taken from the minor
+    table over the sorted indices, signed by the parity of their given order.
+    No indices gives zero (the printed blanket convention); the one place the
+    closed form needs the empty determinant to count as 1 instead (the n = 2
+    top tier) is handled there, see SIGN_CONVENTIONS.md.
     """
     if len(set(indices)) != len(indices):
         raise ValueError("delta determinant requires distinct indices")
@@ -350,27 +382,10 @@ def delta_determinant(psis: Sequence[GrassmannElement], phis: Sequence[Grassmann
         raise ValueError("which must be 1 or 2")
     if not psis:
         raise ValueError("component lists must be nonempty")
-    r = len(indices)
-    gens = psis[0].gens
-    if r == 0:
-        return GrassmannElement.zero(gens)
-    first, second = (psis, phis) if which == 1 else (phis, psis)
-    # row t counted from the bottom; the determinant runs over the matrix in
-    # its displayed top-down order (row order fixes the overall sign)
-    grid = []
-    for t in range(r):
-        comps = first if t % 2 == 0 else second
-        row = [comps[a] * (lams[a] ** _row_power(t, power_rule)) for a in indices]
-        grid.append(row)
-    grid.reverse()
-    total = GrassmannElement.zero(gens)
-    for perm in itertools.permutations(range(r)):
-        inv = sum(1 for i, j in itertools.combinations(range(r), 2) if perm[i] > perm[j])
-        term = grid[0][perm[0]]
-        for t in range(1, r):
-            term = term * grid[t][perm[t]]
-        total = total + (term if inv % 2 == 0 else -term)
-    return total
+    if not indices:
+        return GrassmannElement.zero(psis[0].gens)
+    value = _minor_table(psis, phis, lams, indices, which, power_rule)[tuple(sorted(indices))]
+    return value if _alpha_sign(indices, "inversions") > 0 else -value
 
 
 def x_product(chis: Sequence[GrassmannElement], lams: Sequence[complex],
@@ -420,12 +435,20 @@ class ClosedFormConventions:
     xx_weight: float = SECOND_SUM_WEIGHT
 
 
-def _closed_form_side(psis, phis, chis, lams, n: int, which: int,
-                      conv: ClosedFormConventions) -> GrassmannElement:
-    """One side (numerator or denominator) of the closed-form ratio."""
+def _closed_form_sides(psis, phis, chis, lams, n: int,
+                       conv: ClosedFormConventions) -> tuple[GrassmannElement, GrassmannElement]:
+    """Numerator and denominator of the closed-form ratio.
+
+    They differ only in their minors (Delta^1 above, Delta^2 below): each X
+    product, its P weight and the double-X sum are computed once for both.
+    """
     gens = psis[0].gens
     all_indices = tuple(range(n))
-    total = GrassmannElement.zero(gens)
+    minors = [_minor_table(psis, phis, lams, all_indices, which, conv.power_rule)
+              for which in (1, 2)]
+    x = functools.cache(lambda idx: x_product(chis, lams, idx))
+    sides = [GrassmannElement.zero(gens)] * 2
+    shared = GrassmannElement.zero(gens)
     # main sum over splits into n-2m determinant indices and 2m X indices;
     # the empty determinant counts only at n = 2, where the double-X sum
     # below is empty and the top tier degenerates to i X_01 (as displayed)
@@ -434,15 +457,12 @@ def _closed_form_side(psis, phis, chis, lams, n: int, which: int,
             kj = tuple(a for a in all_indices if a not in knu)
             coeff = (1j ** m) * p_polynomial(lams, kj, knu, n, conv.alpha_rule,
                                              conv.include_n_sign)
-            if kj:
-                term = delta_determinant(psis, phis, lams, kj, which, conv.power_rule)
-            else:
-                if n != 2 or conv.empty_delta == 0.0:
-                    continue
-                term = GrassmannElement.from_scalar(gens, conv.empty_delta)
-            if knu:
-                term = term * x_product(chis, lams, knu)
-            total = total + term * coeff
+            if not kj:
+                if n == 2 and conv.empty_delta != 0.0:
+                    shared = shared + x(knu) * (conv.empty_delta * coeff)
+                continue
+            weight = x(knu) * coeff if knu else coeff
+            sides = [side + minor[kj] * weight for side, minor in zip(sides, minors)]
     # even order: the extra sum of double chi products
     if n % 2 == 0 and conv.xx_weight != 0.0:
         for m in range(1, n // 2):
@@ -450,9 +470,8 @@ def _closed_form_side(psis, phis, chis, lams, n: int, which: int,
                 kj = tuple(a for a in all_indices if a not in knu)
                 coeff = ((-1) ** m / math.factorial(m)) * conv.xx_weight \
                     * p_polynomial(lams, kj, knu, n, conv.alpha_rule, conv.include_n_sign)
-                term = x_product(chis, lams, kj) * x_product(chis, lams, knu)
-                total = total + term * coeff
-    return total
+                shared = shared + x(kj) * x(knu) * coeff
+    return sides[0] + shared, sides[1] + shared
 
 
 def closed_form_sn(k: int, seeds: Sequence[SeedParams], n: int,
@@ -471,8 +490,7 @@ def closed_form_sn(k: int, seeds: Sequence[SeedParams], n: int,
         psis = [t[0].evaluate(pt) for t in triples]
         phis = [t[1].evaluate(pt) for t in triples]
         chis = [t[2].evaluate(pt) for t in triples]
-        num = _closed_form_side(psis, phis, chis, lams, n, 1, conv)
-        den = _closed_form_side(psis, phis, chis, lams, n, 2, conv)
+        num, den = _closed_form_sides(psis, phis, chis, lams, n, conv)
         ratio = num * _checked_inverse(den, "closed-form denominator")
         if near_zero(scalar_value(ratio.body())):
             raise SingularBodyError("singular point: closed-form numerator body vanishes")

@@ -96,18 +96,21 @@ class LaxPairBosonic:
     defect: float
 
 
-def _lax_parts(s_val: GrassmannElement, lam: JetScalar) -> tuple:
-    """sqrt(lambda), exp(i s), exp(-i s) and D- s: what both Lax pairs are built from."""
-    return (lam.analytic("sqrt"), analytic_lift("exp", 1j * s_val),
-            analytic_lift("exp", -1j * s_val), d_minus(s_val))
+def _lax_parts(s: Superfield, pt: SuperspacePoint, lam: JetScalar) -> tuple:
+    """sqrt(lambda), exp(i s), exp(-i s) and D- s: what both Lax pairs are built from.
+
+    The phases are lifts of s, so each is computed once per solution and point.
+    """
+    return (lam.analytic("sqrt"), s.lift("exp", 1j).evaluate(pt),
+            s.lift("exp", -1j).evaluate(pt), d_minus(s.evaluate(pt)))
 
 
-def fermionic_u_pair(s_val: GrassmannElement, lam: JetScalar,
+def fermionic_u_pair(s: Superfield, pt: SuperspacePoint, lam: JetScalar,
                      parts: tuple | None = None) -> LaxPairFermionic:
-    """The odd potential matrices built from a solution value and lambda."""
-    gens = s_val.gens
+    """The odd potential matrices of a solution at a point and lambda."""
+    sqrt_lam, eis, emis, dms = parts or _lax_parts(s, pt, lam)
+    gens = eis.gens
     zero = GrassmannElement.zero(gens)
-    sqrt_lam, eis, emis, dms = parts or _lax_parts(s_val, lam)
     half = (2 * sqrt_lam).reciprocal()
 
     u_plus = SuperMatrix(2, 1, [
@@ -127,7 +130,7 @@ def fermionic_u_pair(s_val: GrassmannElement, lam: JetScalar,
 
 def build_lax_fermionic(s: Superfield, pt: SuperspacePoint) -> LaxPairFermionic:
     """U+- at the point, at the point's (jet-seeded) lambda."""
-    return fermionic_u_pair(s.evaluate(pt), pt.lam_jet())
+    return fermionic_u_pair(s, pt, pt.lam_jet())
 
 
 def zcc_fermionic_residual(s: Superfield, pt: SuperspacePoint) -> SuperMatrix:
@@ -193,11 +196,9 @@ def build_lax_bosonic(s: Superfield, pt: SuperspacePoint,
     defect stays absolute.
     """
     lam_jet = pt.lam_jet()
-    s_val = s.evaluate(pt)
-    parts = _lax_parts(s_val, lam_jet)
-    v_plus, v_minus = bosonic_v_pair_closed(s_val, lam_jet, parts)
-    pair = fermionic_u_pair(s_val, lam_jet, parts)
-    del parts  # a batch's exponentials are large; the guard below needs only the pairs
+    parts = _lax_parts(s, pt, lam_jet)
+    v_plus, v_minus = bosonic_v_pair_closed(s.evaluate(pt), lam_jet, parts)
+    pair = fermionic_u_pair(s, pt, lam_jet, parts)
     defect = peak((entry - v.entry(i, k)).max_abs()
                   for u, deriv, v in ((pair.u_plus, d_plus, v_plus), (pair.u_minus, d_minus, v_minus))
                   for i, k, entry in bosonic_v_defining_entries(u, deriv))
@@ -241,7 +242,7 @@ def lsp_residual(phi: Sequence[Superfield], s: Superfield, lam: complex,
     if psi_f.parity != EVEN or phi_f.parity != EVEN or chi_f.parity != ODD:
         raise ParityError("wavefunction grading must be (even, even, odd)")
     triple: Triple = (psi_f.evaluate(pt), phi_f.evaluate(pt), chi_f.evaluate(pt))
-    pair = fermionic_u_pair(s.evaluate(pt), pt.const_jet(lam))
+    pair = fermionic_u_pair(s, pt, pt.const_jet(lam))
     res = []
     for u, deriv in ((pair.u_plus, d_plus), (pair.u_minus, d_minus)):
         rhs = apply_potential(u, triple)
@@ -258,7 +259,7 @@ def riccati_residuals(p: Superfield, q: Superfield, s: Superfield, lam: complex,
     """Defects of the four coupled equations for p (even) and q (odd)."""
     pv = p.evaluate(pt)
     qv = q.evaluate(pt)
-    sqrt_lam, eis, emis, dms = _lax_parts(s.evaluate(pt), pt.const_jet(lam))
+    sqrt_lam, eis, emis, dms = _lax_parts(s, pt, pt.const_jet(lam))
     half = (2 * sqrt_lam).reciprocal()
 
     r1 = d_plus(pv) - (emis * qv * (-1j * half) + eis * (pv * qv) * (-1j * half))

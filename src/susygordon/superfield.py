@@ -31,6 +31,7 @@ from .grassmann import (
     ODD,
     GeneratorSet,
     GrassmannElement,
+    analytic_lift,
 )
 from .jets import DEFAULT_SPEC, JetScalar, JetSpec
 
@@ -166,10 +167,12 @@ class Superfield:
     transformed wavefunctions), and residual checks re-evaluate the same
     solution at the same sweep points for several different residuals.
     The memo holds its points weakly, so a value lives only as long as its
-    point (or batch) object does.
+    point (or batch) object does.  Values that several formulas derive from
+    one superfield (the Lax phases exp(+-i s)) are superfields of their own,
+    built once by :meth:`lift`, so they share this memo too.
     """
 
-    __slots__ = ("_fn", "parity", "label", "_cache")
+    __slots__ = ("_fn", "parity", "label", "_cache", "_lifts")
 
     def __init__(self, fn: Callable[[SuperspacePoint | PointBatch], GrassmannElement],
                  parity: str, label: str = "") -> None:
@@ -180,6 +183,7 @@ class Superfield:
         self.label = label
         self._cache: weakref.WeakKeyDictionary[SuperspacePoint | PointBatch,
                                                GrassmannElement] = weakref.WeakKeyDictionary()
+        self._lifts: dict[tuple[str, complex], Superfield] = {}
 
     def evaluate(self, pt: SuperspacePoint | PointBatch) -> GrassmannElement:
         got = self._cache.get(pt)
@@ -193,6 +197,16 @@ class Superfield:
         return got
 
     __call__ = evaluate
+
+    def lift(self, name: str, factor: complex) -> "Superfield":
+        """The even superfield ``name(factor * self)``, one per name and factor."""
+        key = (name, factor)
+        got = self._lifts.get(key)
+        if got is None:
+            got = self._lifts[key] = combine(
+                EVEN, f"{name}({factor} {self.label})",
+                lambda v: analytic_lift(name, factor * v), self)
+        return got
 
     def __repr__(self) -> str:
         return f"Superfield({self.label!r}, parity={self.parity})"

@@ -323,6 +323,60 @@ def test_reproduce_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    """main() reuses one parser; each command's stdout and exit code equal those
+    of a call with a freshly built parser, an argparse rejection included."""
+    from susygordon.cli import build_parser
+
+    sol = write(tmp_path, "sol.json", DARBOUX2)
+    commands = [
+        ["verify", "ssge", "--solution", sol, "--points", "2", "--seed", "3"],
+        ["verify", "lsp", "--solution", sol, "--points", "2", "--complex"],
+        ["reproduce", "constraints"],
+        ["verify", "nonsense", "--solution", sol],
+        ["geometry", "--solution", sol, "--points", "2", "--beta", "2,1"],
+        ["verify", "ssge", "--solution", sol, "--tol", "-1"],
+        ["reproduce", "example1", "--points", "2"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+        return code, capsys.readouterr().out
+
+    reused = [run(argv) for argv in commands]
+    assert build_parser.cache_info().currsize == 1
+    fresh = []
+    for argv in commands:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert [code for code, _ in reused] == [0, 0, 0, 2, 0, 2, 0]
+
+
+def test_repeated_deep_sweeps_add_no_cached_tables(capsys):
+    """grassmann's layout and pair-table caches grow with the shapes a sweep
+    meets, not with its points: after one zcc-bosonic and lsp sweep of the
+    deep chain, sweeps at fresh seeds add no entry.  The interned seed
+    triples stay within their bound."""
+    from susygordon import grassmann
+    from susygordon.darboux import seed_wavefunction
+
+    caches = (grassmann._LAYOUTS, grassmann._KEY_PAIRS, grassmann._PRODUCTS, grassmann._SUMS)
+    sizes = []
+    for seed in (1, 2, 3):
+        for kind in ("zcc-bosonic", "lsp"):
+            assert main(["verify", kind, "--solution", str(DEEP_CHAIN), "--points", "4",
+                         "--seed", str(seed), "--x-range=-0.03,0.03"]) == 0
+        sizes.append([len(cache) for cache in caches])
+    capsys.readouterr()
+    assert sizes[1] == sizes[0] and sizes[2] == sizes[0]
+    info = seed_wavefunction.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
 def test_stdout_report(capsys):
     code = main(["reproduce", "constraints"])
     assert code == 0

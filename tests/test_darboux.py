@@ -1,6 +1,7 @@
 """Seeds, transformation steps, the chain, and the determinant closed form."""
 
 import cmath
+import itertools
 
 import numpy as np
 import pytest
@@ -26,9 +27,9 @@ from susygordon.darboux import (
     x_product,
 )
 from susygordon.errors import SingularBodyError
-from susygordon.grassmann import EVEN, ODD, allclose, ginv
+from susygordon.grassmann import EVEN, ODD, GrassmannElement, allclose, ginv
 from susygordon.ssge import lsp_residual, residual_magnitude, ssge_residual
-from susygordon.superfield import Superfield, SuperspacePoint, combine
+from susygordon.superfield import PointBatch, Superfield, SuperspacePoint, combine
 
 from conftest import sample_grid
 
@@ -78,6 +79,19 @@ def test_seed_chi_sign_is_pinned_by_the_linear_problem():
 
     flipped = (triple[0], triple[1], Superfield(flipped_chi, ODD, "chi-flipped"))
     assert residual_magnitude(lsp_residual(flipped, s0, params.lam, pt)) > 1e-2
+
+
+def test_seed_triples_are_interned_within_a_bound(deep):
+    """Equal params give one triple, so a chain and a closed form share its
+    memo; the interning cache evicts beyond its bound."""
+    seeds, _ = deep
+    chain = darboux_chain(0, seeds, 1)
+    again = SeedParams(seeds[0].lam, seeds[0].c, seeds[0].b, seeds[0].a)
+    assert chain.waves[0][0].fields() == seed_wavefunction(again)
+    bound = seed_wavefunction.cache_info().maxsize
+    for j in range(bound + 6):
+        seed_wavefunction(SeedParams(lam=1.0 + j, c=1.0))
+    assert seed_wavefunction.cache_info().currsize == bound
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +336,63 @@ def test_delta_empty_is_zero(components):
     assert delta_determinant(psis, phis, lams, (), 1).is_zero()
 
 
+def permutation_delta(psis, phis, lams, indices, which, power_rule):
+    """Delta as the alternating sum over all r! column permutations: the
+    oracle of the minor table.  Rows are listed top-down, so the top row is
+    t = r-1 counted from the bottom."""
+    r = len(indices)
+    if r == 0:
+        return GrassmannElement.zero(psis[0].gens)
+    first, second = (psis, phis) if which == 1 else (phis, psis)
+    power = {"t": lambda t: t, "ceil": lambda t: (t + 1) // 2}[power_rule]
+    grid = [[(first if t % 2 == 0 else second)[a] * (lams[a] ** power(t)) for a in indices]
+            for t in reversed(range(r))]
+    total = GrassmannElement.zero(psis[0].gens)
+    for perm in itertools.permutations(range(r)):
+        inv = sum(1 for i, j in itertools.combinations(range(r), 2) if perm[i] > perm[j])
+        term = grid[0][perm[0]]
+        for t in range(1, r):
+            term = term * grid[t][perm[t]]
+        total = total + (term if inv % 2 == 0 else -term)
+    return total
+
+
+@pytest.fixture(scope="module")
+def minor_points(deep):
+    seeds, gens = deep
+    pts = sample_grid(gens, count=3, seed=11)
+    return {"point": pts[0], "batch": PointBatch.of(pts)}
+
+
+@pytest.mark.parametrize("where", ["point", "batch"])
+@pytest.mark.parametrize("power_rule", ["t", "ceil"])
+@pytest.mark.parametrize("which", [1, 2])
+@pytest.mark.parametrize("r", range(5))
+def test_minor_table_matches_permutation_expansion(deep, minor_points, r, which, power_rule,
+                                                   where):
+    seeds, _ = deep
+    pt = minor_points[where]
+    triples = [seed_wavefunction(p) for p in seeds]
+    psis = [t[0].evaluate(pt) for t in triples]
+    phis = [t[1].evaluate(pt) for t in triples]
+    lams = [p.lam for p in seeds]
+    for indices in itertools.combinations(range(len(seeds)), r):
+        got = delta_determinant(psis, phis, lams, indices, which, power_rule)
+        want = permutation_delta(psis, phis, lams, indices, which, power_rule)
+        assert np.all(allclose(got, want, 1e-12, 1e-12)), indices
+        if r >= 2:
+            # a transposition flips the sign exactly; the reversed order
+            # carries the parity of r(r-1)/2 swaps
+            swapped = (indices[1], indices[0]) + indices[2:]
+            assert np.all((delta_determinant(psis, phis, lams, swapped, which, power_rule)
+                           + got).max_abs() == 0.0)
+            backwards = indices[::-1]
+            assert np.all(allclose(
+                delta_determinant(psis, phis, lams, backwards, which, power_rule),
+                permutation_delta(psis, phis, lams, backwards, which, power_rule),
+                1e-12, 1e-12)), backwards
+
+
 def test_x_product(components):
     psis, phis, chis, lams = components
     x01 = x_product(chis, lams, (0, 1))
@@ -349,8 +420,7 @@ def test_closed_form_low_orders_match_displays(components, deep):
     """s[1] and s[2] numerators are the displayed combinations exactly."""
     psis, phis, chis, lams = components
     conv = ClosedFormConventions()
-    from susygordon.darboux import _closed_form_side
-    num2 = _closed_form_side(psis, phis, chis, lams, 2, 1, conv)
+    num2, _ = darboux_module._closed_form_sides(psis, phis, chis, lams, 2, conv)
     expect = delta_determinant(psis, phis, lams, (0, 1), 1) \
         + x_product(chis, lams, (0, 1)) * 1j
     assert allclose(num2, expect, 1e-11, 1e-11)
@@ -367,7 +437,6 @@ def test_closed_form_n3_term_list(components):
     ground truth this was pinned against; this one guards against drift.
     """
     psis, phis, chis, lams = components
-    from susygordon.darboux import _closed_form_side
 
     def pp(a, bs):
         out = 1.0 + 0.0j
@@ -379,7 +448,7 @@ def test_closed_form_n3_term_list(components):
         + delta_determinant(psis, phis, lams, (0,), 1) * x_product(chis, lams, (1, 2)) * (1j * pp(0, (1, 2))) \
         - delta_determinant(psis, phis, lams, (1,), 1) * x_product(chis, lams, (0, 2)) * (1j * pp(1, (0, 2))) \
         + delta_determinant(psis, phis, lams, (2,), 1) * x_product(chis, lams, (0, 1)) * (1j * pp(2, (0, 1)))
-    got = _closed_form_side(psis, phis, chis, lams, 3, 1, ClosedFormConventions())
+    got, _ = darboux_module._closed_form_sides(psis, phis, chis, lams, 3, ClosedFormConventions())
     assert allclose(got, expect, 1e-10, 1e-10)
 
 

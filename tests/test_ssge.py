@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from susygordon.darboux import SeedParams, darboux_chain, generator_set, seed_trivial, seed_wavefunction
+from susygordon.darboux import (
+    SeedParams,
+    darboux_chain,
+    generator_set,
+    lsp_normalized_triple,
+    seed_trivial,
+    seed_wavefunction,
+)
 from susygordon.errors import ParityError
 from susygordon.grassmann import EVEN, ODD, GrassmannElement, allclose
 from susygordon.jets import scalar_value
@@ -125,20 +132,37 @@ def test_v_consistency_defining_vs_closed(chain):
             assert build_lax_bosonic(s, pt).defect < 1e-12
 
 
-def test_bosonic_lax_pair_lifts_each_exponential_once(chain, monkeypatch):
-    """exp(+-i s) serve both constructions of V+-: with exp(+-2i s) that is 4
-    lifts per evaluation (building them twice made 6)."""
+def test_bosonic_lax_pair_lifts_each_exponential_once(deep, deep_points, monkeypatch):
+    """exp(+-i s) are lifts memoized per solution and point: zcc-bosonic,
+    zcc-fermionic and the LSP at every level of the deep chain together lift
+    them once per level (10, where one lift per residual made 24), and
+    exp(+-2i s) once each for the bosonic closed forms."""
     import susygordon.ssge as ssge_module
+    import susygordon.superfield as superfield_module
 
-    s = chain.solutions[2]
-    pt = points(1)[0]
-    s.evaluate(pt)  # the solution's own lifts are not the Lax pair's
-    lift = ssge_module.analytic_lift
-    calls = []
-    monkeypatch.setattr(ssge_module, "analytic_lift",
-                        lambda name, v, *rest: calls.append(name) or lift(name, v, *rest))
-    assert residual_magnitude(zcc_bosonic_residual(s, pt)) < 1e-10
-    assert calls == ["exp"] * 4
+    seeds, _ = deep
+    chain = darboux_chain(0, seeds, len(seeds))
+    pt = deep_points[0]
+    values = [s.evaluate(pt) for s in chain.solutions]  # the solutions' own lifts are not counted
+    lifted = []
+    for module in (ssge_module, superfield_module):
+        lift = module.analytic_lift
+        monkeypatch.setattr(module, "analytic_lift", lambda name, v, lift=lift: (
+            lifted.append((name, v)) or lift(name, v)))
+    top = chain.solution()
+    assert residual_magnitude(zcc_bosonic_residual(top, pt)) < 1e-10
+    assert residual_magnitude(zcc_fermionic_residual(top, pt)) < 1e-10
+    for level, triples in enumerate(chain.waves):
+        for wt in triples:
+            fields = wt.fields() if level == 0 else lsp_normalized_triple(wt)
+            assert residual_magnitude(lsp_residual(fields, chain.solutions[level], wt.lam, pt)) < 1e-10
+    expected = [f * v for v in values for f in (1j, -1j)] + [f * values[-1] for f in (2j, -2j)]
+    assert len(expected) == 12
+    assert [name for name, _ in lifted] == ["exp"] * 12
+    for want in expected:
+        match = next(i for i, (_, got) in enumerate(lifted)
+                     if got.layout.keys == want.layout.keys and (got - want).max_abs() == 0.0)
+        del lifted[match]
 
 
 def test_zcc_bosonic(chain):
