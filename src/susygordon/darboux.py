@@ -32,7 +32,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -146,31 +146,26 @@ def seed_wavefunction(params: SeedParams) -> tuple[Superfield, Superfield, Super
 
 @dataclass(frozen=True)
 class WaveTriple:
-    """A live wavefunction with the inverses and ratios that every
-    transformation consuming it shares (each evaluated once per point)."""
+    """A live wavefunction (psi, phi, chi) at its spectral constant."""
 
     psi: Superfield
     phi: Superfield
     chi: Superfield
     lam: complex
     index: int
-    inv_psi: Superfield = field(init=False, repr=False, compare=False)
-    inv_phi: Superfield = field(init=False, repr=False, compare=False)
-    psi_over_phi: Superfield = field(init=False, repr=False, compare=False)
-    phi_over_psi: Superfield = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        inv_psi = combine(EVEN, "1/psi_0", lambda v: _checked_inverse(v, "psi_0"), self.psi)
-        inv_phi = combine(EVEN, "1/phi_0", lambda v: _checked_inverse(v, "phi_0"), self.phi)
-        object.__setattr__(self, "inv_psi", inv_psi)
-        object.__setattr__(self, "inv_phi", inv_phi)
-        object.__setattr__(self, "psi_over_phi",
-                           combine(EVEN, "psi_0/phi_0", operator.mul, self.psi, inv_phi))
-        object.__setattr__(self, "phi_over_psi",
-                           combine(EVEN, "phi_0/psi_0", operator.mul, self.phi, inv_psi))
 
     def fields(self) -> tuple[Superfield, Superfield, Superfield]:
         return (self.psi, self.phi, self.chi)
+
+    def ratio(self, num: str, den: str) -> Superfield:
+        """The component ``num`` over the even component ``den`` as the triple
+        consumed by a step: derived from ``num``, with the inverse derived from
+        ``den``, so every transformation by this triple shares both."""
+        what = f"{den}_0"
+        inverse = getattr(self, den).derive(
+            f"1/{what}", EVEN, lambda v: _checked_inverse(v, what))
+        top = getattr(self, num)
+        return top.derive(f"{num}_0/{what}", top.parity, operator.mul, inverse)
 
     def evaluate(self, pt: SuperspacePoint):
         return (self.psi.evaluate(pt), self.phi.evaluate(pt), self.chi.evaluate(pt))
@@ -184,9 +179,10 @@ def _checked_inverse(value: GrassmannElement, what: str) -> GrassmannElement:
 
 def darboux_step_s(s: Superfield, phi0: WaveTriple) -> Superfield:
     """s[1] = s - i ln(psi_0/phi_0); singular where either body vanishes."""
+    psi_over_phi = phi0.ratio("psi", "phi")
 
     def ev(pt: SuperspacePoint) -> GrassmannElement:
-        ratio = phi0.psi_over_phi.evaluate(pt)
+        ratio = psi_over_phi.evaluate(pt)
         if near_zero(scalar_value(ratio.body())):
             raise SingularBodyError("singular point: body of psi_0 vanishes")
         return s.evaluate(pt) - 1j * analytic_lift("ln", ratio)
@@ -211,37 +207,27 @@ def lsp_normalized_triple(wt: WaveTriple) -> tuple[Superfield, Superfield, Super
 
 def darboux_step_wavefunction(phi0: WaveTriple, target: WaveTriple) -> WaveTriple:
     """Transform a wavefunction by the consumed one (Phi_j[1] from Phi_0, Phi_j)."""
-    return _step_transform(phi0)(target)
+    if target.index == phi0.index:
+        raise ValueError("the consumed wavefunction cannot be transformed by itself")
+    lam0, lamj = phi0.lam, target.lam
+    cross = cmath.sqrt(lam0 * lamj)
+    phi_psi0, psi_phi0 = phi0.ratio("phi", "psi"), phi0.ratio("psi", "phi")
+    q_psi, q_phi = phi0.ratio("chi", "psi"), phi0.ratio("chi", "phi")
 
+    def new_psi(phi_psi0, q_psi, psij, phij, chij):
+        return phi_psi0 * psij * (-lam0) + phij * lamj + (q_psi * chij) * (-1j * cross)
 
-def _step_transform(phi0: WaveTriple):
-    """``Phi_j -> Phi_j[1]`` for one consumed triple; its odd ratios are built
-    once here and, like its even ratios, shared by every target."""
-    q_psi = combine(ODD, "chi_0/psi_0", operator.mul, phi0.chi, phi0.inv_psi)
-    q_phi = combine(ODD, "chi_0/phi_0", operator.mul, phi0.chi, phi0.inv_phi)
+    def new_phi(psi_phi0, q_phi, psij, phij, chij):
+        return psij * lamj + psi_phi0 * phij * (-lam0) + (q_phi * chij) * (-1j * cross)
 
-    def transform(target: WaveTriple) -> WaveTriple:
-        if target.index == phi0.index:
-            raise ValueError("the consumed wavefunction cannot be transformed by itself")
-        lam0, lamj = phi0.lam, target.lam
-        cross = cmath.sqrt(lam0 * lamj)
+    def new_chi(q_psi, q_phi, psij, phij, chij):
+        return (q_psi * psij) * cross + (q_phi * phij) * cross + chij * (-(lam0 + lamj))
 
-        def new_psi(phi_psi0, q_psi, psij, phij, chij):
-            return phi_psi0 * psij * (-lam0) + phij * lamj + (q_psi * chij) * (-1j * cross)
-
-        def new_phi(psi_phi0, q_phi, psij, phij, chij):
-            return psij * lamj + psi_phi0 * phij * (-lam0) + (q_phi * chij) * (-1j * cross)
-
-        def new_chi(q_psi, q_phi, psij, phij, chij):
-            return (q_psi * psij) * cross + (q_phi * phij) * cross + chij * (-(lam0 + lamj))
-
-        idx = target.index
-        psi_f = combine(EVEN, f"psi{idx}[+]", new_psi, phi0.phi_over_psi, q_psi, *target.fields())
-        phi_f = combine(EVEN, f"phi{idx}[+]", new_phi, phi0.psi_over_phi, q_phi, *target.fields())
-        chi_f = combine(ODD, f"chi{idx}[+]", new_chi, q_psi, q_phi, *target.fields())
-        return WaveTriple(psi_f, phi_f, chi_f, lamj, idx)
-
-    return transform
+    idx = target.index
+    psi_f = combine(EVEN, f"psi{idx}[+]", new_psi, phi_psi0, q_psi, *target.fields())
+    phi_f = combine(EVEN, f"phi{idx}[+]", new_phi, psi_phi0, q_phi, *target.fields())
+    chi_f = combine(ODD, f"chi{idx}[+]", new_chi, q_psi, q_phi, *target.fields())
+    return WaveTriple(psi_f, phi_f, chi_f, lamj, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +267,7 @@ def darboux_chain(k: int, seeds: Sequence[SeedParams], n: int) -> DarbouxChain:
     for step in range(n):
         consumed = live[0]
         solutions.append(darboux_step_s(solutions[-1], consumed))
-        transform = _step_transform(consumed)
-        live = [transform(t) for t in live[1:]]
+        live = [darboux_step_wavefunction(consumed, t) for t in live[1:]]
         waves.append(list(live))
         ledger.append({
             "step": step + 1,

@@ -18,11 +18,14 @@ coefficients is known to the common (elementwise-minimum) shape of what it
 combines, and a plain complex coefficient is a constant, known to every
 order.  The block's jet axes are the largest known shape, and entries
 beyond a row's own shape are held at zero.  Keys and known shapes together
-form an interned layout, so the table of a product or sum is cached per pair
-of layouts: it holds the disjoint monomial pairs, their signs and the runs of
-pairs that land on one output monomial.  A product is then one gather of
-both blocks, one jet product per pair, one ``np.add.reduceat`` over the runs
-and one nonzero pass that drops the monomials that came out zero.  Up to
+form an interned layout, and the table of a product or sum lives on its left
+layout, keyed by the right one: it holds the disjoint monomial pairs, their
+signs and the runs of pairs that land on one output monomial.  At most
+``MAX_LAYOUTS`` layouts are interned; past that the intern table starts
+afresh, and layouts that no live element holds go with their tables.  A
+product is then one gather of both blocks, one jet product per pair, one
+``np.add.reduceat`` over the runs and one nonzero pass that drops the
+monomials that came out zero.  Up to
 ``GATHER_ROWS`` pair rows the jet products gather the index pairs of
 :func:`susygordon.jets._product_table`; a larger product runs in chunks of
 ``SHIFT_ROWS`` rows, each summing shifted jet slices with the rows innermost.
@@ -73,6 +76,9 @@ GATHER_ROWS = 150
 #: the rows innermost (one vector operation per jet slot)
 SHIFT_ROWS = 512
 
+#: interned layouts kept before the intern table starts afresh
+MAX_LAYOUTS = 4096
+
 
 class GeneratorSet:
     """An ordered set of named odd generators.
@@ -114,7 +120,6 @@ class GeneratorSet:
         return f"GeneratorSet({self.names!r})"
 
 
-@lru_cache(maxsize=None)
 def _product_sign(ma: int, mb: int) -> int:
     """Sign of concatenating two canonical monomials and resorting.
 
@@ -139,7 +144,8 @@ class _Layout:
 
     ``grid`` is the largest known shape, ``(1, 1, 1)`` when every coefficient
     is a constant; a block of this layout has the jet axes ``grid``.
-    ``derived`` caches the layouts and tables built from this one.
+    ``derived`` caches the layouts and tables built from this one: its rows,
+    derivatives, and its products and sums keyed by the other layout.
     """
 
     __slots__ = ("keys", "shapes", "known", "grid", "parity", "derived", "_zero_where")
@@ -169,15 +175,24 @@ class _Layout:
 
 
 _LAYOUTS: dict[tuple, _Layout] = {}
-_SHAPES: dict[tuple, tuple] = {}  # one tuple object per distinct jet shape
 
 
 def _layout(keys: tuple, shapes: tuple) -> _Layout:
     got = _LAYOUTS.get((keys, shapes))
     if got is None:
-        shapes = tuple(_SHAPES.setdefault(s, s) for s in shapes)
+        if len(_LAYOUTS) >= MAX_LAYOUTS:
+            _clear_layouts()
         got = _LAYOUTS[(keys, shapes)] = _Layout(keys, shapes)
     return got
+
+
+def _clear_layouts() -> None:
+    """Start the intern table afresh.  The module's own layouts stay interned
+    but drop their tables, which would otherwise keep every old layout alive."""
+    _LAYOUTS.clear()
+    for layout in (_EMPTY, _CONSTANT_BODY):
+        layout.derived.clear()
+        _LAYOUTS[(layout.keys, layout.shapes)] = layout
 
 
 _EMPTY = _layout((), ())
@@ -185,17 +200,19 @@ _EMPTY_BLOCK = np.zeros((0, 1, 1, 1), dtype=complex)
 _CONSTANT_BODY = _layout((0,), (_CONSTANT_SHAPE,))
 
 
-class _KeyPairs:
-    """The disjoint monomial pairs of two key tuples, grouped by output monomial.
+class _Product:
+    """The product table of two layouts: their disjoint monomial pairs, grouped
+    by output monomial, and the output layout.
 
     Pairs ``(ia[k], ib[k])`` are sorted by output monomial, and within one by
     ``(ia, ib)``; ``starts`` marks each output's run and ``neg`` the pairs whose
     reordering sign is -1 (None when there are none).
     """
 
-    __slots__ = ("ia", "ib", "neg", "out_keys", "starts", "single")
+    __slots__ = ("ia", "ib", "neg", "starts", "single", "layout")
 
-    def __init__(self, ka: tuple, kb: tuple) -> None:
+    def __init__(self, la: _Layout, lb: _Layout) -> None:
+        ka, kb = la.keys, lb.keys
         pairs = sorted(((ma | mb, i, j) for i, ma in enumerate(ka)
                         for j, mb in enumerate(kb) if not ma & mb), key=lambda t: t[0])
         self.ia = np.array([i for _, i, _ in pairs], dtype=np.intp)
@@ -203,29 +220,14 @@ class _KeyPairs:
         neg = np.array([_product_sign(ka[i], kb[j]) < 0 for _, i, j in pairs], dtype=bool)
         self.neg = neg if neg.any() else None
         starts = [k for k, t in enumerate(pairs) if k == 0 or t[0] != pairs[k - 1][0]]
-        self.out_keys = tuple(pairs[k][0] for k in starts)
         self.starts = np.array(starts, dtype=np.intp)
         self.single = len(starts) == len(pairs)
-
-
-_KEY_PAIRS: dict[tuple, _KeyPairs] = {}
-
-
-class _Product:
-    """A cached product of two layouts: its key pairs and its output layout."""
-
-    __slots__ = ("pairs", "layout")
-
-    def __init__(self, la: _Layout, lb: _Layout) -> None:
-        pairs = _KEY_PAIRS.get((la.keys, lb.keys))
-        if pairs is None:
-            pairs = _KEY_PAIRS[(la.keys, lb.keys)] = _KeyPairs(la.keys, lb.keys)
-        self.pairs = pairs
         self.layout = _EMPTY
-        if pairs.out_keys:
-            known = np.minimum(la.known[pairs.ia], lb.known[pairs.ib])
-            known = np.minimum.reduceat(known, pairs.starts, axis=0)
-            self.layout = _layout(pairs.out_keys, tuple(map(tuple, known.tolist())))
+        if starts:
+            known = np.minimum(la.known[self.ia], lb.known[self.ib])
+            known = np.minimum.reduceat(known, self.starts, axis=0)
+            self.layout = _layout(tuple(pairs[k][0] for k in starts),
+                                  tuple(map(tuple, known.tolist())))
 
 
 class _Sum:
@@ -249,9 +251,6 @@ class _Sum:
         longer = any(s[0] != CONSTANT and s != shape[m] for operand in (la, lb)
                      for m, s in zip(operand.keys, operand.shapes) if m in both)
         self.masked = longer and self.layout.zero_where() is not None
-
-
-_SUMS: dict[tuple, _Sum] = {}
 
 
 def _index(rows: list, size: int):
@@ -377,11 +376,18 @@ def _pruned(gens: GeneratorSet, layout: _Layout, block: np.ndarray) -> "Grassman
     return _rows(gens, layout, block, np.flatnonzero(nonzero))
 
 
-def _product(a: "GrassmannElement", b: "GrassmannElement") -> "GrassmannElement":
-    plan = _PRODUCTS.get((a.layout, b.layout))
+def _plan(kind: type, la: _Layout, lb: _Layout):
+    """The product or sum table of two layouts, kept on ``la``."""
+    key = (kind, lb)
+    plan = la.derived.get(key)
     if plan is None:
-        plan = _PRODUCTS[(a.layout, b.layout)] = _Product(a.layout, b.layout)
-    layout, pairs = plan.layout, plan.pairs
+        plan = la.derived[key] = kind(la, lb)
+    return plan
+
+
+def _product(a: "GrassmannElement", b: "GrassmannElement") -> "GrassmannElement":
+    pairs = _plan(_Product, a.layout, b.layout)
+    layout = pairs.layout
     if not layout.keys:
         return GrassmannElement.zero(a.gens)
     grid = layout.grid
@@ -411,9 +417,6 @@ def _product(a: "GrassmannElement", b: "GrassmannElement") -> "GrassmannElement"
     return _pruned(a.gens, layout, out)
 
 
-_PRODUCTS: dict[tuple, _Product] = {}
-
-
 def _sum(a: "GrassmannElement", b: "GrassmannElement") -> "GrassmannElement":
     if not a.layout.keys:
         return b
@@ -423,9 +426,7 @@ def _sum(a: "GrassmannElement", b: "GrassmannElement") -> "GrassmannElement":
     if a.layout is b.layout:
         x, y = _with_points(ba, bb)
         return _pruned(a.gens, a.layout, x + y)
-    plan = _SUMS.get((a.layout, b.layout))
-    if plan is None:
-        plan = _SUMS[(a.layout, b.layout)] = _Sum(a.layout, b.layout)
+    plan = _plan(_Sum, a.layout, b.layout)
     layout, grid = plan.layout, plan.layout.grid
     points = (ba.shape[1],) if ba.ndim == 5 else (bb.shape[1],) if bb.ndim == 5 else ()
     out = np.zeros((len(layout.keys),) + points + grid, dtype=complex)

@@ -419,9 +419,6 @@ class JetScalar:
             known *= 2
         return r
 
-    def sqrt(self) -> "JetScalar":
-        return self.analytic("sqrt")
-
 
 # ---------------------------------------------------------------------------
 # module-level operation names

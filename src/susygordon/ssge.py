@@ -22,17 +22,19 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import LaxConsistencyError, ParityError
-from .grassmann import EVEN, ODD, GeneratorSet, GrassmannElement, analytic_lift
+from .grassmann import EVEN, ODD, GeneratorSet, GrassmannElement, analytic_lift, ginv
 from .jets import JetScalar, peak
 from .superfield import (
     Superfield,
     SuperspacePoint,
+    combine,
     d_minus,
     d_plus,
     dx_minus,
@@ -49,8 +51,19 @@ Triple = tuple[GrassmannElement, GrassmannElement, GrassmannElement]
 
 def ssge_residual(s: Superfield, pt: SuperspacePoint) -> GrassmannElement:
     """D+ D- s - i sin(s) at the point; zero iff s solves the equation there."""
-    v = s.evaluate(pt)
-    return d_plus(d_minus(v)) - 1j * analytic_lift("sin", v)
+    return d_plus(_d_minus_s(s, pt)) - 1j * analytic_lift("sin", s.evaluate(pt))
+
+
+def _d_minus_s(s: Superfield, pt: SuperspacePoint) -> GrassmannElement:
+    """D- s, derived from s: the equation, both Lax pairs, the LSP of every
+    triple of a level and the Riccati check share it."""
+    return s.derive("D- s", ODD, d_minus).evaluate(pt)
+
+
+def _phases(s: Superfield, pt: SuperspacePoint) -> tuple[GrassmannElement, GrassmannElement]:
+    """exp(i s) and exp(-i s), derived from s like D- s."""
+    return tuple(s.derive(f"exp({f} s)", EVEN, lambda v, f=f: analytic_lift("exp", f * v))
+                 .evaluate(pt) for f in (1j, -1j))
 
 
 # ---------------------------------------------------------------------------
@@ -96,19 +109,11 @@ class LaxPairBosonic:
     defect: float
 
 
-def _lax_parts(s: Superfield, pt: SuperspacePoint, lam: JetScalar) -> tuple:
-    """sqrt(lambda), exp(i s), exp(-i s) and D- s: what both Lax pairs are built from.
-
-    The phases are lifts of s, so each is computed once per solution and point.
-    """
-    return (lam.analytic("sqrt"), s.lift("exp", 1j).evaluate(pt),
-            s.lift("exp", -1j).evaluate(pt), d_minus(s.evaluate(pt)))
-
-
-def fermionic_u_pair(s: Superfield, pt: SuperspacePoint, lam: JetScalar,
-                     parts: tuple | None = None) -> LaxPairFermionic:
+def fermionic_u_pair(s: Superfield, pt: SuperspacePoint, lam: JetScalar) -> LaxPairFermionic:
     """The odd potential matrices of a solution at a point and lambda."""
-    sqrt_lam, eis, emis, dms = parts or _lax_parts(s, pt, lam)
+    eis, emis = _phases(s, pt)
+    dms = _d_minus_s(s, pt)
+    sqrt_lam = lam.analytic("sqrt")
     gens = eis.gens
     zero = GrassmannElement.zero(gens)
     half = (2 * sqrt_lam).reciprocal()
@@ -155,27 +160,34 @@ def bosonic_v_defining_entries(u: SuperMatrix, deriv):
             yield i, k, 1j * (deriv(u.entry(i, k)) - eu.product_entry(eu, i, k))
 
 
-def bosonic_v_pair_closed(s_val: GrassmannElement, lam: JetScalar,
-                          parts: tuple) -> tuple[SuperMatrix, SuperMatrix]:
-    """The displayed closed forms of the bosonic potential matrices."""
+def bosonic_v_pair_closed(s: Superfield, pt: SuperspacePoint,
+                          lam: JetScalar) -> tuple[SuperMatrix, SuperMatrix]:
+    """The displayed closed forms of the bosonic potential matrices.
+
+    exp(+-2i s) and D+ s feed only these, so they are not derived from s.
+    """
+    s_val = s.evaluate(pt)
     gens = s_val.gens
 
     def emb(c) -> GrassmannElement:
         return GrassmannElement.from_scalar(gens, c)
 
-    sqrt_lam, eis, emis, dms = parts
+    eis, emis = _phases(s, pt)
+    dms = _d_minus_s(s, pt)
+    sqrt_lam = lam.analytic("sqrt")
     inv_sqrt = sqrt_lam.reciprocal()
     inv_lam = lam.reciprocal()
     e2is = analytic_lift("exp", 2j * s_val)
     e2mis = analytic_lift("exp", -2j * s_val)
     dps = d_plus(s_val)
+    eis_dps, emis_dps = eis * dps, emis * dps
     dxm_s = dx_minus(s_val)
 
     half_inv = 0.5 * inv_lam
     v_plus = SuperMatrix(2, 1, [
-        [emb(half_inv), e2is * (-half_inv), eis * dps * (-1j * inv_sqrt)],
-        [e2mis * (-half_inv), emb(half_inv), emis * dps * (-1j * inv_sqrt)],
-        [emis * dps * (-inv_sqrt), eis * dps * (-inv_sqrt), emb(inv_lam)],
+        [emb(half_inv), e2is * (-half_inv), eis_dps * (-1j * inv_sqrt)],
+        [e2mis * (-half_inv), emb(half_inv), emis_dps * (-1j * inv_sqrt)],
+        [emis_dps * (-inv_sqrt), eis_dps * (-inv_sqrt), emb(inv_lam)],
     ], parity=EVEN).scale(0.5)
 
     lam_e = emb(lam)
@@ -196,9 +208,8 @@ def build_lax_bosonic(s: Superfield, pt: SuperspacePoint,
     defect stays absolute.
     """
     lam_jet = pt.lam_jet()
-    parts = _lax_parts(s, pt, lam_jet)
-    v_plus, v_minus = bosonic_v_pair_closed(s.evaluate(pt), lam_jet, parts)
-    pair = fermionic_u_pair(s, pt, lam_jet, parts)
+    v_plus, v_minus = bosonic_v_pair_closed(s, pt, lam_jet)
+    pair = fermionic_u_pair(s, pt, lam_jet)
     defect = peak((entry - v.entry(i, k)).max_abs()
                   for u, deriv, v in ((pair.u_plus, d_plus, v_plus), (pair.u_minus, d_minus, v_minus))
                   for i, k, entry in bosonic_v_defining_entries(u, deriv))
@@ -259,7 +270,9 @@ def riccati_residuals(p: Superfield, q: Superfield, s: Superfield, lam: complex,
     """Defects of the four coupled equations for p (even) and q (odd)."""
     pv = p.evaluate(pt)
     qv = q.evaluate(pt)
-    sqrt_lam, eis, emis, dms = _lax_parts(s, pt, pt.const_jet(lam))
+    eis, emis = _phases(s, pt)
+    dms = _d_minus_s(s, pt)
+    sqrt_lam = pt.const_jet(lam).analytic("sqrt")
     half = (2 * sqrt_lam).reciprocal()
 
     r1 = d_plus(pv) - (emis * qv * (-1j * half) + eis * (pv * qv) * (-1j * half))
@@ -270,19 +283,12 @@ def riccati_residuals(p: Superfield, q: Superfield, s: Superfield, lam: complex,
 
 
 def riccati_from_wavefunction(phi: Sequence[Superfield]) -> tuple[Superfield, Superfield]:
-    """p = phi/psi and q = chi/psi built from a wavefunction triple."""
-    from .grassmann import ginv
-
+    """p = phi/psi and q = chi/psi built from a wavefunction triple; both read
+    one 1/psi derived from psi."""
     psi_f, phi_f, chi_f = phi
-
-    def p_fn(pt: SuperspacePoint) -> GrassmannElement:
-        return phi_f.evaluate(pt) * ginv(psi_f.evaluate(pt))
-
-    def q_fn(pt: SuperspacePoint) -> GrassmannElement:
-        return chi_f.evaluate(pt) * ginv(psi_f.evaluate(pt))
-
-    return (Superfield(p_fn, EVEN, "p=phi/psi"),
-            Superfield(q_fn, ODD, "q=chi/psi"))
+    inv_psi = psi_f.derive("1/psi", EVEN, ginv)
+    return (combine(EVEN, "p=phi/psi", operator.mul, phi_f, inv_psi),
+            combine(ODD, "q=chi/psi", operator.mul, chi_f, inv_psi))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from .grassmann import (
     ODD,
     GeneratorSet,
     GrassmannElement,
-    analytic_lift,
 )
 from .jets import DEFAULT_SPEC, JetScalar, JetSpec
 
@@ -167,12 +166,13 @@ class Superfield:
     transformed wavefunctions), and residual checks re-evaluate the same
     solution at the same sweep points for several different residuals.
     The memo holds its points weakly, so a value lives only as long as its
-    point (or batch) object does.  Values that several formulas derive from
-    one superfield (the Lax phases exp(+-i s)) are superfields of their own,
-    built once by :meth:`lift`, so they share this memo too.
+    point (or batch) object does.  A value that several formulas read off
+    one superfield (exp(+-i s), D- s, the inverses and ratios of a
+    wavefunction) is a superfield of its own, made once by :meth:`derive`,
+    so it shares this memo too.
     """
 
-    __slots__ = ("_fn", "parity", "label", "_cache", "_lifts")
+    __slots__ = ("_fn", "parity", "label", "_cache", "_derived")
 
     def __init__(self, fn: Callable[[SuperspacePoint | PointBatch], GrassmannElement],
                  parity: str, label: str = "") -> None:
@@ -183,7 +183,7 @@ class Superfield:
         self.label = label
         self._cache: weakref.WeakKeyDictionary[SuperspacePoint | PointBatch,
                                                GrassmannElement] = weakref.WeakKeyDictionary()
-        self._lifts: dict[tuple[str, complex], Superfield] = {}
+        self._derived: dict[tuple, Superfield] = {}
 
     def evaluate(self, pt: SuperspacePoint | PointBatch) -> GrassmannElement:
         got = self._cache.get(pt)
@@ -198,14 +198,17 @@ class Superfield:
 
     __call__ = evaluate
 
-    def lift(self, name: str, factor: complex) -> "Superfield":
-        """The even superfield ``name(factor * self)``, one per name and factor."""
-        key = (name, factor)
-        got = self._lifts.get(key)
+    def derive(self, label: str, parity: str, fn: Callable[..., GrassmannElement],
+               *others: "Superfield") -> "Superfield":
+        """The superfield ``fn(self(pt), *others(pt))``, one per ``(label, *others)``.
+
+        A label names one ``fn``: a later call with the same label and others
+        returns the field made first, whose memo already holds its values.
+        """
+        key = (label, *others)
+        got = self._derived.get(key)
         if got is None:
-            got = self._lifts[key] = combine(
-                EVEN, f"{name}({factor} {self.label})",
-                lambda v: analytic_lift(name, factor * v), self)
+            got = self._derived[key] = combine(parity, label, fn, self, *others)
         return got
 
     def __repr__(self) -> str:

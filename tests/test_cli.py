@@ -357,24 +357,52 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
 
 
 def test_repeated_deep_sweeps_add_no_cached_tables(capsys):
-    """grassmann's layout and pair-table caches grow with the shapes a sweep
-    meets, not with its points: after one zcc-bosonic and lsp sweep of the
-    deep chain, sweeps at fresh seeds add no entry.  The interned seed
-    triples stay within their bound."""
+    """grassmann's interned layouts and the tables each holds grow with the
+    shapes a sweep meets, not with its points: after one zcc-bosonic and lsp
+    sweep of the deep chain, sweeps at fresh seeds add no layout and no table.
+    The interned seed triples stay within their bound."""
     from susygordon import grassmann
     from susygordon.darboux import seed_wavefunction
 
-    caches = (grassmann._LAYOUTS, grassmann._KEY_PAIRS, grassmann._PRODUCTS, grassmann._SUMS)
     sizes = []
     for seed in (1, 2, 3):
         for kind in ("zcc-bosonic", "lsp"):
             assert main(["verify", kind, "--solution", str(DEEP_CHAIN), "--points", "4",
                          "--seed", str(seed), "--x-range=-0.03,0.03"]) == 0
-        sizes.append([len(cache) for cache in caches])
+        layouts = list(grassmann._LAYOUTS.values())
+        sizes.append((len(layouts), sum(len(layout.derived) for layout in layouts)))
     capsys.readouterr()
     assert sizes[1] == sizes[0] and sizes[2] == sizes[0]
+    assert sizes[0][0] <= grassmann.MAX_LAYOUTS
     info = seed_wavefunction.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_bounded_layouts_keep_reports(capsys, monkeypatch):
+    """With a small MAX_LAYOUTS the intern table starts afresh many times in
+    one deep sweep: the report is byte-identical to the unbounded one, and the
+    table never holds more layouts than the bound."""
+    from susygordon import grassmann
+
+    argv = ["verify", "lsp", "--solution", str(DEEP_CHAIN), "--points", "3",
+            "--seed", "5", "--x-range=-0.03,0.03"]
+    assert main(argv) == 0
+    unbounded = capsys.readouterr().out
+    bound, sizes = 40, []
+    intern = grassmann._layout
+
+    def counted(keys, shapes):
+        got = intern(keys, shapes)
+        sizes.append(len(grassmann._LAYOUTS))
+        return got
+
+    monkeypatch.setattr(grassmann, "MAX_LAYOUTS", bound)
+    monkeypatch.setattr(grassmann, "_layout", counted)
+    grassmann._clear_layouts()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == unbounded
+    assert max(sizes) <= bound
+    assert sum(after < before for before, after in zip(sizes, sizes[1:])) > 1
 
 
 def test_stdout_report(capsys):

@@ -224,14 +224,20 @@ def test_chain_solves_equation_to_depth_four(deep, deep_points):
 def test_chain_inverts_each_consumed_triple_once_per_step(deep, monkeypatch):
     """s[4] needs 1/psi_0 and 1/phi_0 once for each of the three steps with live
     targets, and 1/phi_0 of the last step: 7.  The s step reuses the step's
-    1/phi_0 (separately it made 10), and one pair per target would make 16."""
+    1/phi_0 (separately it made 10), and one pair per target would make 16.
+    The inverses are derived from the components, and the seed components are
+    interned, so a second chain from the same seeds shares the first step's
+    pair and inverts 5.  The point is one that no other test evaluates."""
     seeds, gens = deep
     chain = darboux_chain(0, seeds, 4)
     calls = []
     monkeypatch.setattr(darboux_module, "ginv", lambda v: calls.append(v) or ginv(v))
-    pt = sample_grid(gens, count=1)[0]
+    pt = SuperspacePoint(0.0123, -0.0217, 1.1, gens=gens)
     chain.solution().evaluate(pt)
     assert len(calls) == 7
+    calls.clear()
+    darboux_chain(0, seeds, 4).solution().evaluate(pt)
+    assert len(calls) == 5
     # the shared inverses give exactly the values of the one-target transformation
     for shared, target in zip(chain.waves[1], chain.waves[0][1:]):
         alone = darboux_step_wavefunction(chain.waves[0][0], target)

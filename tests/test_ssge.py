@@ -133,36 +133,66 @@ def test_v_consistency_defining_vs_closed(chain):
 
 
 def test_bosonic_lax_pair_lifts_each_exponential_once(deep, deep_points, monkeypatch):
-    """exp(+-i s) are lifts memoized per solution and point: zcc-bosonic,
-    zcc-fermionic and the LSP at every level of the deep chain together lift
-    them once per level (10, where one lift per residual made 24), and
-    exp(+-2i s) once each for the bosonic closed forms."""
+    """exp(+-i s) and D- s are fields derived from s, evaluated once per
+    solution and point.  Over one deep point, the equation, zcc-fermionic,
+    zcc-bosonic, the LSP at every level of the deep chain and the Riccati
+    check lift exp(+-i s) once per level (10, where one lift per residual made
+    24) and exp(+-2i s) once each for the bosonic closed forms, and take D- of
+    each level's solution once (5, where one per residual made 14)."""
     import susygordon.ssge as ssge_module
-    import susygordon.superfield as superfield_module
 
     seeds, _ = deep
     chain = darboux_chain(0, seeds, len(seeds))
     pt = deep_points[0]
     values = [s.evaluate(pt) for s in chain.solutions]  # the solutions' own lifts are not counted
-    lifted = []
-    for module in (ssge_module, superfield_module):
-        lift = module.analytic_lift
-        monkeypatch.setattr(module, "analytic_lift", lambda name, v, lift=lift: (
-            lifted.append((name, v)) or lift(name, v)))
+    lifted, differentiated = [], []
+    lift, d_minus = ssge_module.analytic_lift, ssge_module.d_minus
+    monkeypatch.setattr(ssge_module, "analytic_lift", lambda name, v: (
+        lifted.append((name, v)) or lift(name, v)))
+    monkeypatch.setattr(ssge_module, "d_minus", lambda v: (
+        differentiated.append(v) or d_minus(v)))
     top = chain.solution()
+    assert residual_magnitude(ssge_residual(top, pt)) < 1e-10
     assert residual_magnitude(zcc_bosonic_residual(top, pt)) < 1e-10
     assert residual_magnitude(zcc_fermionic_residual(top, pt)) < 1e-10
     for level, triples in enumerate(chain.waves):
         for wt in triples:
             fields = wt.fields() if level == 0 else lsp_normalized_triple(wt)
-            assert residual_magnitude(lsp_residual(fields, chain.solutions[level], wt.lam, pt)) < 1e-10
+            residual = lsp_residual(fields, chain.solutions[level], wt.lam, pt)
+            assert residual_magnitude(residual) < 1e-10
+    wt = chain.waves[0][0]
+    p, q = riccati_from_wavefunction(wt.fields())
+    assert residual_magnitude(riccati_residuals(p, q, chain.solutions[0], wt.lam, pt)) < 1e-10
+    assert [v for name, v in lifted if name != "exp"] == [values[-1]]  # sin s of the equation
+    exps = [v for name, v in lifted if name == "exp"]
     expected = [f * v for v in values for f in (1j, -1j)] + [f * values[-1] for f in (2j, -2j)]
-    assert len(expected) == 12
-    assert [name for name, _ in lifted] == ["exp"] * 12
+    assert len(expected) == len(exps) == 12
     for want in expected:
-        match = next(i for i, (_, got) in enumerate(lifted)
+        match = next(i for i, got in enumerate(exps)
                      if got.layout.keys == want.layout.keys and (got - want).max_abs() == 0.0)
-        del lifted[match]
+        del exps[match]
+    solution_values = [v for v in differentiated if any(v is w for w in values)]
+    assert len(solution_values) == 5
+    assert all(any(v is w for v in solution_values) for w in values)
+
+
+def test_riccati_inverts_psi_once(deep, monkeypatch):
+    """p = phi/psi and q = chi/psi read one derived 1/psi: one inverse of psi
+    per point, where each inverting psi on its own made two."""
+    import susygordon.ssge as ssge_module
+
+    seeds, gens = deep
+    chain = darboux_chain(0, seeds, 2)
+    fields = lsp_normalized_triple(chain.waves[1][0])
+    pt = SuperspacePoint(0.011, -0.007, 1.3, gens=gens)
+    psi = fields[0].evaluate(pt)
+    inverted = []
+    ginv = ssge_module.ginv
+    monkeypatch.setattr(ssge_module, "ginv", lambda v: inverted.append(v) or ginv(v))
+    p, q = riccati_from_wavefunction(fields)
+    assert residual_magnitude(riccati_residuals(p, q, chain.solutions[1], chain.waves[1][0].lam,
+                                                pt)) < 1e-10
+    assert len(inverted) == 1 and inverted[0] is psi
 
 
 def test_zcc_bosonic(chain):

@@ -116,6 +116,26 @@ def test_superfield_wrapper_checks_parity_and_memoizes():
         bad.evaluate(PT)
 
 
+def test_derive_makes_one_field_per_label_and_others():
+    """A derived field is made once per (label, *others) and evaluated once per
+    point; a different partner makes a different field."""
+    calls = []
+    f = Superfield(lambda pt: pt.scalar(pt.xp_jet()), EVEN, "x+")
+    g = Superfield(lambda pt: pt.theta("-"), ODD, "theta-")
+
+    def times(v, w):
+        calls.append(v)
+        return v * w
+
+    fg = f.derive("f g", ODD, times, g)
+    assert f.derive("f g", ODD, times, g) is fg
+    assert f.derive("f g", ODD, times, f) is not fg
+    assert fg.evaluate(PT) is fg.evaluate(PT) and len(calls) == 1
+    assert allclose(fg.evaluate(PT), f.evaluate(PT) * g.evaluate(PT), 0, 0)
+    with pytest.raises(ParityError):
+        f.derive("f f", ODD, times, f).evaluate(PT)
+
+
 def test_unknown_derivative_direction():
     with pytest.raises(ValueError):
         cov_derivative(PT.theta("+"), "sideways")
