@@ -16,8 +16,13 @@ an optional point axis for a batch of sample points, and the jet axes.  Each
 row keeps the jet shape to which it is known: a product or sum of two
 coefficients is known to the common (elementwise-minimum) shape of what it
 combines, and a plain complex coefficient is a constant, known to every
-order.  The block's jet axes are the largest known shape, and entries
-beyond a row's own shape are held at zero.  Keys and known shapes together
+order.  Entries beyond a row's own shape are held at zero.  The block's jet
+axes are the element's support, within the largest known shape (the grid):
+past them every coefficient is zero.  A block built from data is cut after
+the last nonzero slice on each axis, so a constant jet has the support
+``(1, 1, 1)`` and a value free of lambda at most ``(3, 3, 1)``.  Then a
+product's support is ``sa + sb - 1``, a sum's the larger one (each within
+the grid), and a derivative shifts it.  Keys and known shapes together
 form an interned layout, and the table of a product or sum lives on its left
 layout, keyed by the right one: it holds the disjoint monomial pairs, their
 signs and the runs of pairs that land on one output monomial.  At most
@@ -25,16 +30,17 @@ signs and the runs of pairs that land on one output monomial.  At most
 afresh, and layouts that no live element holds go with their tables.  A
 product is then one gather of both blocks, one jet product per pair, one
 ``np.add.reduceat`` over the runs and one nonzero pass that drops the
-monomials that came out zero.  Up to
-``GATHER_ROWS`` pair rows the jet products gather the index pairs of
-:func:`susygordon.jets._product_table`; a larger product runs in chunks of
-``SHIFT_ROWS`` rows, each summing shifted jet slices with the rows innermost.
+monomials that came out zero.  Up to ``GATHER_ROWS`` pair rows the jet
+products gather the index pairs of :func:`susygordon.jets._product_table`; a
+larger product runs in chunks of ``SHIFT_ROWS`` rows, each summing shifted
+jet slices of the supports with the rows innermost.
 A monomial is dropped only when it is zero at every point;
 :meth:`GrassmannElement.at` gives the element at one point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 from typing import Iterable, Mapping
@@ -142,10 +148,10 @@ def _product_sign(ma: int, mb: int) -> int:
 class _Layout:
     """Sorted monomial keys and the known jet shape of each (interned).
 
-    ``grid`` is the largest known shape, ``(1, 1, 1)`` when every coefficient
-    is a constant; a block of this layout has the jet axes ``grid``.
-    ``derived`` caches the layouts and tables built from this one: its rows,
-    derivatives, and its products and sums keyed by the other layout.
+    ``grid`` is the largest known shape, a constant (zero past the origin)
+    counting as ``(1, 1, 1)``; a block of this layout has at most the jet axes
+    ``grid``.  ``derived`` caches the layouts and tables built from this one:
+    its rows, derivatives, and its products and sums keyed by the other layout.
     """
 
     __slots__ = ("keys", "shapes", "known", "grid", "parity", "derived", "_zero_where")
@@ -154,16 +160,16 @@ class _Layout:
         self.keys = keys
         self.shapes = shapes
         self.known = np.array(shapes, dtype=np.int64).reshape(-1, 3)
-        finite = [s for s in shapes if s[0] != CONSTANT]
-        self.grid = tuple(map(max, zip(*finite))) if finite else (1, 1, 1)
+        self.grid = tuple(map(max, zip((1, 1, 1), *(s for s in shapes if s[0] != CONSTANT))))
         degs = {m.bit_count() & 1 for m in keys}
         self.parity = EVEN if degs <= {0} else ODD if degs == {1} else INHOMOGENEOUS
         self.derived: dict = {}
         self._zero_where = False
 
-    def zero_where(self):
-        """Where a block of this layout must be zero (beyond each row's known
-        shape), as a ``(M, *grid)`` mask; None when no row is short of the grid."""
+    def zero_where(self, grid: tuple):
+        """Where a block of this layout with the jet axes ``grid`` must be zero
+        (beyond each row's known shape), as a mask; None when no row is short
+        of the layout's grid."""
         if self._zero_where is False:
             known = np.minimum(self.known, self.grid)
             if (known == self.grid).all():
@@ -171,7 +177,8 @@ class _Layout:
             else:
                 index = np.indices(self.grid)[None]
                 self._zero_where = (index >= known[:, :, None, None, None]).any(axis=1)
-        return self._zero_where
+        where = self._zero_where
+        return where if where is None else where[:, : grid[0], : grid[1], : grid[2]]
 
 
 _LAYOUTS: dict[tuple, _Layout] = {}
@@ -250,7 +257,7 @@ class _Sum:
         # jet's extra orders, which the sum must zero
         longer = any(s[0] != CONSTANT and s != shape[m] for operand in (la, lb)
                      for m, s in zip(operand.keys, operand.shapes) if m in both)
-        self.masked = longer and self.layout.zero_where() is not None
+        self.masked = longer and self.layout.zero_where(self.layout.grid) is not None
 
 
 def _index(rows: list, size: int):
@@ -273,23 +280,36 @@ def _new(gens: GeneratorSet, layout: _Layout, block: np.ndarray) -> "GrassmannEl
 
 
 def _crop(block: np.ndarray, grid: tuple) -> np.ndarray:
-    if block.shape[-3:] == grid:
+    have = block.shape[-3:]
+    if have == grid or have[0] <= grid[0] and have[1] <= grid[1] and have[2] <= grid[2]:
         return block
     return block[..., : grid[0], : grid[1], : grid[2]]
 
 
 def _fit(block: np.ndarray, grid: tuple) -> np.ndarray:
-    """Crop or zero-pad the jet axes to ``grid``; a ``(1, 1, 1)`` block is kept
-    as it is, a constant factor that broadcasts."""
-    have = block.shape[-3:]
-    if have == grid or have == (1, 1, 1):
-        return block
+    """Crop or zero-pad the jet axes to ``grid``."""
     block = _crop(block, grid)
-    if block.shape[-3:] == grid:
+    have = block.shape[-3:]
+    if have == grid:
         return block
     out = np.zeros(block.shape[:-3] + grid, dtype=complex)
-    out[..., : block.shape[-3], : block.shape[-2], : block.shape[-1]] = block
+    out[..., : have[0], : have[1], : have[2]] = block
     return out
+
+
+@lru_cache(maxsize=1024)
+def _support(used: bytes, shape: tuple) -> tuple:
+    """The jet shape up to the last slot on each axis that the mask ``used`` marks."""
+    used = np.frombuffer(used, dtype=bool).reshape(shape)
+    return tuple((np.argwhere(used).max(axis=0, initial=0) + 1).tolist())
+
+
+def _trimmed(block: np.ndarray) -> np.ndarray:
+    """The block without the trailing jet slices that are zero at every row
+    and point: its jet axes become its support."""
+    shape = block.shape[-3:]
+    used = np.logical_or.reduce(block.reshape(-1, shape[0] * shape[1] * shape[2]), axis=0)
+    return _crop(block, _support(used.tobytes(), shape))
 
 
 def _with_points(a: np.ndarray, b: np.ndarray):
@@ -299,35 +319,49 @@ def _with_points(a: np.ndarray, b: np.ndarray):
     return (a[:, None], b) if a.ndim < b.ndim else (a, b[:, None])
 
 
-@lru_cache(maxsize=None)
-def _slots(grid: tuple) -> tuple:
-    """The jet slots of ``grid`` after the origin, in flat order."""
-    return tuple(np.ndindex(*grid))[1:]
+@lru_cache(maxsize=1024)
+def _shift_steps(sx: tuple, sy: tuple, grid: tuple) -> tuple:
+    """The multiply-adds ``out[o] += x[p] * y[q]`` of a shifted product: one per
+    slot ``p`` of ``x``'s support in flat order, ending where ``y``'s support or
+    ``grid`` does.  Along an axis where ``y``'s support is one slot, each output
+    takes one ``p``: that axis adds in one step (``y``'s slice stops at 1)."""
+    widths = [n if m == 1 else 1 for n, m in zip(sx, sy)]
+    steps = []
+    for p in itertools.product(*map(range, [0] * 3, sx, widths)):
+        hi = [min(g, q + w + m - 1) for g, q, w, m in zip(grid, p, widths, sy)]
+        steps.append((tuple(slice(q, q + w) for q, w in zip(p, widths)),
+                      tuple(map(slice, p, hi)), tuple(slice(0, h - q) for q, h in zip(p, hi))))
+    return tuple(steps)
 
 
 def _shifted_product(x: np.ndarray, y: np.ndarray, grid: tuple, lead: tuple) -> np.ndarray:
     """``out[r] = sum_p x[p] y[r - p]`` with the rows innermost: one multiply-add
-    of whole slices per jet slot ``p``, summed in flat order of ``p``."""
+    of slices per step of :func:`_shift_steps`, summed in flat order of ``p``."""
     n = len(lead)
     axes = tuple(range(n, n + 3)) + tuple(range(n))
-    rows = grid + (math.prod(lead),)
-    xt = np.ascontiguousarray(np.broadcast_to(x, lead + grid).transpose(axes)).reshape(rows)
-    yt = np.ascontiguousarray(np.broadcast_to(y, lead + grid).transpose(axes)).reshape(rows)
-    out = xt[0, 0, 0] * yt
-    for a, b, c in _slots(grid):
-        out[a:, b:, c:] += xt[a, b, c] * yt[: grid[0] - a, : grid[1] - b, : grid[2] - c]
+    sx, sy, rows = x.shape[-3:], y.shape[-3:], (math.prod(lead),)
+    xt = np.ascontiguousarray(np.broadcast_to(x, lead + sx).transpose(axes)).reshape(sx + rows)
+    yt = np.ascontiguousarray(np.broadcast_to(y, lead + sy).transpose(axes)).reshape(sy + rows)
+    (xs, os, ys), *rest = _shift_steps(sx, sy, grid)
+    out = np.zeros(grid + rows, dtype=complex)
+    np.multiply(xt[xs], yt[ys], out=out[os])
+    for xs, os, ys in rest:
+        out[os] += xt[xs] * yt[ys]
     back = tuple(range(3, 3 + n)) + (0, 1, 2)
     return np.ascontiguousarray(out.reshape(grid + lead).transpose(back))
 
 
 def _jet_rows(x: np.ndarray, y: np.ndarray, grid: tuple) -> np.ndarray:
-    """Row-by-row truncated jet product of two row blocks fitted to ``grid``."""
-    x, y = _with_points(x, y)
+    """Row-by-row truncated jet product of two row blocks on ``grid``, within their supports."""
+    x, y = _with_points(_crop(x, grid), _crop(y, grid))
     if x.shape[-3:] == (1, 1, 1) or y.shape[-3:] == (1, 1, 1):
-        return x * y
+        return x * y  # a support of one slot: each output is one product
     lead = np.broadcast_shapes(x.shape[:-3], y.shape[:-3])
     if math.prod(lead) > GATHER_ROWS:
         return _shifted_product(x, y, grid, lead)
+    # numpy sums a long run in interleaved partial sums, so the runs keep the
+    # zero terms of ``grid``'s table: a shorter run would round differently
+    x, y = _fit(x, grid), _fit(y, grid)
     p, q, starts = _product_table(grid)
     size = len(starts)
     xf = x.reshape(x.shape[:-3] + (size,))
@@ -347,12 +381,12 @@ def _pair_rows(a: np.ndarray, b: np.ndarray, ia, ib, neg, grid: tuple) -> np.nda
     ga = a.take(ia, axis=0)
     if neg is not None:
         np.negative(ga, out=ga, where=neg[(slice(None),) + (None,) * (ga.ndim - 1)])
-    return _jet_rows(_fit(ga, grid), _fit(b.take(ib, axis=0), grid), grid)
+    return _jet_rows(ga, b.take(ib, axis=0), grid)
 
 
 def _rows(gens: GeneratorSet, elem_layout: _Layout, block: np.ndarray,
           rows: np.ndarray) -> "GrassmannElement":
-    """The element made of some rows of a block (its grid shrinks to fit)."""
+    """The element made of some rows of a block (cut to the rows' known grid)."""
     key = ("rows", rows.tobytes())
     layout = elem_layout.derived.get(key)
     if layout is None:
@@ -390,8 +424,10 @@ def _product(a: "GrassmannElement", b: "GrassmannElement") -> "GrassmannElement"
     layout = pairs.layout
     if not layout.keys:
         return GrassmannElement.zero(a.gens)
-    grid = layout.grid
     ba, bb = a.block, b.block
+    # support: the operands' supports added, within the known grid
+    (g0, g1, g2), sa, sb = layout.grid, ba.shape[-3:], bb.shape[-3:]
+    grid = (min(g0, sa[0] + sb[0] - 1), min(g1, sa[1] + sb[1] - 1), min(g2, sa[2] + sb[2] - 1))
     points = ba.shape[1] if ba.ndim == 5 else bb.shape[1] if bb.ndim == 5 else 1
     limit = max(1, SHIFT_ROWS // points)
     if len(pairs.ia) <= limit:
@@ -411,7 +447,7 @@ def _product(a: "GrassmannElement", b: "GrassmannElement") -> "GrassmannElement"
                 part[0] += out[o0]
             starts = np.concatenate(([0], pairs.starts[o0 + 1:o1] - k0))
             out[o0:o1] = np.add.reduceat(part, starts, axis=0)
-    zero_where = layout.zero_where()
+    zero_where = layout.zero_where(grid)
     if zero_where is not None:
         np.copyto(out, 0, where=zero_where if out.ndim == 4 else zero_where[:, None])
     return _pruned(a.gens, layout, out)
@@ -423,11 +459,13 @@ def _sum(a: "GrassmannElement", b: "GrassmannElement") -> "GrassmannElement":
     if not b.layout.keys:
         return a
     ba, bb = a.block, b.block
+    # support: the larger of the operands' supports, within the known grid
+    grid = tuple(map(max, ba.shape[-3:], bb.shape[-3:]))
     if a.layout is b.layout:
         x, y = _with_points(ba, bb)
-        return _pruned(a.gens, a.layout, x + y)
+        return _pruned(a.gens, a.layout, _fit(x, grid) + _fit(y, grid))
     plan = _plan(_Sum, a.layout, b.layout)
-    layout, grid = plan.layout, plan.layout.grid
+    layout, grid = plan.layout, tuple(map(min, grid, plan.layout.grid))
     points = (ba.shape[1],) if ba.ndim == 5 else (bb.shape[1],) if bb.ndim == 5 else ()
     out = np.zeros((len(layout.keys),) + points + grid, dtype=complex)
     for pos, block, add in ((plan.pos_a, ba, False), (plan.pos_b, bb, True)):
@@ -441,7 +479,7 @@ def _sum(a: "GrassmannElement", b: "GrassmannElement") -> "GrassmannElement":
         else:
             out[index] = block
     if plan.masked:
-        zero_where = layout.zero_where()
+        zero_where = layout.zero_where(grid)
         np.copyto(out, 0, where=zero_where if out.ndim == 4 else zero_where[:, None])
     if plan.common is None:
         return _new(a.gens, layout, out)
@@ -482,7 +520,7 @@ class GrassmannElement:
                 row[..., 0, 0, 0] = complex(c)
         self.gens = gens
         self.layout = layout
-        self.block = block
+        self.block = _trimmed(block)
 
     # -- constructors ----------------------------------------------------------
 
@@ -495,7 +533,7 @@ class GrassmannElement:
         if isinstance(value, JetScalar):
             if value.is_zero():
                 return cls.zero(gens)
-            return _new(gens, _layout((0,), (value.c.shape[-3:],)), value.c[None])
+            return _new(gens, _layout((0,), (value.c.shape[-3:],)), _trimmed(value.c[None]))
         if value == 0:
             return cls.zero(gens)
         return _new(gens, _CONSTANT_BODY, np.full((1, 1, 1, 1), value, dtype=complex))
@@ -511,7 +549,7 @@ class GrassmannElement:
         shape = self.layout.shapes[row]
         if shape[0] == CONSTANT:
             return complex(self.block[row].flat[0])
-        return _wrap(self.block[row][..., : shape[0], : shape[1], : shape[2]])
+        return _wrap(_fit(self.block[row], shape))
 
     @property
     def terms(self) -> dict[int, object]:
@@ -674,12 +712,12 @@ class GrassmannElement:
         rows, layout = table
         if layout is None:
             raise JetBudgetError(f"derivative budget exhausted for {var}")
-        if not layout.keys:
+        lead = self.block.ndim - 3
+        size = self.block.shape[lead + axis]
+        if not layout.keys or size == 1:  # no entry past order 0 along ``var``
             return GrassmannElement.zero(self.gens)
-        block = self.block[rows]
-        lead = block.ndim - 3
-        index, factors = _derivative_slice(axis, block.shape[lead + axis], lead)
-        return _pruned(self.gens, layout, block[index] * factors)
+        index, factors = _derivative_slice(axis, size, lead)
+        return _pruned(self.gens, layout, self.block[rows][index] * factors)
 
 
 # ---------------------------------------------------------------------------

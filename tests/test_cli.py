@@ -378,6 +378,32 @@ def test_repeated_deep_sweeps_add_no_cached_tables(capsys):
     assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
+def test_lambda_free_checks_run_on_lambda_free_jet_grids(capsys, monkeypatch):
+    """The equation and the LSP at each seed's own lambda never read the
+    point's lambda, so every jet product of their deep sweeps runs on a grid
+    with one lambda slot; zcc-bosonic, which takes the point's lambda, does
+    reach the full (3, 3, 2) grid."""
+    from susygordon import grassmann
+
+    grids, jet_rows = [], grassmann._jet_rows
+
+    def recorded(x, y, grid):
+        grids.append(grid)
+        return jet_rows(x, y, grid)
+
+    monkeypatch.setattr(grassmann, "_jet_rows", recorded)
+    seen = {}
+    for kind in ("ssge", "lsp", "zcc-bosonic"):
+        grids.clear()
+        assert main(["verify", kind, "--solution", str(DEEP_CHAIN), "--points", "3",
+                     "--seed", "11", "--x-range=-0.03,0.03"]) == 0
+        seen[kind] = set(grids)
+    capsys.readouterr()
+    assert seen["ssge"] and seen["lsp"]
+    assert {grid[2] for grid in seen["ssge"] | seen["lsp"]} == {1}
+    assert (3, 3, 2) in seen["zcc-bosonic"]
+
+
 def test_bounded_layouts_keep_reports(capsys, monkeypatch):
     """With a small MAX_LAYOUTS the intern table starts afresh many times in
     one deep sweep: the report is byte-identical to the unbounded one, and the

@@ -1,6 +1,9 @@
 """Grassmann kernel: products, derivations, analytic lifts, and algebra laws."""
 
+import contextlib
 import itertools
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -311,11 +314,34 @@ def stored_beyond_known(elem):
     return worst
 
 
-def assert_matches_oracle(got, want, bound=None):
-    """Same monomials, same known shapes, values within ``64 eps`` of ``bound``."""
+def oracle_grid(terms):
+    """The largest known jet shape, a constant counting as ``(1, 1, 1)``."""
+    shapes = [c.c.shape[-3:] for c in terms.values() if isinstance(c, JetScalar)]
+    return tuple(map(max, zip((1, 1, 1), *shapes)))
+
+
+def oracle_support(terms):
+    """The jet shape up to the last slice, on each axis, that is nonzero in
+    some coefficient at some point."""
+    support = (1, 1, 1)
+    for c in terms.values():
+        if isinstance(c, JetScalar):
+            used = np.argwhere(c.c.reshape((-1,) + c.c.shape[-3:]))[:, 1:]
+            support = tuple(map(max, support, used.max(axis=0, initial=0) + 1))
+    return support
+
+
+def assert_matches_oracle(got, want, bound=None, support=None):
+    """Same monomials, same known shapes, values within ``64 eps`` of ``bound``;
+    the block's jet axes are ``support`` cut to the known grid, never past it."""
     assert stored_beyond_known(got) == 0.0
     terms = got.terms
     assert set(terms) == set(want)
+    if want:
+        grid = oracle_grid(want)
+        assert all(s <= g for s, g in zip(got.block.shape[-3:], grid))
+        if support is not None:
+            assert got.block.shape[-3:] == tuple(map(min, grid, support))
     for m, c in want.items():
         assert kind_of(terms[m]) == kind_of(c), m
         if bound is None:
@@ -342,20 +368,76 @@ def random_terms(rng, count, monomials, shapes, kinds, points):
             for i in chosen}
 
 
+def restricted(rng, terms, support):
+    """The jet coefficients zeroed past a support, keeping their known shapes:
+    ``"origin"`` keeps the value only, ``"lambda-free"`` the lambda-order-0
+    slice, and ``"one-point"`` the lambda-order-0 slice except at one point of
+    a batch (so only that point gives the element its lambda order)."""
+    if support is None:
+        return terms
+    keep = rng.integers(3)  # the point that keeps its lambda orders
+
+    def cut(c):
+        if not isinstance(c, JetScalar):
+            return c
+        out = np.zeros_like(c.c)
+        if support == "origin":
+            out[..., 0, 0, 0] = c.c[..., 0, 0, 0]
+            return JetScalar(out)
+        out[..., :1] = c.c[..., :1]
+        if support == "one-point" and c.c.ndim == 4:
+            out[keep] = c.c[keep]
+        return JetScalar(out)
+    return {m: cut(c) for m, c in terms.items()}
+
+
+def product_support(sa, sb):
+    return tuple(p + q - 1 for p, q in zip(sa, sb))
+
+
+def sum_support(sa, sb):
+    return tuple(map(max, sa, sb))
+
+
+def nonzero_pairs(sx, sy, grid):
+    """How many products ``x[p] y[q]`` with ``p``, ``q`` inside the supports
+    ``sx``, ``sy`` land on ``grid``."""
+    return math.prod(sum(min(m, g - p) for p in range(n)) for n, m, g in zip(sx, sy, grid))
+
+
+@contextlib.contextmanager
+def shifted_products():
+    """Run every jet product through the shifted kernel and record, per call,
+    the supports and grid it was given and how many entry products it made."""
+    calls, steps = [], grassmann._shift_steps
+
+    def counted(sx, sy, grid):
+        got = steps(sx, sy, grid)
+        made = sum(math.prod(s.stop - s.start for s in out) for _, out, _ in got)
+        calls.append((sx, sy, grid, made))
+        return got
+    with mock.patch.object(grassmann, "_shift_steps", counted), \
+            mock.patch.object(grassmann, "GATHER_ROWS", 0):
+        yield calls
+
+
 FULL = (3, 3, 2)
 #: the default jet shape and the shapes one or two bosonic derivatives leave
 SHAPES = [FULL, (2, 3, 2), (3, 2, 2), (2, 2, 2), (1, 3, 2), (3, 3, 1)]
 
 
-@settings(max_examples=80, derandomize=True, deadline=None)
+SUPPORTS = [None, "lambda-free", "origin", "one-point"]
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1), st.integers(0, 8), st.integers(0, 8),
        st.sampled_from([("complex",), ("jet",), ("complex", "jet"), ("complex", "jet", "batch"),
                         ("batch",)]),
        st.sampled_from([SHAPES[:1], SHAPES]),
-       st.sampled_from([None, "x_plus", "x_minus"]),
-       st.booleans())
+       st.sampled_from([None, "x_plus", "x_minus", "lambda"]),
+       st.booleans(), st.sampled_from(SUPPORTS), st.sampled_from(SUPPORTS))
 def test_packed_product_matches_dict_oracle(n, seed, count_a, count_b, kinds, shapes, shift,
-                                            cancel):
+                                            cancel, support_a, support_b):
     rng = np.random.default_rng(seed)
     gens = GeneratorSet(tuple(f"g{i}" for i in range(n)))
     monomials = list(range(1 << n))
@@ -371,28 +453,64 @@ def test_packed_product_matches_dict_oracle(n, seed, count_a, count_b, kinds, sh
         v = random_coefficient(rng, kinds[0], shapes[0], 3)
         a.update({0b01: u, 0b10: u})
         b.update({0b01: v, 0b10: v})
+    a, b = restricted(rng, a, support_a), restricted(rng, b, support_b)
     x, y = GrassmannElement(gens, a), GrassmannElement(gens, b)
-    assert_matches_oracle(x, oracle_drop_zeros(a))
+    # a block built from data is cut to the support its values have
+    assert_matches_oracle(x, oracle_drop_zeros(a), support=oracle_support(a))
+    assert_matches_oracle(y, oracle_drop_zeros(b), support=oracle_support(b))
     if shift is not None:
-        # shapes shrunk by a derivative, through the packed derivative itself
+        # shapes shrunk by a derivative, through the packed derivative itself;
+        # one free of the variable is zero, once its known orders allow it
         try:
             want = oracle_shift(a, shift)
         except JetBudgetError:
             with pytest.raises(JetBudgetError):
                 x.derivative(shift)
             return
+        axis = ("x_plus", "x_minus", "lambda").index(shift)
+        support = tuple(s - (k == axis) for k, s in enumerate(x.block.shape[-3:]))
         x, a = x.derivative(shift), want
-        assert_matches_oracle(x, a, magnitudes(a))
+        assert_matches_oracle(x, a, magnitudes(a), support)
+    sx, sy = x.block.shape[-3:], y.block.shape[-3:]
     want = oracle_product(a, b)
-    assert_matches_oracle(x * y, want, oracle_product(magnitudes(a), magnitudes(b), signed=False))
+    bound = oracle_product(magnitudes(a), magnitudes(b), signed=False)
+    assert_matches_oracle(x * y, want, bound, product_support(sx, sy))
     if cancel and n >= 3:
         assert 0b11 not in want and 0b11 not in (x * y).terms
+    # the shifted kernel makes only the products of entries inside both supports
+    with shifted_products() as calls:
+        assert_matches_oracle(x * y, want, bound, product_support(sx, sy))
+    for got_x, got_y, grid, made in calls:
+        cut_x, cut_y = tuple(map(min, sx, grid)), tuple(map(min, sy, grid))
+        assert (got_x, got_y) == (cut_x, cut_y)
+        assert made == nonzero_pairs(cut_x, cut_y, grid)
     bound = oracle_sum(magnitudes(a), magnitudes(b))
-    assert_matches_oracle(x + y, oracle_sum(a, b), bound)
-    assert_matches_oracle(x - y, oracle_sum(a, oracle_scale(b, -1)), bound)
+    xy = oracle_sum(a, b)
+    assert_matches_oracle(x + y, xy, bound, sum_support(sx, sy))
+    assert_matches_oracle(x - y, oracle_sum(a, oracle_scale(b, -1)), bound, sum_support(sx, sy))
     # the monomials only y holds cancel exactly and are dropped
     bound = oracle_sum(bound, magnitudes(b))
-    assert_matches_oracle((x + y) - y, oracle_sum(oracle_sum(a, b), oracle_scale(b, -1)), bound)
+    support = sum_support(tuple(map(min, oracle_grid(xy), sum_support(sx, sy))), sy)
+    assert_matches_oracle((x + y) - y, oracle_sum(xy, oracle_scale(b, -1)), bound, support)
+
+
+def test_lambda_derivative_of_a_lambda_free_element():
+    """A value free of lambda keeps one lambda slot but its known lambda order:
+    d_lambda gives zero where the known shape allows it, and runs out of budget
+    where the parent's known shape did."""
+    gens = GeneratorSet(("g0", "g1"))
+    rng = np.random.default_rng(7)
+    jet = rng.normal(size=FULL) + 1j * rng.normal(size=FULL)
+    jet[..., 1] = 0
+    x = GrassmannElement(gens, {0: JetScalar(jet), 0b11: 2.0 + 0j})
+    assert x.block.shape == (2, 3, 3, 1)
+    assert x.terms[0].c.shape == FULL and np.array_equal(x.terms[0].c, jet)
+    assert x.derivative("lambda").is_zero()
+    assert x.derivative("x_plus").block.shape == (1, 2, 3, 1)
+    short = GrassmannElement(gens, {0: JetScalar(jet[..., :1])})
+    assert short.block.shape == (1, 3, 3, 1)
+    with pytest.raises(JetBudgetError):
+        short.derivative("lambda")
 
 
 def test_packed_product_at_sixty_four_generators():

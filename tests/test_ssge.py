@@ -11,7 +11,8 @@ from susygordon.darboux import (
     seed_trivial,
     seed_wavefunction,
 )
-from susygordon.errors import ParityError
+from susygordon import ssge
+from susygordon.errors import LaxConsistencyError, ParityError
 from susygordon.grassmann import EVEN, ODD, GrassmannElement, allclose
 from susygordon.jets import scalar_value
 from susygordon.ssge import (
@@ -28,6 +29,7 @@ from susygordon.ssge import (
     zcc_fermionic_residual,
 )
 from susygordon.superfield import Superfield, SuperspacePoint, combine, constant_superfield
+from susygordon.supermatrix import SuperMatrix
 
 SEEDS = [SeedParams(lam=0.6, c=1.2 + 0.1j, b=0.1 - 0.04j, a="a0"),
          SeedParams(lam=1.7, c=1.0 - 0.15j, b=0.08 + 0.05j, a="a1")]
@@ -130,6 +132,25 @@ def test_v_consistency_defining_vs_closed(chain):
     for pt in points(5):
         for s in (seed_trivial(0), chain.solutions[1], chain.solutions[2]):
             assert build_lax_bosonic(s, pt).defect < 1e-12
+
+
+def test_lax_guard_catches_one_entry_off_by_a_millionth(chain, monkeypatch):
+    """The default consistency tolerance (1e-9 of the matrix scale) catches a
+    closed-form V+ entry scaled by 1 + 1e-6; a tolerance of 1e-3 would not."""
+    pt = SuperspacePoint(0.2, -0.1, 1.4, gens=GENS)
+    s = chain.solutions[1]
+    build_lax_bosonic(s, pt)
+    closed = ssge.bosonic_v_pair_closed
+
+    def skewed(s, pt, lam):
+        v_plus, v_minus = closed(s, pt, lam)
+        rows = [list(row) for row in v_plus.rows]
+        rows[0][0] = rows[0][0] * (1 + 1e-6)
+        return SuperMatrix(v_plus.m, v_plus.n, rows, v_plus.parity), v_minus
+
+    monkeypatch.setattr(ssge, "bosonic_v_pair_closed", skewed)
+    with pytest.raises(LaxConsistencyError):
+        build_lax_bosonic(s, pt)
 
 
 def test_bosonic_lax_pair_lifts_each_exponential_once(deep, deep_points, monkeypatch):
