@@ -28,12 +28,13 @@ layout, keyed by the right one: it holds the disjoint monomial pairs, their
 signs and the runs of pairs that land on one output monomial.  At most
 ``MAX_LAYOUTS`` layouts are interned; past that the intern table starts
 afresh, and layouts that no live element holds go with their tables.  A
-product is then one gather of both blocks, one jet product per pair, one
-``np.add.reduceat`` over the runs and one nonzero pass that drops the
-monomials that came out zero.  Up to ``GATHER_ROWS`` pair rows the jet
-products gather the index pairs of :func:`susygordon.jets._product_table`; a
-larger product runs in chunks of ``SHIFT_ROWS`` rows, each summing shifted
-jet slices of the supports with the rows innermost.
+product is then one signed jet product per pair, one ``np.add.reduceat`` over
+the runs and one nonzero pass that drops the monomials that came out zero.  Up
+to ``GATHER_ROWS`` pair rows (pairs times points) it gathers both blocks' rows
+and the index pairs of :func:`susygordon.jets._product_table`.  A larger one
+transposes both blocks once to jet-major ``(s+, s-, slam, M, P)``, gathers the
+pair rows innermost in chunks of whole runs, at most ``SHIFT_ROWS`` pair rows
+each (a longer run alone), and sums shifted jet slices of the supports.
 A monomial is dropped only when it is zero at every point;
 :meth:`GrassmannElement.at` gives the element at one point.
 """
@@ -79,8 +80,9 @@ _CONSTANT_SHAPE = (CONSTANT,) * 3
 GATHER_ROWS = 150
 
 #: pair rows per chunk of a larger product, which sums shifted jet slices with
-#: the rows innermost (one vector operation per jet slot)
-SHIFT_ROWS = 512
+#: the rows innermost (one vector operation per jet slot); a chunk ends at a
+#: whole run, and a run longer than this is a chunk of its own
+SHIFT_ROWS = 1024
 
 #: interned layouts kept before the intern table starts afresh
 MAX_LAYOUTS = 4096
@@ -216,7 +218,7 @@ class _Product:
     reordering sign is -1 (None when there are none).
     """
 
-    __slots__ = ("ia", "ib", "neg", "starts", "single", "layout")
+    __slots__ = ("ia", "ib", "neg", "starts", "single", "layout", "_chunks")
 
     def __init__(self, la: _Layout, lb: _Layout) -> None:
         ka, kb = la.keys, lb.keys
@@ -235,6 +237,21 @@ class _Product:
             known = np.minimum.reduceat(known, self.starts, axis=0)
             self.layout = _layout(tuple(pairs[k][0] for k in starts),
                                   tuple(map(tuple, known.tolist())))
+        self._chunks: dict = {}
+
+    def chunks(self, limit: int) -> tuple:
+        """The runs in chunks of at most ``limit`` pairs, a longer run alone:
+        ``(k0, k1, o0, o1, starts)`` for the pairs ``k0:k1`` of the outputs
+        ``o0:o1``, ``starts`` marking their runs within the chunk."""
+        got = self._chunks.get(limit)
+        if got is None:
+            ends, got, o0 = np.append(self.starts, len(self.ia)), [], 0
+            while o0 < len(self.starts):
+                o1 = max(o0 + 1, int(np.searchsorted(ends, ends[o0] + limit, "right")) - 1)
+                got.append((ends[o0], ends[o1], o0, o1, ends[o0:o1] - ends[o0]))
+                o0 = o1
+            got = self._chunks[limit] = tuple(got)
+        return got
 
 
 class _Sum:
@@ -334,54 +351,55 @@ def _shift_steps(sx: tuple, sy: tuple, grid: tuple) -> tuple:
     return tuple(steps)
 
 
-def _shifted_product(x: np.ndarray, y: np.ndarray, grid: tuple, lead: tuple) -> np.ndarray:
-    """``out[r] = sum_p x[p] y[r - p]`` with the rows innermost: one multiply-add
-    of slices per step of :func:`_shift_steps`, summed in flat order of ``p``."""
-    n = len(lead)
-    axes = tuple(range(n, n + 3)) + tuple(range(n))
-    sx, sy, rows = x.shape[-3:], y.shape[-3:], (math.prod(lead),)
-    xt = np.ascontiguousarray(np.broadcast_to(x, lead + sx).transpose(axes)).reshape(sx + rows)
-    yt = np.ascontiguousarray(np.broadcast_to(y, lead + sy).transpose(axes)).reshape(sy + rows)
-    (xs, os, ys), *rest = _shift_steps(sx, sy, grid)
-    out = np.zeros(grid + rows, dtype=complex)
-    np.multiply(xt[xs], yt[ys], out=out[os])
-    for xs, os, ys in rest:
-        out[os] += xt[xs] * yt[ys]
-    back = tuple(range(3, 3 + n)) + (0, 1, 2)
-    return np.ascontiguousarray(out.reshape(grid + lead).transpose(back))
+def _shifted_product(a: np.ndarray, b: np.ndarray, pairs: "_Product", grid: tuple,
+                     points: int) -> np.ndarray:
+    """The jet-major product: per chunk, ``x[p] y[r - p]`` summed as one
+    multiply-add of slices per step of :func:`_shift_steps`, in flat order of
+    ``p``, with the pair rows innermost; then its runs summed."""
+    x, y = (np.ascontiguousarray(_crop(t if t.ndim == 5 else t[:, None], grid)
+                                 .transpose(2, 3, 4, 0, 1)) for t in (a, b))
+    (xs0, os0, ys0), *rest = _shift_steps(x.shape[:3], y.shape[:3], grid)
+    out = np.empty((len(pairs.layout.keys), points) + grid, dtype=complex)
+    for k0, k1, o0, o1, starts in pairs.chunks(max(1, SHIFT_ROWS // points)):
+        xt = x.take(pairs.ia[k0:k1], axis=3)
+        if pairs.neg is not None:
+            np.negative(xt, out=xt, where=pairs.neg[k0:k1, None])
+        yt = y.take(pairs.ib[k0:k1], axis=3)
+        rows = np.zeros(grid + (k1 - k0, points), dtype=complex)
+        np.multiply(xt[xs0], yt[ys0], out=rows[os0])
+        for xs, os, ys in rest:
+            rows[os] += xt[xs] * yt[ys]
+        out[o0:o1] = np.add.reduceat(rows, starts, axis=3).transpose(3, 4, 0, 1, 2)
+    return out if max(a.ndim, b.ndim) == 5 else out[:, 0]
 
 
-def _jet_rows(x: np.ndarray, y: np.ndarray, grid: tuple) -> np.ndarray:
-    """Row-by-row truncated jet product of two row blocks on ``grid``, within their supports."""
-    x, y = _with_points(_crop(x, grid), _crop(y, grid))
+def _pair_sums(a: np.ndarray, b: np.ndarray, pairs: "_Product", grid: tuple) -> np.ndarray:
+    """The signed jet products of the row pairs of ``pairs`` on ``grid``, summed
+    per run: jet-major shifted slices past ``GATHER_ROWS`` pair rows, else one
+    gather of the jet index pairs of every row."""
+    points = a.shape[1] if a.ndim == 5 else b.shape[1] if b.ndim == 5 else 1
+    if len(pairs.ia) * points > GATHER_ROWS:
+        return _shifted_product(a, b, pairs, grid, points)
+    x = _crop(a, grid).take(pairs.ia, axis=0)
+    if pairs.neg is not None:
+        np.negative(x, out=x, where=pairs.neg[(slice(None),) + (None,) * (x.ndim - 1)])
+    x, y = _with_points(x, _crop(b, grid).take(pairs.ib, axis=0))
     if x.shape[-3:] == (1, 1, 1) or y.shape[-3:] == (1, 1, 1):
-        return x * y  # a support of one slot: each output is one product
-    lead = np.broadcast_shapes(x.shape[:-3], y.shape[:-3])
-    if math.prod(lead) > GATHER_ROWS:
-        return _shifted_product(x, y, grid, lead)
-    # numpy sums a long run in interleaved partial sums, so the runs keep the
-    # zero terms of ``grid``'s table: a shorter run would round differently
-    x, y = _fit(x, grid), _fit(y, grid)
-    p, q, starts = _product_table(grid)
-    size = len(starts)
-    xf = x.reshape(x.shape[:-3] + (size,))
-    yf = y.reshape(y.shape[:-3] + (size,))
-    if xf.shape[1] < yf.shape[1]:  # gather the batched operand first, multiply in place
-        terms = yf.take(q, axis=-1)
-        terms *= xf.take(p, axis=-1)
+        out = x * y  # a support of one slot: each output is one product
     else:
-        terms = xf.take(p, axis=-1)
-        terms *= yf.take(q, axis=-1)
-    out = np.add.reduceat(terms, starts, axis=-1)
-    return out.reshape(out.shape[:-1] + grid)
-
-
-def _pair_rows(a: np.ndarray, b: np.ndarray, ia, ib, neg, grid: tuple) -> np.ndarray:
-    """Signed jet products of the row pairs ``(a[ia], b[ib])``."""
-    ga = a.take(ia, axis=0)
-    if neg is not None:
-        np.negative(ga, out=ga, where=neg[(slice(None),) + (None,) * (ga.ndim - 1)])
-    return _jet_rows(ga, b.take(ib, axis=0), grid)
+        # numpy sums a long run in interleaved partial sums, so the runs keep the
+        # zero terms of ``grid``'s table: a shorter run would round differently
+        p, q, starts = _product_table(grid)
+        xf = _fit(x, grid).reshape(x.shape[:-3] + (len(starts),))
+        yf = _fit(y, grid).reshape(y.shape[:-3] + (len(starts),))
+        if xf.shape[1] < yf.shape[1]:  # gather the batched operand first, multiply in place
+            terms = yf.take(q, axis=-1)
+            terms *= xf.take(p, axis=-1)
+        else:
+            terms = xf.take(p, axis=-1)
+            terms *= yf.take(q, axis=-1)
+        out = np.add.reduceat(terms, starts, axis=-1).reshape(terms.shape[:-1] + grid)
+    return out if pairs.single else np.add.reduceat(out, pairs.starts, axis=0)
 
 
 def _rows(gens: GeneratorSet, elem_layout: _Layout, block: np.ndarray,
@@ -428,25 +446,7 @@ def _product(a: "GrassmannElement", b: "GrassmannElement") -> "GrassmannElement"
     # support: the operands' supports added, within the known grid
     (g0, g1, g2), sa, sb = layout.grid, ba.shape[-3:], bb.shape[-3:]
     grid = (min(g0, sa[0] + sb[0] - 1), min(g1, sa[1] + sb[1] - 1), min(g2, sa[2] + sb[2] - 1))
-    points = ba.shape[1] if ba.ndim == 5 else bb.shape[1] if bb.ndim == 5 else 1
-    limit = max(1, SHIFT_ROWS // points)
-    if len(pairs.ia) <= limit:
-        out = _pair_rows(ba, bb, pairs.ia, pairs.ib, pairs.neg, grid)
-        if not pairs.single:
-            out = np.add.reduceat(out, pairs.starts, axis=0)
-    else:  # bound the intermediate; a run split between chunks carries its partial sum over
-        lead = (len(layout.keys),) + ((points,) if max(ba.ndim, bb.ndim) == 5 else ())
-        out = np.empty(lead + grid, dtype=complex)
-        for k0 in range(0, len(pairs.ia), limit):
-            k1 = min(k0 + limit, len(pairs.ia))
-            o0, o1 = np.searchsorted(pairs.starts, (k0, k1 - 1), side="right")
-            o0 -= 1
-            neg = None if pairs.neg is None else pairs.neg[k0:k1]
-            part = _pair_rows(ba, bb, pairs.ia[k0:k1], pairs.ib[k0:k1], neg, grid)
-            if pairs.starts[o0] < k0:  # the first run began in the chunk before
-                part[0] += out[o0]
-            starts = np.concatenate(([0], pairs.starts[o0 + 1:o1] - k0))
-            out[o0:o1] = np.add.reduceat(part, starts, axis=0)
+    out = _pair_sums(ba, bb, pairs, grid)
     zero_where = layout.zero_where(grid)
     if zero_where is not None:
         np.copyto(out, 0, where=zero_where if out.ndim == 4 else zero_where[:, None])

@@ -382,16 +382,17 @@ def test_lambda_free_checks_run_on_lambda_free_jet_grids(capsys, monkeypatch):
     """The equation and the LSP at each seed's own lambda never read the
     point's lambda, so every jet product of their deep sweeps runs on a grid
     with one lambda slot; zcc-bosonic, which takes the point's lambda, does
-    reach the full (3, 3, 2) grid."""
+    reach the full (3, 3, 2) grid.  The grid is recorded where a product
+    picks its kernel, so products of either kernel are seen."""
     from susygordon import grassmann
 
-    grids, jet_rows = [], grassmann._jet_rows
+    grids, pair_sums = [], grassmann._pair_sums
 
-    def recorded(x, y, grid):
+    def recorded(a, b, pairs, grid):
         grids.append(grid)
-        return jet_rows(x, y, grid)
+        return pair_sums(a, b, pairs, grid)
 
-    monkeypatch.setattr(grassmann, "_jet_rows", recorded)
+    monkeypatch.setattr(grassmann, "_pair_sums", recorded)
     seen = {}
     for kind in ("ssge", "lsp", "zcc-bosonic"):
         grids.clear()

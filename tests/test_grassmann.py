@@ -571,18 +571,137 @@ def test_covariant_derivative_keeps_each_monomials_known_order():
     assert step == 1
 
 
-@pytest.mark.parametrize("gather_rows, shift_rows", [
-    (1, 1), (4, 9), (150, 40), (grassmann.GATHER_ROWS, grassmann.SHIFT_ROWS)])
-def test_chunked_product_matches_dict_oracle(monkeypatch, gather_rows, shift_rows):
-    # full 6-generator elements: long runs, split between chunks of few rows,
-    # through both the gathered and the shifted jet product
-    monkeypatch.setattr(grassmann, "GATHER_ROWS", gather_rows)
-    monkeypatch.setattr(grassmann, "SHIFT_ROWS", shift_rows)
+@pytest.mark.parametrize("budget", ["one-row", "between-runs", "below-longest-run", "default"])
+def test_chunked_product_matches_dict_oracle(monkeypatch, budget):
+    # full 6-generator elements: long runs, through the jet-major kernel in
+    # chunks of whole runs
     gens = GeneratorSet(tuple(f"g{i}" for i in range(6)))
-    rng = np.random.default_rng(shift_rows)
+    rng = np.random.default_rng(sum(map(ord, budget)))
+    chunked = grassmann._Product.chunks
     for kinds, points in ((("complex", "jet"), 1), (("jet", "batch"), 4)):
         a = random_terms(rng, 40, list(range(64)), SHAPES, kinds, points)
         b = random_terms(rng, 40, list(range(64)), SHAPES, kinds, points)
         x, y = GrassmannElement(gens, a), GrassmannElement(gens, b)
+        pairs = grassmann._plan(grassmann._Product, x.layout, y.layout)
+        longest = int(np.diff(np.append(pairs.starts, len(pairs.ia))).max())
+        assert longest > 2
+        rows = {"one-row": 1, "between-runs": 3 * longest * points,
+                "below-longest-run": (longest - 1) * points,
+                "default": grassmann.SHIFT_ROWS}[budget]
+        monkeypatch.setattr(grassmann, "SHIFT_ROWS", rows)
+        if budget != "default":
+            monkeypatch.setattr(grassmann, "GATHER_ROWS", 0)
+        seen = []
+
+        def recorded(table, limit):
+            got = chunked(table, limit)
+            seen.append((table, limit, got))
+            return got
+        monkeypatch.setattr(grassmann._Product, "chunks", recorded)
         assert_matches_oracle(x * y, oracle_product(a, b),
                               oracle_product(magnitudes(a), magnitudes(b), signed=False))
+        monkeypatch.undo()
+        assert len(seen) == 1 and seen[0][0] is pairs
+        _, limit, got = seen[0]
+        assert limit == max(1, rows // points)
+        # the chunks cover the pairs in order and end at whole runs; only a
+        # chunk of one run may pass the budget
+        assert [c[0] for c in got] == [0] + [c[1] for c in got[:-1]]
+        assert got[-1][1] == len(pairs.ia) and [c[2] for c in got] == [0] + [c[3] for c in got[:-1]]
+        for k0, k1, o0, o1, starts in got:
+            assert k0 == pairs.starts[o0] and k1 == (pairs.starts[o1] if o1 < len(pairs.starts)
+                                                     else len(pairs.ia))
+            assert np.array_equal(starts, pairs.starts[o0:o1] - k0)
+            assert k1 - k0 <= limit or o1 == o0 + 1
+        sizes = [o1 - o0 for _, _, o0, o1, _ in got]
+        if budget == "one-row":
+            assert set(sizes) == {1}
+        elif budget == "between-runs":
+            assert len(got) > 1 and max(sizes) > 1
+        elif budget == "below-longest-run":
+            assert any(k1 - k0 > limit for k0, k1, *_ in got)
+
+
+# ---------------------------------------------------------------------------
+# the jet-major product against the rows-innermost shifted product it replaced
+# ---------------------------------------------------------------------------
+
+PARENT_GATHER_ROWS, PARENT_SHIFT_ROWS = 150, 512
+
+
+def parent_pair_sums(a, b, pairs, grid):
+    """The product kernel before the jet-major one, for a product that it ran
+    as one shifted chunk (more than ``PARENT_GATHER_ROWS`` pair rows, at most
+    ``PARENT_SHIFT_ROWS``): the signed pair rows gathered row-major, copied
+    rows-innermost, summed by shifted slices, copied back and summed per run."""
+    x = a.take(pairs.ia, axis=0)
+    if pairs.neg is not None:
+        np.negative(x, out=x, where=pairs.neg[(slice(None),) + (None,) * (x.ndim - 1)])
+    x, y = grassmann._with_points(grassmann._crop(x, grid),
+                                  grassmann._crop(b.take(pairs.ib, axis=0), grid))
+    if x.shape[-3:] == (1, 1, 1) or y.shape[-3:] == (1, 1, 1):
+        out = x * y
+    else:
+        lead = np.broadcast_shapes(x.shape[:-3], y.shape[:-3])
+        n = len(lead)
+        axes = tuple(range(n, n + 3)) + tuple(range(n))
+        sx, sy, rows = x.shape[-3:], y.shape[-3:], (math.prod(lead),)
+        xt = np.ascontiguousarray(np.broadcast_to(x, lead + sx).transpose(axes)).reshape(sx + rows)
+        yt = np.ascontiguousarray(np.broadcast_to(y, lead + sy).transpose(axes)).reshape(sy + rows)
+        (xs, os, ys), *rest = grassmann._shift_steps(sx, sy, grid)
+        out = np.zeros(grid + rows, dtype=complex)
+        np.multiply(xt[xs], yt[ys], out=out[os])
+        for xs, os, ys in rest:
+            out[os] += xt[xs] * yt[ys]
+        back = tuple(range(3, 3 + n)) + (0, 1, 2)
+        out = np.ascontiguousarray(out.reshape(grid + lead).transpose(back))
+    return out if pairs.single else np.add.reduceat(out, pairs.starts, axis=0)
+
+
+def one_shifted_chunk(pairs, points):
+    return PARENT_GATHER_ROWS < len(pairs.ia) * points <= PARENT_SHIFT_ROWS // points * points
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("shape", [(3, 3, 1), FULL])
+@pytest.mark.parametrize("points", [(1, 1), (20, 20), (1, 20), (20, 1)])
+def test_jet_major_product_matches_parent_kernel(points, shape, signed):
+    """Bit for bit the parent kernel's sums wherever it ran a product as one
+    shifted chunk: rank-3 and 20-point blocks, (3, 3, 1) and (3, 3, 2) grids,
+    mixed supports, with and without reordering signs; within the dict
+    oracle's bound elsewhere."""
+    rng = np.random.default_rng([*points, shape[2], signed])
+    batched = max(points) > 1
+    # from 8 to 512 // 20 pairs in a batch, from 151 to 512 without one
+    if signed:  # odd pairs reorder, and several pairs land on one monomial
+        size = 4 if batched else 6
+        monomials = list(range(1 << size)), list(range(1 << size))
+        counts = (4, 9) if batched else (40, 41)
+    else:  # every generator of a comes before every one of b: no pair reorders
+        size = 8
+        monomials = list(range(16)), [m << 4 for m in range(16)]
+        counts = (3, 6) if batched else (16, 17)
+    gens = GeneratorSet(tuple(f"g{i}" for i in range(size)))
+    matched = 0
+    for _ in range(40):
+        a, b = (restricted(rng, random_terms(rng, rng.integers(*counts), mono, [shape],
+                                             ("jet", "batch", "batch") if n > 1 else
+                                             ("complex", "jet"), n),
+                           SUPPORTS[rng.integers(len(SUPPORTS))])
+                for mono, n in zip(monomials, points))
+        x, y = GrassmannElement(gens, a), GrassmannElement(gens, b)
+        pairs = grassmann._plan(grassmann._Product, x.layout, y.layout)
+        if not pairs.layout.keys:
+            continue
+        assert (pairs.neg is not None) == signed or batched
+        sa, sb = x.block.shape[-3:], y.block.shape[-3:]
+        grid = tuple(min(g, p + q - 1) for g, p, q in zip(pairs.layout.grid, sa, sb))
+        if one_shifted_chunk(pairs, max(x.points(), y.points(), 1)):
+            got = grassmann._pair_sums(x.block, y.block, pairs, grid)
+            assert np.array_equal(got, parent_pair_sums(x.block, y.block, pairs, grid))
+            matched += 1
+        assert_matches_oracle(x * y, oracle_product(a, b),
+                              oracle_product(magnitudes(a), magnitudes(b), signed=False))
+        if matched == 4:
+            break
+    assert matched == 4

@@ -4,7 +4,9 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -51,3 +53,43 @@ def test_report_hashes_prints_exit_code_and_stdout_hash(capsys):
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
     assert lines[1].split()[1:] == ["exit", str(code), "sha256", digest]
     assert code == 0 and len(tool.COMMANDS) == 14
+
+
+def test_report_hashes_against_a_checkout_with_one_residual_perturbed(tmp_path, capsys):
+    tool = load_tool("report_hashes")
+    other = tmp_path / "other"
+    for part in ("src", "samples"):
+        shutil.copytree(ROOT / part, other / part, ignore=shutil.ignore_patterns("__pycache__"))
+    ssge = other / "src" / "susygordon" / "ssge.py"
+    line = "    r4 = d_minus(fv) + sin_sum * (2j * sqrt_lam)\n"
+    assert ssge.read_text().count(line) == 1
+    ssge.write_text(ssge.read_text().replace(line, line[:-1] + " + 1e-12\n"))
+    names = ["reproduce-constraints", "verify-backlund"]
+    assert tool.main([str(ROOT), "--only", *names, "--against", str(other)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[0] == names[0] and lines[0].endswith(" same")
+    assert lines[1].split()[0] == names[1] and lines[1].endswith(" differs")
+    fields = {line.split()[0]: line.split()[-1] for line in lines[2:-1]}
+    assert list(fields) == ["checks[].residual"]
+    assert 0.5e-12 < float(fields["checks[].residual"]) < 2e-12
+    assert lines[-1].strip() == "passed and singular agree"
+
+
+def test_report_hashes_compare_names_each_field_and_verdict():
+    tool = load_tool("report_hashes")
+    a = {"checks": [{"passed": True, "residual": 1e-12, "point": {"x": [0.5, 0.0]}},
+                    {"passed": True, "singular": "ginv", "residual": 2e-12}], "command": "verify"}
+    b = {"checks": [{"passed": True, "residual": 4e-12, "point": {"x": [0.5, 0.25]}},
+                    {"passed": False, "singular": "ginv", "residual": 2e-12}], "command": "solve"}
+    lines = tool.compare(json.dumps(a), json.dumps(b))
+    assert [line.split()[0] for line in lines[:-1]] == [
+        "checks[].residual", "checks[].point.x[]", "checks[].passed", "command"]
+    assert float(lines[0].split()[-1]) == 3e-12 and lines[1].endswith(" 0.25")
+    assert lines[2].endswith(" differs") and lines[3].endswith(" differs")
+    assert lines[-1] == "passed and singular DIFFER"
+    assert tool.compare(json.dumps(a), json.dumps(a)) == ["passed and singular agree"]
+    assert tool.compare(json.dumps(a), "not json") == ["not both JSON reports"]
+    # a point singular on one side only: the fields differ, and so do the verdicts
+    b["checks"][0]["singular"] = "ginv"
+    assert tool.compare(json.dumps(a), json.dumps(b)) == [
+        "the reports hold different fields", "passed and singular DIFFER"]

@@ -1,12 +1,18 @@
 """Exit codes and stdout hashes of the reference commands of one checkout.
 
-    python3 tools/report_hashes.py CHECKOUT_ROOT [--only NAME ...]
+    python3 tools/report_hashes.py CHECKOUT_ROOT [--only NAME ...] [--against OTHER_ROOT]
 
 Imports ``src/susygordon`` of the checkout under a module name of its own,
 runs each reference command in-process through ``cli.main`` and prints one
 line per command: its name, its exit code and the first 16 hex digits of the
 SHA-256 of its stdout.  Two checkouts whose lines are equal wrote
-byte-identical reports.  The tool reads the checkout's inputs and writes
+byte-identical reports.
+
+With ``--against OTHER_ROOT`` each command also runs on the other checkout.
+For a command whose hash differs, the tool prints the largest absolute
+difference of each numeric report field (list positions dropped from the
+field's path, complex values as their parts) and whether every ``passed`` and
+``singular`` value agrees.  The tool reads the checkouts' inputs and writes
 nothing.
 """
 
@@ -18,6 +24,7 @@ import hashlib
 import importlib
 import importlib.util
 import io
+import json
 import os
 import sys
 from pathlib import Path
@@ -56,8 +63,8 @@ def load_cli(root: Path, name: str = "report_hashes_pkg"):
     return importlib.import_module(f"{name}.cli")
 
 
-def run(cli, root: Path, argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout SHA-256 prefix of one command run in-process from ``root``."""
+def run(cli, root: Path, argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout SHA-256 prefix and stdout of one command run in-process from ``root``."""
     out, cwd = io.StringIO(), os.getcwd()
     os.chdir(root)
     try:
@@ -67,7 +74,47 @@ def run(cli, root: Path, argv: list[str]) -> tuple[int, str]:
         code = exc.code
     finally:
         os.chdir(cwd)
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
+    text = out.getvalue()
+    return code, hashlib.sha256(text.encode()).hexdigest()[:16], text
+
+
+def leaves(value, path: str = ""):
+    """``(path, value)`` for every scalar of a parsed report, in order; list
+    positions are left out of the path, so a field's path names all its entries."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for item in value:
+            yield from leaves(item, path + "[]")
+    else:
+        yield path, value
+
+
+def compare(text: str, other: str) -> list[str]:
+    """Lines saying how two reports differ: the largest absolute difference
+    of each numeric field, each other field that differs, and whether every
+    ``passed`` and ``singular`` value agrees."""
+    try:
+        a, b = list(leaves(json.loads(text))), list(leaves(json.loads(other)))
+    except ValueError:
+        return ["not both JSON reports"]
+    verdicts = [[leaf for leaf in side if leaf[0].rsplit(".", 1)[-1] in ("passed", "singular")]
+                for side in (a, b)]
+    lines = []
+    if [path for path, _ in a] != [path for path, _ in b]:
+        lines.append("the reports hold different fields")
+    else:
+        largest = {}
+        for (path, x), (_, y) in zip(a, b):
+            if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
+                largest[path] = max(largest.get(path, 0.0), abs(x - y))
+            elif x != y:
+                largest[path] = "differs"
+        lines += [f"{path:40s} " + (diff if isinstance(diff, str) else f"max |diff| {diff:.3g}")
+                  for path, diff in largest.items() if diff]
+    lines.append("passed and singular " + ("agree" if verdicts[0] == verdicts[1] else "DIFFER"))
+    return lines
 
 
 def main(argv=None) -> int:
@@ -75,12 +122,24 @@ def main(argv=None) -> int:
     parser.add_argument("root", type=Path, help="root of the checkout")
     parser.add_argument("--only", nargs="+", choices=sorted(COMMANDS), metavar="NAME",
                         help="run only these commands")
+    parser.add_argument("--against", type=Path, metavar="OTHER_ROOT",
+                        help="also run each command on this checkout and compare the reports")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     cli = load_cli(root)
+    other = args.against and args.against.resolve()
+    other_cli = other and load_cli(other, "report_hashes_other")
     for name in args.only or COMMANDS:
-        code, digest = run(cli, root, COMMANDS[name])
-        print(f"{name:24s} exit {code} sha256 {digest}")
+        code, digest, text = run(cli, root, COMMANDS[name])
+        if not other:
+            print(f"{name:24s} exit {code} sha256 {digest}")
+            continue
+        code_b, digest_b, text_b = run(other_cli, other, COMMANDS[name])
+        same = "same" if (code, digest) == (code_b, digest_b) else "differs"
+        print(f"{name:24s} exit {code} {code_b} sha256 {digest} {digest_b} {same}")
+        if same != "same":
+            for line in compare(text, text_b):
+                print("    " + line)
     return 0
 
 
