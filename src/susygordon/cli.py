@@ -33,7 +33,7 @@ from .darboux import lsp_normalized_triple
 from .errors import ConfigError
 from .geometry import BetaFunction, surface_data
 from .grassmann import element_to_json
-from .reporting import make_report, parse_jet_spec, sample_points, sweep, write_report
+from .reporting import _at, make_report, parse_jet_spec, sample_points, sweep, write_report
 from .solutions import SolutionBundle, build_solution, json_object, load_solution, seed_json
 from .ssge import (
     build_constraint_matrices,
@@ -217,7 +217,7 @@ def cmd_reproduce(args) -> dict:
         ]
         for c in checks:
             c["passed"] = c["max_deviation"] <= tol
-        return make_report("reproduce", config, checks)
+        return make_report("reproduce", config, [_at(c, 0) for c in checks])
 
     if args.target == "example1":
         bundle, expected, x_range = example1_bundle(), example1_checks, (-1.0, 1.0)

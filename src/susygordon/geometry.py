@@ -71,7 +71,7 @@ class TangentData:
 
 def tangent_data(s: Superfield, pt: SuperspacePoint, beta: BetaFunction) -> TangentData:
     lam_jet = pt.lam_jet()
-    pair = fermionic_u_pair(s, pt, lam_jet)
+    pair = fermionic_u_pair(s, pt, lam_jet.analytic("sqrt"))
     b = beta.jet(lam_jet)
     bd_plus = pair.u_plus.map_entries(d_lambda, parity=ODD).scale(b)
     bd_minus = pair.u_minus.map_entries(d_lambda, parity=ODD).scale(b)

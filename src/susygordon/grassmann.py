@@ -11,8 +11,9 @@ Coefficients are plain ``complex`` numbers for exact algebra, or
 a superfield and has to carry partial derivatives; the two may be mixed.
 
 Packed layout.  An element holds the sorted tuple of its monomial keys and
-one complex block of shape ``(M, [P,] s+, s-, slam)``: one row per monomial,
-an optional point axis for a batch of sample points, and the jet axes.  Each
+one complex block of shape ``(M, P, s+, s-, slam)``: one row per monomial,
+a point axis, and the jet axes.  A value that is the same at every point has
+``P = 1`` and broadcasts against the other operand.  Each
 row keeps the jet shape to which it is known: a product or sum of two
 coefficients is known to the common (elementwise-minimum) shape of what it
 combines, and a plain complex coefficient is a constant, known to every
@@ -58,6 +59,7 @@ from .jets import (
     axis_of,
     near_zero,
     peak,
+    per_point,
     scalar_analytic_derivatives,
     scalar_is_zero,
     scalar_value,
@@ -205,7 +207,7 @@ def _clear_layouts() -> None:
 
 
 _EMPTY = _layout((), ())
-_EMPTY_BLOCK = np.zeros((0, 1, 1, 1), dtype=complex)
+_EMPTY_BLOCK = np.zeros((0, 1, 1, 1, 1), dtype=complex)
 _CONSTANT_BODY = _layout((0,), (_CONSTANT_SHAPE,))
 
 
@@ -329,13 +331,6 @@ def _trimmed(block: np.ndarray) -> np.ndarray:
     return _crop(block, _support(used.tobytes(), shape))
 
 
-def _with_points(a: np.ndarray, b: np.ndarray):
-    """Give a rank-3 row block a point axis of length 1 when the other has one."""
-    if a.ndim == b.ndim:
-        return a, b
-    return (a[:, None], b) if a.ndim < b.ndim else (a, b[:, None])
-
-
 @lru_cache(maxsize=1024)
 def _shift_steps(sx: tuple, sy: tuple, grid: tuple) -> tuple:
     """The multiply-adds ``out[o] += x[p] * y[q]`` of a shifted product: one per
@@ -356,8 +351,7 @@ def _shifted_product(a: np.ndarray, b: np.ndarray, pairs: "_Product", grid: tupl
     """The jet-major product: per chunk, ``x[p] y[r - p]`` summed as one
     multiply-add of slices per step of :func:`_shift_steps`, in flat order of
     ``p``, with the pair rows innermost; then its runs summed."""
-    x, y = (np.ascontiguousarray(_crop(t if t.ndim == 5 else t[:, None], grid)
-                                 .transpose(2, 3, 4, 0, 1)) for t in (a, b))
+    x, y = (np.ascontiguousarray(_crop(t, grid).transpose(2, 3, 4, 0, 1)) for t in (a, b))
     (xs0, os0, ys0), *rest = _shift_steps(x.shape[:3], y.shape[:3], grid)
     out = np.empty((len(pairs.layout.keys), points) + grid, dtype=complex)
     for k0, k1, o0, o1, starts in pairs.chunks(max(1, SHIFT_ROWS // points)):
@@ -370,20 +364,20 @@ def _shifted_product(a: np.ndarray, b: np.ndarray, pairs: "_Product", grid: tupl
         for xs, os, ys in rest:
             rows[os] += xt[xs] * yt[ys]
         out[o0:o1] = np.add.reduceat(rows, starts, axis=3).transpose(3, 4, 0, 1, 2)
-    return out if max(a.ndim, b.ndim) == 5 else out[:, 0]
+    return out
 
 
 def _pair_sums(a: np.ndarray, b: np.ndarray, pairs: "_Product", grid: tuple) -> np.ndarray:
     """The signed jet products of the row pairs of ``pairs`` on ``grid``, summed
     per run: jet-major shifted slices past ``GATHER_ROWS`` pair rows, else one
     gather of the jet index pairs of every row."""
-    points = a.shape[1] if a.ndim == 5 else b.shape[1] if b.ndim == 5 else 1
+    points = max(a.shape[1], b.shape[1])
     if len(pairs.ia) * points > GATHER_ROWS:
         return _shifted_product(a, b, pairs, grid, points)
     x = _crop(a, grid).take(pairs.ia, axis=0)
     if pairs.neg is not None:
-        np.negative(x, out=x, where=pairs.neg[(slice(None),) + (None,) * (x.ndim - 1)])
-    x, y = _with_points(x, _crop(b, grid).take(pairs.ib, axis=0))
+        np.negative(x, out=x, where=pairs.neg[:, None, None, None, None])
+    y = _crop(b, grid).take(pairs.ib, axis=0)
     if x.shape[-3:] == (1, 1, 1) or y.shape[-3:] == (1, 1, 1):
         out = x * y  # a support of one slot: each output is one product
     else:
@@ -449,7 +443,7 @@ def _product(a: "GrassmannElement", b: "GrassmannElement") -> "GrassmannElement"
     out = _pair_sums(ba, bb, pairs, grid)
     zero_where = layout.zero_where(grid)
     if zero_where is not None:
-        np.copyto(out, 0, where=zero_where if out.ndim == 4 else zero_where[:, None])
+        np.copyto(out, 0, where=zero_where[:, None])
     return _pruned(a.gens, layout, out)
 
 
@@ -462,16 +456,12 @@ def _sum(a: "GrassmannElement", b: "GrassmannElement") -> "GrassmannElement":
     # support: the larger of the operands' supports, within the known grid
     grid = tuple(map(max, ba.shape[-3:], bb.shape[-3:]))
     if a.layout is b.layout:
-        x, y = _with_points(ba, bb)
-        return _pruned(a.gens, a.layout, _fit(x, grid) + _fit(y, grid))
+        return _pruned(a.gens, a.layout, _fit(ba, grid) + _fit(bb, grid))
     plan = _plan(_Sum, a.layout, b.layout)
     layout, grid = plan.layout, tuple(map(min, grid, plan.layout.grid))
-    points = (ba.shape[1],) if ba.ndim == 5 else (bb.shape[1],) if bb.ndim == 5 else ()
-    out = np.zeros((len(layout.keys),) + points + grid, dtype=complex)
+    out = np.zeros((len(layout.keys), max(ba.shape[1], bb.shape[1])) + grid, dtype=complex)
     for pos, block, add in ((plan.pos_a, ba, False), (plan.pos_b, bb, True)):
         block = _crop(block, grid)
-        if block.ndim < out.ndim:
-            block = block[:, None]
         s = block.shape[-3:]
         index = (pos, Ellipsis, slice(0, s[0]), slice(0, s[1]), slice(0, s[2]))
         if add:
@@ -480,7 +470,7 @@ def _sum(a: "GrassmannElement", b: "GrassmannElement") -> "GrassmannElement":
             out[index] = block
     if plan.masked:
         zero_where = layout.zero_where(grid)
-        np.copyto(out, 0, where=zero_where if out.ndim == 4 else zero_where[:, None])
+        np.copyto(out, 0, where=zero_where[:, None])
     if plan.common is None:
         return _new(a.gens, layout, out)
     # only a monomial both operands hold can cancel
@@ -495,7 +485,7 @@ class GrassmannElement:
 
     Immutable by convention: operations return new elements and never write
     into a block they did not allocate.  Monomials that are exactly zero (at
-    every point of a batch) are never stored.  ``GrassmannElement(gens, terms)``
+    every point) are never stored.  ``GrassmannElement(gens, terms)``
     packs a ``monomial -> coefficient`` mapping; :attr:`terms` unpacks it.
     """
 
@@ -508,10 +498,8 @@ class GrassmannElement:
         shapes = tuple(c.c.shape[-3:] if isinstance(c, JetScalar) else _CONSTANT_SHAPE
                        for _, c in items)
         layout = _layout(tuple(m for m, _ in items), shapes)
-        points = max((c.c.shape[0] for _, c in items
-                      if isinstance(c, JetScalar) and c.c.ndim == 4), default=0)
-        block = np.zeros((len(items),) + ((points,) if points else ()) + layout.grid,
-                         dtype=complex)
+        points = max((len(c.c) for _, c in items if isinstance(c, JetScalar)), default=1)
+        block = np.zeros((len(items), points) + layout.grid, dtype=complex)
         for row, (_, c) in zip(block, items):
             if isinstance(c, JetScalar):
                 s = c.c.shape[-3:]
@@ -536,12 +524,12 @@ class GrassmannElement:
             return _new(gens, _layout((0,), (value.c.shape[-3:],)), _trimmed(value.c[None]))
         if value == 0:
             return cls.zero(gens)
-        return _new(gens, _CONSTANT_BODY, np.full((1, 1, 1, 1), value, dtype=complex))
+        return _new(gens, _CONSTANT_BODY, np.full((1, 1, 1, 1, 1), value, dtype=complex))
 
     @classmethod
     def generator(cls, gens: GeneratorSet, name: str) -> "GrassmannElement":
         layout = _layout((1 << gens.index(name),), (_CONSTANT_SHAPE,))
-        return _new(gens, layout, np.ones((1, 1, 1, 1), dtype=complex))
+        return _new(gens, layout, np.ones((1, 1, 1, 1, 1), dtype=complex))
 
     # -- structure --------------------------------------------------------------
 
@@ -575,24 +563,18 @@ class GrassmannElement:
         return not self.layout.keys
 
     def max_abs(self):
-        """Largest coefficient magnitude (over all stored jet orders), per point
-        for a batch."""
+        """Largest coefficient magnitude (over all stored jet orders), per point."""
         if not self.layout.keys:
             return 0.0
-        mags = np.abs(self.block)
-        if self.block.ndim == 5:
-            return mags.max(axis=(0, 2, 3, 4))
-        return float(mags.max())
+        return per_point(np.abs(self.block).max(axis=(0, 2, 3, 4)))
 
     def points(self) -> int:
-        """Number of points of a batched element; 0 when it has no point axis."""
-        return self.block.shape[1] if self.block.ndim == 5 else 0
+        """Length of the point axis: 1 for a value that is the same at every point."""
+        return self.block.shape[1]
 
     def at(self, i: int) -> "GrassmannElement":
         """The element at point ``i`` of a batch, without the monomials zero there."""
-        if self.block.ndim == 4:
-            return self
-        return _pruned(self.gens, self.layout, self.block[:, i])
+        return _pruned(self.gens, self.layout, self.block[:, i, None])
 
     def value_terms(self) -> dict[int, complex]:
         """Monomial map of plain complex values (jet coefficients collapsed)."""
@@ -655,7 +637,7 @@ class GrassmannElement:
     def __repr__(self) -> str:
         if not self.layout.keys:
             return "GrassmannElement(0)"
-        if self.points():
+        if self.points() > 1:
             return f"GrassmannElement({len(self.layout.keys)} monomials at {self.points()} points)"
         bits = []
         for m, c in self.terms.items():
@@ -687,7 +669,7 @@ class GrassmannElement:
             return GrassmannElement.zero(self.gens)
         block = self.block[rows]
         if neg is not None:
-            np.negative(block, out=block, where=neg[(slice(None),) + (None,) * (block.ndim - 1)])
+            np.negative(block, out=block, where=neg[:, None, None, None, None])
         return _new(self.gens, layout, _crop(block, layout.grid))
 
     def derivative(self, var: str) -> "GrassmannElement":
@@ -712,11 +694,10 @@ class GrassmannElement:
         rows, layout = table
         if layout is None:
             raise JetBudgetError(f"derivative budget exhausted for {var}")
-        lead = self.block.ndim - 3
-        size = self.block.shape[lead + axis]
+        size = self.block.shape[2 + axis]
         if not layout.keys or size == 1:  # no entry past order 0 along ``var``
             return GrassmannElement.zero(self.gens)
-        index, factors = _derivative_slice(axis, size, lead)
+        index, factors = _derivative_slice(axis, size)
         return _pruned(self.gens, layout, self.block[rows][index] * factors)
 
 
@@ -796,10 +777,11 @@ def allclose(a: GrassmannElement, b: GrassmannElement,
 def element_to_json(a: GrassmannElement) -> list[dict]:
     """Serialize the element's evaluated values (jets collapse to their value).
 
-    A batched element gives one list per point, as a :class:`PerPoint`.
+    An element of several points gives one list per point, as a
+    :class:`PerPoint`; one the same at every point gives one list.
     """
     count = a.points()
-    if count:
+    if count > 1:
         return PerPoint(element_to_json(a.at(i)) for i in range(count))
     entries = []
     for m, row in zip(a.layout.keys, a.block):

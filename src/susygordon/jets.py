@@ -3,17 +3,19 @@
 A jet carries the value of a function of the bosonic variables
 ``(x_plus, x_minus, lambda)`` together with its partial derivatives up to a
 fixed order per variable.  Stored coefficients are Taylor coefficients,
-``c[i, j, k] = d^i_{x+} d^j_{x-} d^k_lam f / (i! j! k!)`` at the base point,
+``c[p, i, j, k] = d^i_{x+} d^j_{x-} d^k_lam f / (i! j! k!)`` at point ``p``,
 so products are truncated polynomial convolutions and derivatives are exact
 within the truncation.  Division is built from the product alone:
 :meth:`JetScalar.reciprocal` takes Newton steps ``r <- r (2 - a r)`` from
 ``1/body``, and ``1/a``, ``b/a`` and ``a ** -n`` go through it.  Analytic
 functions (``exp sin cos ln sqrt``) compose their derivative sequences.
 
-A jet may also carry a leading point axis, ``c.shape == (P, ...)``: one
+Every jet carries a leading point axis, ``c.shape == (P, s+, s-, slam)``: one
 expansion per point of a batch, propagated together (vectorised forward-mode
-Taylor arithmetic).  Rank-3 and batched jets mix freely; a rank-3 jet is the
-same at every point.
+Taylor arithmetic).  A value that is the same at every point (a plain number,
+a constant, any jet of a single point) has ``P = 1`` and broadcasts against
+the other operand.  Per-point results (``value``, ``max_abs``, ``extract``)
+hold one entry per point, and a single number when ``P = 1``.
 
 The derivative budget is the array shape itself: differentiating shrinks the
 shape along that axis, and asking for an order that is no longer stored
@@ -23,10 +25,8 @@ silently truncated value.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -89,64 +89,52 @@ def uniform(flags) -> bool:
 
 def peak(values):
     """Largest of some magnitudes, per point when any of them is per point."""
-    values = list(values)
-    if any(isinstance(v, np.ndarray) for v in values):
-        return functools.reduce(np.maximum, values)
-    return max(values, default=0.0)
+    return functools.reduce(np.maximum, values, 0.0)
 
 
-def pointwise(fn, value, *args):
-    """``fn(value, *args)``, taken point by point when ``value`` is per point.
-
-    Scalar maths on a batch stays in Python's complex arithmetic, so a batch
-    rounds exactly as its points do one at a time (numpy's complex ufuncs
-    round some products and quotients differently in the last bit).
-    """
-    if isinstance(value, np.ndarray):
-        return np.array([fn(v, *args) for v in value.tolist()], dtype=complex)
-    return fn(value, *args)
+def per_point(values: np.ndarray):
+    """Values along a point axis; a length-1 axis is the same at every point,
+    so it gives its one value."""
+    return values if len(values) > 1 else values[0]
 
 
 class PerPoint(tuple):
     """Report values of a batch, one per point (see ``reporting.sweep``)."""
 
 
-def derivative_sequence(name: str, z, kmax: int) -> list:
-    """Return ``[f(z), f'(z), ..., f^(kmax)(z)]`` for a named analytic f.
+def derivative_sequence(name: str, z, kmax: int) -> np.ndarray:
+    """``f(z), f'(z), ..., f^(kmax)(z)`` for a named analytic f, along a new last axis.
 
-    ``ln`` and ``sqrt`` use the principal branch and require
-    ``abs(z) >= TINY``.  An array ``z`` (the bodies of a batch) gives one
-    array per order, computed point by point with ``cmath``; it fails if any
-    point is singular.
+    ``z`` is a number or one body per point of a batch.  ``ln`` and ``sqrt``
+    take the principal branch (on the negative real axis the sign of a zero
+    imaginary part picks the side) and require ``abs(z) >= TINY`` at every
+    point.  ``f^(k)`` of ``sqrt`` is ``sqrt(z) / z^k`` times its falling
+    factorial: integer powers keep it within a few ulp at every order.
     """
-    if isinstance(z, np.ndarray):
-        seqs = [derivative_sequence(name, w, kmax) for w in z.tolist()]
-        return [np.array(col, dtype=complex) for col in zip(*seqs)]
-    z = complex(z)
-    if name == "exp":
-        w = cmath.exp(z)
-        return [w] * (kmax + 1)
-    if name == "sin":
-        cycle = [cmath.sin(z), cmath.cos(z), -cmath.sin(z), -cmath.cos(z)]
-        return [cycle[k % 4] for k in range(kmax + 1)]
-    if name == "cos":
-        cycle = [cmath.cos(z), -cmath.sin(z), -cmath.cos(z), cmath.sin(z)]
-        return [cycle[k % 4] for k in range(kmax + 1)]
-    if name in ("ln", "sqrt") and abs(z) < TINY:
+    z = np.asarray(z, dtype=complex)
+    orders = np.arange(kmax + 1)
+    if name in ("exp", "sin", "cos"):
+        if name == "exp":
+            cycle = np.exp(z)[..., None]
+        else:
+            s, c = np.sin(z), np.cos(z)
+            cycle = np.stack([s, c, -s, -c] if name == "sin" else [c, -s, -c, s], axis=-1)
+        return cycle[..., orders % cycle.shape[-1]]
+    if name not in ("ln", "sqrt"):
+        raise ValueError(f"unknown analytic function {name!r}")
+    if near_zero(z):
         raise SingularBodyError(f"{name} requires an invertible body")
+    powers = np.power.outer(z, orders)
     if name == "ln":
-        seq = [cmath.log(z)]
-        for k in range(1, kmax + 1):
-            seq.append((-1) ** (k - 1) * math.factorial(k - 1) / z ** k)
-        return seq
-    if name == "sqrt":
-        seq = []
-        coef = 1.0
-        for k in range(kmax + 1):
-            seq.append(coef * z ** (0.5 - k))
-            coef *= 0.5 - k
-        return seq
-    raise ValueError(f"unknown analytic function {name!r}")
+        signed = np.array([(-1) ** k * math.factorial(k) for k in range(kmax)], dtype=float)
+        return np.concatenate([np.log(z)[..., None], signed / powers[..., 1:]], axis=-1)
+    falling = np.cumprod(np.concatenate(([1.0], 0.5 - orders[:-1])))
+    return falling * (np.sqrt(z)[..., None] / powers)
+
+
+@lru_cache(maxsize=None)
+def _factorials(kmax: int) -> np.ndarray:
+    return np.array([math.factorial(k) for k in range(kmax + 1)], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +164,12 @@ def _product_table(shape: tuple[int, ...]):
 
 
 @lru_cache(maxsize=None)
-def _derivative_slice(axis: int, size: int, lead: int = 0):
-    """Index dropping order 0 along ``axis``, and the factors ``1..size-1`` after it."""
-    factors = np.arange(1, size, dtype=float).reshape((-1,) + (1,) * (2 - axis))
-    return (slice(None),) * (lead + axis) + (slice(1, None),), factors
-
-
-def _batched_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The truncated product with a leading point axis on either operand."""
-    shape = a.shape[-3:]
-    p, q, starts = _product_table(shape)
-    terms = a.reshape(a.shape[:-3] + (-1,))[..., p] * b.reshape(b.shape[:-3] + (-1,))[..., q]
-    return np.add.reduceat(terms, starts, axis=-1).reshape(terms.shape[:-1] + shape)
+def _derivative_slice(axis: int, size: int):
+    """Index dropping order 0 along jet ``axis`` (counted among the last three
+    axes of a jet or block), and the factors ``1..size-1`` after it."""
+    trailing = (1,) * (2 - axis)
+    factors = np.arange(1, size, dtype=float).reshape((-1,) + trailing)
+    return (Ellipsis, slice(1, None)) + (slice(None),) * len(trailing), factors
 
 
 def _wrap(arr: np.ndarray) -> "JetScalar":
@@ -198,13 +180,14 @@ def _wrap(arr: np.ndarray) -> "JetScalar":
 
 
 class JetScalar:
-    """A truncated Taylor expansion in ``(x_plus, x_minus, lambda)``.
+    """A truncated Taylor expansion in ``(x_plus, x_minus, lambda)`` at each point.
 
     Immutable by convention; every operation returns a new jet.  Mixed-shape
     arithmetic truncates to the common (elementwise-minimum) shape, which is
-    exactly the order to which the result is known.  Per-point values of a
-    batch are numpy arrays: ``value`` and ``max_abs`` return one entry per
-    point, and addition accepts such an array as a scalar.
+    exactly the order to which the result is known.  ``JetScalar(coeffs)``
+    takes the jet axes ``(s+, s-, slam)`` of one value, after any point axes;
+    a single value gets a point axis of length 1.  Addition also takes one
+    number per point as a numpy array.
     """
 
     __slots__ = ("c",)
@@ -212,18 +195,17 @@ class JetScalar:
 
     def __init__(self, coeffs) -> None:
         arr = np.asarray(coeffs, dtype=complex)
-        if arr.ndim not in (3, 4):
-            raise ValueError("jet coefficients must be a rank-3 array (rank 4 with a point axis)")
-        self.c = arr
+        *_, s0, s1, s2 = arr.shape  # three jet axes, after the points
+        self.c = arr.reshape(-1, s0, s1, s2)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def constant(cls, value, spec: JetSpec = DEFAULT_SPEC) -> "JetScalar":
         """A constant jet; a sequence of values gives one per point of a batch."""
-        c = np.zeros(np.shape(value) + spec.shape, dtype=complex)
-        c[..., 0, 0, 0] = value
-        return cls(c)
+        c = np.zeros((np.size(value),) + spec.shape, dtype=complex)
+        c[:, 0, 0, 0] = value
+        return _wrap(c)
 
     @classmethod
     def seed(cls, var: str, value, spec: JetSpec = DEFAULT_SPEC) -> "JetScalar":
@@ -233,34 +215,32 @@ class JetScalar:
         if spec.orders[axis] >= 1:
             idx = [0, 0, 0]
             idx[axis] = 1
-            c[(Ellipsis, *idx)] = 1.0
-        return cls(c)
+            c[(slice(None), *idx)] = 1.0
+        return _wrap(c)
 
     # -- basic queries -------------------------------------------------------
 
     @property
     def value(self):
-        return complex(self.c[0, 0, 0]) if self.c.ndim == 3 else self.c[:, 0, 0, 0].copy()
+        return per_point(self.c[:, 0, 0, 0].copy())
 
     @property
     def spec(self) -> tuple[int, int, int]:
-        return tuple(s - 1 for s in self.c.shape[-3:])  # type: ignore[return-value]
+        return tuple(s - 1 for s in self.c.shape[1:])  # type: ignore[return-value]
 
     def at(self, i: int) -> "JetScalar":
-        """The jet at point ``i`` of a batch (a rank-3 jet is the same everywhere)."""
-        return self if self.c.ndim == 3 else _wrap(self.c[i])
+        """The jet at point ``i`` of a batch."""
+        return _wrap(self.c[i, None])
 
     def restrict(self, spec: JetSpec) -> "JetScalar":
         """Crop to a smaller JetSpec (never enlarges)."""
         shape = spec.shape
-        if any(t > s for t, s in zip(shape, self.c.shape[-3:])):
-            raise JetBudgetError(f"cannot restrict shape {self.c.shape} to {shape}")
-        return JetScalar(self.c[..., : shape[0], : shape[1], : shape[2]])
+        if any(t > s for t, s in zip(shape, self.c.shape[1:])):
+            raise JetBudgetError(f"cannot restrict shape {self.c.shape[1:]} to {shape}")
+        return _wrap(self.c[:, : shape[0], : shape[1], : shape[2]])
 
     def max_abs(self):
-        if self.c.ndim == 4:
-            return np.abs(self.c).max(axis=(1, 2, 3), initial=0.0)
-        return float(np.max(np.abs(self.c))) if self.c.size else 0.0
+        return per_point(np.abs(self.c).max(axis=(1, 2, 3), initial=0.0))
 
     def is_zero(self) -> bool:
         return np.count_nonzero(self.c) == 0
@@ -269,22 +249,21 @@ class JetScalar:
 
     def _crop_pair(self, other: "JetScalar"):
         a, b = self.c, other.c
-        if a.shape == b.shape:
+        sa, sb = a.shape[1:], b.shape[1:]
+        if sa == sb:
             return a, b
-        s = tuple(map(min, a.shape[-3:], b.shape[-3:]))
-        return a[..., : s[0], : s[1], : s[2]], b[..., : s[0], : s[1], : s[2]]
+        s = tuple(map(min, sa, sb))
+        return a[:, : s[0], : s[1], : s[2]], b[:, : s[0], : s[1], : s[2]]
 
     def __add__(self, other):
         if isinstance(other, JetScalar):
             a, b = self._crop_pair(other)
             return _wrap(a + b)
-        if isinstance(other, (int, float, complex)):
-            c = self.c.copy()
-            c[..., 0, 0, 0] += other
-            return _wrap(c)
-        if isinstance(other, np.ndarray):  # one number per point of a batch
-            c = np.broadcast_to(self.c, other.shape + self.c.shape[-3:]).copy()
-            c[..., 0, 0, 0] += other
+        if isinstance(other, (int, float, complex, np.ndarray)):  # a number, or one per point
+            body = self.c[:, 0, 0, 0] + other
+            c = np.empty(body.shape + self.c.shape[1:], dtype=complex)
+            c[...] = self.c
+            c[:, 0, 0, 0] = body
             return _wrap(c)
         return NotImplemented
 
@@ -304,10 +283,10 @@ class JetScalar:
     def __mul__(self, other):
         if isinstance(other, JetScalar):
             a, b = self._crop_pair(other)
-            if a.ndim == 3 == b.ndim:
-                p, q, starts = _product_table(a.shape)
-                return _wrap(np.add.reduceat(a.take(p) * b.take(q), starts).reshape(a.shape))
-            return _wrap(_batched_product(a, b))
+            shape = a.shape[1:]
+            p, q, starts = _product_table(shape)
+            terms = a.reshape(len(a), -1).take(p, axis=-1) * b.reshape(len(b), -1).take(q, axis=-1)
+            return _wrap(np.add.reduceat(terms, starts, axis=-1).reshape((len(terms),) + shape))
         if isinstance(other, (int, float, complex)):
             return _wrap(self.c * other)
         return NotImplemented
@@ -342,64 +321,61 @@ class JetScalar:
         return out
 
     def __repr__(self) -> str:
-        if self.c.ndim == 4:
-            return f"JetScalar(points={len(self.c)}, spec={self.spec})"
-        return f"JetScalar(value={self.value:.6g}, spec={self.spec})"
+        return f"JetScalar(value={self.value}, spec={self.spec})"
 
     # -- calculus ------------------------------------------------------------
 
     def derivative(self, var: str) -> "JetScalar":
         """Partial derivative; consumes one order of the budget for ``var``."""
         axis = axis_of(var)
-        lead = self.c.ndim - 3
-        if self.c.shape[lead + axis] <= 1:
+        size = self.c.shape[1 + axis]
+        if size <= 1:
             raise JetBudgetError(f"derivative budget exhausted for {var}")
-        index, factors = _derivative_slice(axis, self.c.shape[lead + axis], lead)
+        index, factors = _derivative_slice(axis, size)
         return _wrap(self.c[index] * factors)
 
     def extract(self, index: Sequence[int]):
-        """Raw partial ``d^i d^j d^k f`` (Taylor coeff times factorials); per point on a batch."""
+        """Raw partial ``d^i d^j d^k f`` (Taylor coeff times factorials), per point."""
         i, j, k = index
         if any(n < 0 or n > o for n, o in zip((i, j, k), self.spec)):
             raise JetBudgetError(
                 f"multi-index {tuple(index)} outside stored orders {self.spec}")
-        raw = self.c[..., i, j, k]
-        if self.c.ndim == 3:
-            raw = complex(raw)
-        return raw * math.factorial(i) * math.factorial(j) * math.factorial(k)
+        raw = self.c[:, i, j, k] * math.factorial(i) * math.factorial(j) * math.factorial(k)
+        return per_point(raw)
 
     def scale_axes(self, f0: complex, f1: complex, f2: complex) -> "JetScalar":
         """Multiply coefficient ``(i, j, k)`` by ``f0^i f1^j f2^k`` (pullback helper)."""
-        s = self.c.shape[-3:]
+        s = self.c.shape[1:]
         g0 = np.asarray([f0 ** i for i in range(s[0])], dtype=complex)
         g1 = np.asarray([f1 ** j for j in range(s[1])], dtype=complex)
         g2 = np.asarray([f2 ** k for k in range(s[2])], dtype=complex)
-        return JetScalar(self.c * g0[:, None, None] * g1[None, :, None] * g2[None, None, :])
+        return _wrap(self.c * g0[:, None, None] * g1[None, :, None] * g2[None, None, :])
 
     # -- analytic functions ---------------------------------------------------
 
-    def _compose(self, seq: Sequence[complex]) -> "JetScalar":
-        """Evaluate ``sum_j seq[j]/j! * (self - value)^j`` by Horner."""
-        kmax = min(len(seq) - 1, sum(self.spec))
+    def _compose(self, seq: np.ndarray) -> "JetScalar":
+        """Evaluate ``sum_j seq[:, j]/j! * (self - value)^j`` by Horner, as
+        ``(((c_k h + c_(k-1)) h + ...) h + c_0`` with ``h = self - value``."""
+        kmax = min(seq.shape[-1] - 1, sum(self.spec))
+        coeffs = seq[:, : kmax + 1] / _factorials(kmax)
         soul = self.c.copy()
-        soul[..., 0, 0, 0] = 0.0
-        h = JetScalar(soul)
-        acc = JetScalar.constant(pointwise(operator.truediv, seq[kmax], math.factorial(kmax)),
-                                 JetSpec(self.spec))
-        for j in range(kmax - 1, -1, -1):
-            acc = acc * h + pointwise(operator.truediv, seq[j], math.factorial(j))
+        soul[:, 0, 0, 0] = 0.0
+        h = _wrap(soul)
+        acc = _wrap(soul * coeffs[:, kmax, None, None, None])
+        for j in range(kmax - 1, 0, -1):
+            acc.c[:, 0, 0, 0] += coeffs[:, j]
+            acc = acc * h
+        acc.c[:, 0, 0, 0] += coeffs[:, 0]
         return acc
 
     def analytic(self, name: str) -> "JetScalar":
         """Taylor composition ``f(self)`` truncated to this jet's spec."""
-        seq = derivative_sequence(name, self.value, sum(self.spec))
-        return self._compose(seq)
+        return self._compose(derivative_sequence(name, self.c[:, 0, 0, 0], sum(self.spec)))
 
     def analytic_derivatives(self, name: str, kmax: int) -> list["JetScalar"]:
         """Jets of ``f(self), f'(self), ..., f^(kmax)(self)``."""
-        total = sum(self.spec)
-        seq = derivative_sequence(name, self.value, kmax + total)
-        return [self._compose(seq[k:]) for k in range(kmax + 1)]
+        seq = derivative_sequence(name, self.c[:, 0, 0, 0], kmax + sum(self.spec))
+        return [self._compose(seq[:, k:]) for k in range(kmax + 1)]
 
     def reciprocal(self) -> "JetScalar":
         """``1/self`` by Newton steps ``r <- r (2 - self r)`` from ``r = 1/body``.
@@ -409,11 +385,12 @@ class JetScalar:
         series of ``1/z`` instead sums powers of ``soul/body``, whose partial
         sums dwarf the result when the derivative coefficients dwarf the body.
         """
-        value = self.value
-        if near_zero(value):
+        body = self.c[:, 0, 0, 0]
+        if near_zero(body):
             raise SingularBodyError("reciprocal requires an invertible body")
-        r = JetScalar.constant(pointwise(lambda z: 1 / z, value), JetSpec(self.spec))
-        known = 1
+        r = np.zeros_like(self.c)
+        r[:, 0, 0, 0] = 1 / body
+        r, known = _wrap(r), 1
         while known <= sum(self.spec):
             r = r * (2 - self * r)
             known *= 2

@@ -98,12 +98,11 @@ def _at(value, i: int):
 
 def _chunk_results(chunk: Sequence[SuperspacePoint], check: Callable) -> list[dict]:
     """check() on the chunk as one batch; point by point if the batch is singular."""
-    if len(chunk) > 1:
-        try:
-            result = check(PointBatch.of(chunk))
-            return [_at(result, i) for i in range(len(chunk))]
-        except SingularBodyError:
-            pass
+    try:
+        result = check(PointBatch.of(chunk))
+        return [_at(result, i) for i in range(len(chunk))]
+    except SingularBodyError:
+        pass
     results = []
     for pt in chunk:
         try:

@@ -109,11 +109,11 @@ class LaxPairBosonic:
     defect: float
 
 
-def fermionic_u_pair(s: Superfield, pt: SuperspacePoint, lam: JetScalar) -> LaxPairFermionic:
-    """The odd potential matrices of a solution at a point and lambda."""
+def fermionic_u_pair(s: Superfield, pt: SuperspacePoint,
+                     sqrt_lam: JetScalar) -> LaxPairFermionic:
+    """The odd potential matrices of a solution at a point, given sqrt(lambda)."""
     eis, emis = _phases(s, pt)
     dms = _d_minus_s(s, pt)
-    sqrt_lam = lam.analytic("sqrt")
     gens = eis.gens
     zero = GrassmannElement.zero(gens)
     half = (2 * sqrt_lam).reciprocal()
@@ -135,7 +135,7 @@ def fermionic_u_pair(s: Superfield, pt: SuperspacePoint, lam: JetScalar) -> LaxP
 
 def build_lax_fermionic(s: Superfield, pt: SuperspacePoint) -> LaxPairFermionic:
     """U+- at the point, at the point's (jet-seeded) lambda."""
-    return fermionic_u_pair(s, pt, pt.lam_jet())
+    return fermionic_u_pair(s, pt, pt.lam_jet().analytic("sqrt"))
 
 
 def zcc_fermionic_residual(s: Superfield, pt: SuperspacePoint) -> SuperMatrix:
@@ -160,9 +160,9 @@ def bosonic_v_defining_entries(u: SuperMatrix, deriv):
             yield i, k, 1j * (deriv(u.entry(i, k)) - eu.product_entry(eu, i, k))
 
 
-def bosonic_v_pair_closed(s: Superfield, pt: SuperspacePoint,
-                          lam: JetScalar) -> tuple[SuperMatrix, SuperMatrix]:
-    """The displayed closed forms of the bosonic potential matrices.
+def bosonic_v_pair_closed(s: Superfield, pt: SuperspacePoint, lam: JetScalar,
+                          sqrt_lam: JetScalar) -> tuple[SuperMatrix, SuperMatrix]:
+    """The displayed closed forms of the bosonic potential matrices at lambda.
 
     exp(+-2i s) and D+ s feed only these, so they are not derived from s.
     """
@@ -174,7 +174,6 @@ def bosonic_v_pair_closed(s: Superfield, pt: SuperspacePoint,
 
     eis, emis = _phases(s, pt)
     dms = _d_minus_s(s, pt)
-    sqrt_lam = lam.analytic("sqrt")
     inv_sqrt = sqrt_lam.reciprocal()
     inv_lam = lam.reciprocal()
     e2is = analytic_lift("exp", 2j * s_val)
@@ -208,8 +207,9 @@ def build_lax_bosonic(s: Superfield, pt: SuperspacePoint,
     defect stays absolute.
     """
     lam_jet = pt.lam_jet()
-    v_plus, v_minus = bosonic_v_pair_closed(s, pt, lam_jet)
-    pair = fermionic_u_pair(s, pt, lam_jet)
+    sqrt_lam = lam_jet.analytic("sqrt")
+    v_plus, v_minus = bosonic_v_pair_closed(s, pt, lam_jet, sqrt_lam)
+    pair = fermionic_u_pair(s, pt, sqrt_lam)
     defect = peak((entry - v.entry(i, k)).max_abs()
                   for u, deriv, v in ((pair.u_plus, d_plus, v_plus), (pair.u_minus, d_minus, v_minus))
                   for i, k, entry in bosonic_v_defining_entries(u, deriv))
@@ -253,7 +253,7 @@ def lsp_residual(phi: Sequence[Superfield], s: Superfield, lam: complex,
     if psi_f.parity != EVEN or phi_f.parity != EVEN or chi_f.parity != ODD:
         raise ParityError("wavefunction grading must be (even, even, odd)")
     triple: Triple = (psi_f.evaluate(pt), phi_f.evaluate(pt), chi_f.evaluate(pt))
-    pair = fermionic_u_pair(s, pt, pt.const_jet(lam))
+    pair = fermionic_u_pair(s, pt, pt.const_jet(lam).analytic("sqrt"))
     res = []
     for u, deriv in ((pair.u_plus, d_plus), (pair.u_minus, d_minus)):
         rhs = apply_potential(u, triple)

@@ -14,9 +14,11 @@ act algebraically: the theta part is the exact left derivative in the
 Grassmann algebra and the x part is a coefficient-wise jet shift.  They
 satisfy D+-^2 = -i d/dx+- and {D+, D-} = 0.
 
-A :class:`PointBatch` stands in for a point anywhere a point is taken: it
-holds several sample points, and every jet built from it carries one
-expansion per point, so a whole chunk of a sweep is one evaluation.
+Every jet carries a point axis.  A :class:`PointBatch` stands in for a point
+anywhere a point is taken: it holds several sample points, and every jet
+built from it carries one expansion per point, so a whole chunk of a sweep is
+one evaluation.  A :class:`SuperspacePoint` is a batch of one: its jets have
+a point axis of length 1 and take the same arithmetic path.
 """
 
 from __future__ import annotations

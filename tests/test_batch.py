@@ -52,6 +52,32 @@ def grid(count=5, seed=11, gens=GENS):
 # kernels: a batch is its points side by side
 # ---------------------------------------------------------------------------
 
+def test_point_is_a_batch_of_one(deep, deep_points):
+    """A point evaluates on the batch path: every jet it builds has a point
+    axis of length 1, and a residual at the point is, bit for bit, the
+    residual at the batch of that one point."""
+    pt = deep_points[2]
+    for jet in (pt.xp_jet(), pt.xm_jet(), pt.lam_jet(), pt.const_jet(0.3)):
+        assert jet.c.shape == (1,) + pt.spec.shape
+    for elem in (pt.scalar(pt.lam_jet()), pt.scalar(0.5), pt.theta("+"), pt.odd_generator("a0")):
+        assert elem.points() == 1 and elem.block.shape[1] == 1
+    assert JetScalar(np.ones((3, 3, 2))).c.shape == (1, 3, 3, 2)
+    seeds, _ = deep
+    s = darboux_chain(0, seeds, len(seeds)).solution()
+    batch = PointBatch.of([pt])
+
+    def entries(value):
+        return [value] if isinstance(value, GrassmannElement) else [
+            e for row in value.rows for e in row]
+
+    for residual in (ssge_residual, zcc_bosonic_residual):
+        at_point, at_batch = entries(residual(s, pt)), entries(residual(s, batch))
+        assert len(at_point) == len(at_batch)
+        for a, b in zip(at_point, at_batch):
+            assert a.layout.keys == b.layout.keys and a.block.shape == b.block.shape
+            assert a.block.tobytes() == b.block.tobytes(), residual.__name__
+
+
 def test_batched_jets_match_their_points():
     pts = grid()
     batch = PointBatch.of(pts)
@@ -63,8 +89,10 @@ def test_batched_jets_match_their_points():
         vi = pt.const_jet(pt.lam).analytic("sqrt").reciprocal() - ui.derivative("x_plus")
         assert np.array_equal(u.at(i).c, ui.c) and np.array_equal(v.at(i).c, vi.c)
         assert u.value[i] == ui.value and u.max_abs()[i] == ui.max_abs()
-    # a rank-3 jet is the same at every point of a batch
+    # a jet of one point is the same at every point of a batch; two batches do not mix
     assert np.array_equal((u * JetScalar.constant(2.0)).c, (u * 2.0).c)
+    with pytest.raises(ValueError):
+        u * PointBatch.of(pts[:3]).xp_jet()
 
 
 def test_batch_extract_and_allclose_decide_per_point():

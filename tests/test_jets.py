@@ -1,6 +1,7 @@
 """Jet arithmetic against finite differences and the stated edge cases."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ import pytest
 from susygordon.errors import JetBudgetError, SingularBodyError
 from susygordon.jets import (
     DEFAULT_SPEC,
+    TINY,
     JetScalar,
     JetSpec,
+    derivative_sequence,
     jet_allclose,
     jet_constant,
     jet_extract,
@@ -21,24 +24,24 @@ from susygordon.jets import (
 def test_seed_slots():
     j = jet_seed("x_plus", 0.3)
     assert j.value == 0.3
-    assert j.c[1, 0, 0] == 1.0
+    assert j.c.shape == (1, 3, 3, 2) and j.c[0, 1, 0, 0] == 1.0
     k = jet_seed("lambda", 2.0)
-    assert k.value == 2.0 and k.c[0, 0, 1] == 1.0
+    assert k.value == 2.0 and k.c[0, 0, 0, 1] == 1.0
     m = jet_seed("x_minus", 0.0)
-    assert m.value == 0.0 and m.c[0, 1, 0] == 1.0
+    assert m.value == 0.0 and m.c[0, 0, 1, 0] == 1.0
 
 
 def test_sqrt_of_lambda_seed():
     s = jet_fn("sqrt", jet_seed("lambda", 4.0))
     assert abs(s.value - 2.0) < 1e-14
-    assert abs(s.c[0, 0, 1] - 0.25) < 1e-14  # d sqrt / d lambda = 1/(2 sqrt)
+    assert abs(s.c[0, 0, 0, 1] - 0.25) < 1e-14  # d sqrt / d lambda = 1/(2 sqrt)
 
 
 def test_exp_taylor_slots():
     e = jet_fn("exp", jet_seed("x_plus", 0.0))
-    assert abs(e.c[0, 0, 0] - 1.0) < 1e-14
-    assert abs(e.c[1, 0, 0] - 1.0) < 1e-14
-    assert abs(e.c[2, 0, 0] - 0.5) < 1e-14
+    assert abs(e.c[0, 0, 0, 0] - 1.0) < 1e-14
+    assert abs(e.c[0, 1, 0, 0] - 1.0) < 1e-14
+    assert abs(e.c[0, 2, 0, 0] - 0.5) < 1e-14
 
 
 def test_extract_returns_raw_partials():
@@ -71,6 +74,80 @@ def test_spec_validation():
         JetSpec((2, -1, 0))
     with pytest.raises(ValueError):
         JetSpec((2, 2))  # type: ignore[arg-type]
+
+
+# ---------------------------------------------------------------------------
+# derivative sequences against the per-point cmath sequences they replaced
+# ---------------------------------------------------------------------------
+
+def cmath_derivative_sequence(name, z, kmax):
+    """``[f(z), ..., f^(kmax)(z)]`` at one point in Python's complex arithmetic,
+    as the library took it before its sequences ran in numpy."""
+    if name == "exp":
+        return [cmath.exp(z)] * (kmax + 1)
+    if name == "sin":
+        cycle = [cmath.sin(z), cmath.cos(z), -cmath.sin(z), -cmath.cos(z)]
+        return [cycle[k % 4] for k in range(kmax + 1)]
+    if name == "cos":
+        cycle = [cmath.cos(z), -cmath.sin(z), -cmath.cos(z), cmath.sin(z)]
+        return [cycle[k % 4] for k in range(kmax + 1)]
+    if abs(z) < TINY:
+        raise SingularBodyError(f"{name} requires an invertible body")
+    if name == "ln":
+        return [cmath.log(z)] + [(-1) ** (k - 1) * math.factorial(k - 1) / z ** k
+                                 for k in range(1, kmax + 1)]
+    seq, coef = [], 1.0
+    for k in range(kmax + 1):
+        seq.append(coef * z ** (0.5 - k))
+        coef *= 0.5 - k
+    return seq
+
+
+#: allowed relative gap to the cmath sequence, in units of eps: cmath's
+#: ``z ** (0.5 - k)`` scales the phase of z by the order, so its own error
+#: grows to about 10 eps at order 6 (against a 200-bit reference), where
+#: ``sqrt(z) / z^k`` stays within about 3 eps
+ORACLE_EPS = {"exp": 4, "sin": 4, "cos": 4, "ln": 4, "sqrt": 16}
+
+
+def test_derivative_sequences_match_the_cmath_oracle():
+    rng = np.random.default_rng(4242)
+    size = rng.normal(size=300) + 1j * rng.normal(size=300)
+    bodies = list(size * np.exp(rng.uniform(-2, 2, size=300)))
+    # the negative real axis, from either side of the principal branch cut
+    cut = [complex(-x, zero) for x in (0.3, 1.0, 2.5, 7.0) for zero in (0.0, -0.0)]
+    points = np.array(bodies + cut)
+    eps = np.finfo(float).eps
+    for name, allowed in ORACLE_EPS.items():
+        batch = derivative_sequence(name, points, 6)
+        assert batch.shape == (len(points), 7)
+        for i, z in enumerate(bodies + cut):
+            want = np.array(cmath_derivative_sequence(name, z, 6))
+            # a plain number and a batch take one path and round alike
+            assert np.array_equal(derivative_sequence(name, z, 6), batch[i]), (name, z)
+            assert np.all(np.abs(batch[i] - want) <= allowed * eps * np.abs(want)), (name, z)
+            sided = np.abs(want.imag) > 1e-3 * np.abs(want)
+            assert np.array_equal(np.sign(batch[i].imag[sided]), np.sign(want.imag[sided]))
+    assert derivative_sequence("ln", complex(-2.0, 0.0), 0)[0].imag > 0
+    assert derivative_sequence("ln", complex(-2.0, -0.0), 0)[0].imag < 0
+    assert derivative_sequence("sqrt", complex(-2.0, -0.0), 0)[0].imag < 0
+
+
+def test_ln_and_sqrt_refuse_a_batch_with_one_singular_body():
+    bodies = np.array([1.0, 0.5 - 0.2j, 0.4 * TINY, 2.0j])
+    for name in ("ln", "sqrt"):
+        with pytest.raises(SingularBodyError):
+            cmath_derivative_sequence(name, complex(bodies[2]), 3)
+        with pytest.raises(SingularBodyError):
+            derivative_sequence(name, bodies, 3)
+        with pytest.raises(SingularBodyError):
+            derivative_sequence(name, 0.4j * TINY, 3)
+        with pytest.raises(SingularBodyError):
+            JetScalar.seed("x_plus", list(bodies)).analytic(name)
+        derivative_sequence(name, np.delete(bodies, 2), 3)
+    for name in ("exp", "sin", "cos"):
+        assert np.array_equal(derivative_sequence(name, bodies, 3)[2],
+                              derivative_sequence(name, bodies[2], 3))
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +299,11 @@ def test_product_matches_naive_convolution_on_every_shape_pair():
             a = rng.normal(size=shape_a) + 1j * rng.normal(size=shape_a)
             b = rng.normal(size=shape_b) + 1j * rng.normal(size=shape_b)
             bound = 64 * eps * _naive_product(np.abs(a), np.abs(b)).real
-            got = (JetScalar(a) * JetScalar(b)).c
+            got = (JetScalar(a) * JetScalar(b)).c[0]
             assert got.shape == bound.shape
             assert np.all(np.abs(got - _naive_product(a, b)) <= bound), (shape_a, shape_b)
         z = complex(*rng.normal(size=2))
-        for got in ((JetScalar(a) * z).c, (z * JetScalar(a)).c):
+        for got in ((JetScalar(a) * z).c[0], (z * JetScalar(a)).c[0]):
             assert np.all(np.abs(got - a * z) <= 64 * eps * np.abs(a) * abs(z)), shape_a
 
 
@@ -254,11 +331,11 @@ def test_product_and_derivative_match_exact_polynomials():
     for shape_a, shape_b in (((3, 3, 2), (3, 3, 2)), ((3, 2, 2), (2, 3, 1))):
         (ja, pa), (jb, pb) = random_poly(shape_a), random_poly(shape_b)
         prod = ja * jb
-        assert np.array_equal(prod.c, coefficients(pa * pb, prod.c.shape))
+        assert np.array_equal(prod.c[0], coefficients(pa * pb, prod.c.shape[1:]))
         for axis, var in enumerate(("x_plus", "x_minus", "lambda")):
             if shape_a[axis] > 1:
                 d = ja.derivative(var)
-                assert np.array_equal(d.c, coefficients(sympy.diff(pa, xs[axis]), d.c.shape))
+                assert np.array_equal(d.c[0], coefficients(sympy.diff(pa, xs[axis]), d.c.shape[1:]))
 
 
 def _exact_reciprocal(a):
@@ -308,7 +385,7 @@ def test_reciprocal_matches_exact_series_on_every_shape():
             want = _exact_reciprocal(a)
             bound = 64 * eps * _naive_product(_naive_product(np.abs(want), np.abs(a)),
                                               np.abs(want)).real
-            got = JetScalar(a).reciprocal().c
+            got = JetScalar(a).reciprocal().c[0]
             assert np.all(np.abs(got - want) <= bound), (shape, i)
             assert np.array_equal(batch.c[i], got), (shape, i)  # a batch rounds as its points
         assert np.array_equal((1 / JetScalar(points[0])).c, JetScalar(points[0]).reciprocal().c)

@@ -14,7 +14,7 @@ from susygordon.darboux import (
 from susygordon import ssge
 from susygordon.errors import LaxConsistencyError, ParityError
 from susygordon.grassmann import EVEN, ODD, GrassmannElement, allclose
-from susygordon.jets import scalar_value
+from susygordon.jets import JetScalar, scalar_value
 from susygordon.ssge import (
     backlund_residuals,
     build_lax_bosonic,
@@ -142,8 +142,8 @@ def test_lax_guard_catches_one_entry_off_by_a_millionth(chain, monkeypatch):
     build_lax_bosonic(s, pt)
     closed = ssge.bosonic_v_pair_closed
 
-    def skewed(s, pt, lam):
-        v_plus, v_minus = closed(s, pt, lam)
+    def skewed(s, pt, lam, sqrt_lam):
+        v_plus, v_minus = closed(s, pt, lam, sqrt_lam)
         rows = [list(row) for row in v_plus.rows]
         rows[0][0] = rows[0][0] * (1 + 1e-6)
         return SuperMatrix(v_plus.m, v_plus.n, rows, v_plus.parity), v_minus
@@ -195,6 +195,21 @@ def test_bosonic_lax_pair_lifts_each_exponential_once(deep, deep_points, monkeyp
     solution_values = [v for v in differentiated if any(v is w for w in values)]
     assert len(solution_values) == 5
     assert all(any(v is w for v in solution_values) for w in values)
+
+
+def test_bosonic_lax_build_takes_sqrt_lambda_once(deep, deep_points, monkeypatch):
+    """build_lax_bosonic takes sqrt(lambda) once and hands the jet to both
+    constructions: one analytic("sqrt") per zcc_bosonic_residual evaluation."""
+    seeds, _ = deep
+    s = darboux_chain(0, seeds, len(seeds)).solution()
+    pt = deep_points[1]
+    s.evaluate(pt)
+    names = []
+    analytic = JetScalar.analytic
+    monkeypatch.setattr(JetScalar, "analytic", lambda jet, name: (
+        names.append(name) or analytic(jet, name)))
+    assert residual_magnitude(zcc_bosonic_residual(s, pt)) < 1e-10
+    assert names.count("sqrt") == 1
 
 
 def test_riccati_inverts_psi_once(deep, monkeypatch):

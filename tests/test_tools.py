@@ -73,6 +73,32 @@ def test_report_hashes_against_a_checkout_with_one_residual_perturbed(tmp_path, 
     assert list(fields) == ["checks[].residual"]
     assert 0.5e-12 < float(fields["checks[].residual"]) < 2e-12
     assert lines[-1].strip() == "passed and singular agree"
+    # a residual over the gate flips every ``passed`` of the command: exit 1
+    ssge.write_text(ssge.read_text().replace(" + 1e-12\n", " + 1e-9\n"))
+    assert tool.main([str(ROOT), "--only", names[1], "--against", str(other)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[1:4] == ["exit", "0", "1"] and lines[0].endswith(" differs")
+    assert lines[-1].strip() == "passed and singular DIFFER"
+
+
+def test_report_hashes_exits_1_on_a_verdict_or_exit_code_difference(monkeypatch, capsys):
+    tool = load_tool("report_hashes")
+    report = {"checks": [{"passed": True, "residual": 1e-12}], "passed": True}
+    flipped = {"checks": [{"passed": False, "residual": 1e-12}], "passed": True}
+    outputs = {"same": [(0, report)] * 2, "numbers": [(0, report), (0, dict(report, x=1))],
+               "verdict": [(0, report), (0, flipped)], "exit": [(0, report), (1, report)]}
+    for case, sides in outputs.items():
+        calls = iter(sides)
+
+        def run(cli, root, argv):
+            code, value = next(calls)
+            text = json.dumps(value)
+            return code, hashlib.sha256(text.encode()).hexdigest()[:16], text
+        monkeypatch.setattr(tool, "run", run)
+        monkeypatch.setattr(tool, "load_cli", lambda root, name="": None)
+        got = tool.main([str(ROOT), "--only", "verify-backlund", "--against", str(ROOT)])
+        assert got == (case in ("verdict", "exit")), case
+    capsys.readouterr()
 
 
 def test_report_hashes_compare_names_each_field_and_verdict():

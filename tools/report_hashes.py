@@ -12,8 +12,9 @@ With ``--against OTHER_ROOT`` each command also runs on the other checkout.
 For a command whose hash differs, the tool prints the largest absolute
 difference of each numeric report field (list positions dropped from the
 field's path, complex values as their parts) and whether every ``passed`` and
-``singular`` value agrees.  The tool reads the checkouts' inputs and writes
-nothing.
+``singular`` value agrees.  It then exits 1 when any command's exit code, or
+any ``passed`` or ``singular`` value, differs between the two checkouts.  The
+tool reads the checkouts' inputs and writes nothing.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ def load_cli(root: Path, name: str = "report_hashes_pkg"):
     src = root / "src" / PACKAGE
     if not (src / "__init__.py").is_file():
         sys.exit(f"error: {root} has no src/{PACKAGE}")
+    for key in [key for key in sys.modules if key == name or key.startswith(name + ".")]:
+        del sys.modules[key]  # a module loaded earlier under this name, maybe of another checkout
     spec = importlib.util.spec_from_file_location(name, src / "__init__.py",
                                                   submodule_search_locations=[str(src)])
     package = importlib.util.module_from_spec(spec)
@@ -129,6 +132,7 @@ def main(argv=None) -> int:
     cli = load_cli(root)
     other = args.against and args.against.resolve()
     other_cli = other and load_cli(other, "report_hashes_other")
+    differs = False
     for name in args.only or COMMANDS:
         code, digest, text = run(cli, root, COMMANDS[name])
         if not other:
@@ -137,10 +141,13 @@ def main(argv=None) -> int:
         code_b, digest_b, text_b = run(other_cli, other, COMMANDS[name])
         same = "same" if (code, digest) == (code_b, digest_b) else "differs"
         print(f"{name:24s} exit {code} {code_b} sha256 {digest} {digest_b} {same}")
-        if same != "same":
-            for line in compare(text, text_b):
+        differs |= code != code_b
+        if digest != digest_b:
+            lines = compare(text, text_b)
+            for line in lines:
                 print("    " + line)
-    return 0
+            differs |= lines[-1] != "passed and singular agree"
+    return int(differs)
 
 
 if __name__ == "__main__":
