@@ -80,14 +80,14 @@ def generator_set(seeds: Sequence[SeedParams]) -> GeneratorSet:
     return GeneratorSet(BASE_GENERATORS + tuple(extra))
 
 
-def seed_trivial(k: int, label: str | None = None) -> Superfield:
+def seed_trivial(k: int) -> Superfield:
     """The constant solution s = 2 k pi."""
     value = TWO_PI * k
 
     def ev(pt: SuperspacePoint) -> GrassmannElement:
         return pt.scalar(pt.const_jet(value))
 
-    return Superfield(ev, EVEN, label or f"trivial(k={k})")
+    return Superfield(ev, EVEN, f"trivial(k={k})")
 
 
 def eta_jet(pt: SuperspacePoint, lam: complex) -> JetScalar:
@@ -106,14 +106,16 @@ def seed_wavefunction(params: SeedParams) -> tuple[Superfield, Superfield, Super
     Its values depend only on ``params`` and the point, so one triple is
     interned per ``params``: a chain and a closed form built from the same
     seeds share their memoized values.  psi and phi share one superfield
-    ``u`` (psi = c + u, phi = c - u).
+    ``u`` (psi = c + u, phi = c - u), and ``u`` and chi read one ``exp(eta)``.
     """
     lam = params.lam
     sq = cmath.sqrt(lam)
     b, c = params.b, params.c
+    tag = f"lam={lam}"
+    exp_f = Superfield(lambda pt: pt.scalar(eta_jet(pt, lam).analytic("exp")), EVEN,
+                       f"exp(eta)[{tag}]")
 
     def u_fn(pt: SuperspacePoint) -> GrassmannElement:
-        e = pt.scalar(eta_jet(pt, lam).analytic("exp"))
         tp = pt.theta("+")
         tm = pt.theta("-")
         u = pt.scalar(pt.const_jet(-b / (2 * sq)))
@@ -121,19 +123,17 @@ def seed_wavefunction(params: SeedParams) -> tuple[Superfield, Superfield, Super
             a = pt.odd_generator(params.a)
             u = u + (a * tp) * (-1j / (2 * sq)) + (a * tm) * (1j * sq)
         u = u + (tp * tm) * (1j * b / (2 * sq))
-        return u * e
+        return u * exp_f.evaluate(pt)
 
     def chi_fn(pt: SuperspacePoint) -> GrassmannElement:
-        e = pt.scalar(eta_jet(pt, lam).analytic("exp"))
         tp = pt.theta("+")
         tm = pt.theta("-")
         w = tp * (b / (2 * lam)) + tm * b
         if params.a is not None:
             a = pt.odd_generator(params.a)
             w = w + a + (a * (tp * tm)) * 1j
-        return w * e
+        return w * exp_f.evaluate(pt)
 
-    tag = f"lam={lam}"
     u_f = Superfield(u_fn, EVEN, f"u[{tag}]")
     return (Superfield(lambda pt: pt.scalar(pt.const_jet(c)) + u_f.evaluate(pt), EVEN, f"psi[{tag}]"),
             Superfield(lambda pt: pt.scalar(pt.const_jet(c)) - u_f.evaluate(pt), EVEN, f"phi[{tag}]"),
@@ -282,50 +282,27 @@ def darboux_chain(k: int, seeds: Sequence[SeedParams], n: int) -> DarbouxChain:
 # closed determinant form
 # ---------------------------------------------------------------------------
 
-#: pinned conventions (fixed against the iterated chain; see SIGN_CONVENTIONS.md)
-DELTA_POWER_RULE = "t"          # row t from the bottom carries lambda^t
-ALPHA_RULE = "inversions"       # (-1)^alpha = parity of the concatenated split
-INCLUDE_N_SIGN = False          # drop the printed global (-1)^n inside P
-EMPTY_DELTA_FIRST_SUM = 1.0     # empty determinant in the X-only term of even n
-SECOND_SUM_WEIGHT = 0.5         # weight of the X.X sum over ordered splits
-
+#: the pinned closed-form convention, fixed against the iterated chain (see
+#: SIGN_CONVENTIONS.md); every report embeds it
 CONVENTION_FINGERPRINT = (
-    f"delta-power={DELTA_POWER_RULE};alpha={ALPHA_RULE};n-sign={INCLUDE_N_SIGN};"
-    f"empty-delta={EMPTY_DELTA_FIRST_SUM};xx-weight={SECOND_SUM_WEIGHT};"
+    "delta-power=t;alpha=inversions;n-sign=False;empty-delta=1.0;xx-weight=0.5;"
     "chi-order=ascending;seed-chi-theta-minus=+b;delta-rows=top-down"
 )
 
 
-def _row_power(t: int, rule: str) -> int:
-    if rule == "t":
-        return t
-    if rule == "ceil":
-        return (t + 1) // 2
-    raise ValueError(f"unknown delta power rule {rule!r}")
+def _row_power(t: int) -> int:
+    """Row t of a Delta, counted from the bottom, carries lambda^t."""
+    return t
 
 
-def _alpha_sign(split: Sequence[int], rule: str) -> int:
-    """(-1)^alpha for the concatenated index list of a split."""
-    if rule == "none":
-        return 1
-    if rule == "inversions":
-        inv = sum(1 for i, j in itertools.combinations(range(len(split)), 2)
-                  if split[i] > split[j])
-        return -1 if inv & 1 else 1
-    if rule == "cyclic":
-        # count the rotation taking the sorted list to the split, when one exists
-        ordered = sorted(split)
-        size = len(split)
-        for shift in range(size):
-            if list(split) == ordered[shift:] + ordered[:shift]:
-                return -1 if shift & 1 else 1
-        return 1
-    raise ValueError(f"unknown alpha rule {rule!r}")
+def _inversion_sign(split: Sequence[int]) -> int:
+    """(-1)^alpha: the inversion parity of a split's concatenated index list."""
+    return -1 if sum(a > b for a, b in itertools.combinations(split, 2)) & 1 else 1
 
 
 def _minor_table(psis: Sequence[GrassmannElement], phis: Sequence[GrassmannElement],
-                 lams: Sequence[complex], columns: Sequence[int], which: int,
-                 power_rule: str) -> dict[tuple, GrassmannElement]:
+                 lams: Sequence[complex], columns: Sequence[int],
+                 which: int) -> dict[tuple, GrassmannElement]:
     """Delta over every ascending subset of ``columns``, keyed by the subset.
 
     Row t of a k-subset (counted from the bottom) does not depend on k, so
@@ -335,7 +312,7 @@ def _minor_table(psis: Sequence[GrassmannElement], phis: Sequence[GrassmannEleme
     first, second = (psis, phis) if which == 1 else (phis, psis)
     rows = []
     for t in range(len(columns)):
-        comps, power = (first if t % 2 == 0 else second), _row_power(t, power_rule)
+        comps, power = (first if t % 2 == 0 else second), _row_power(t)
         rows.append({a: comps[a] * (lams[a] ** power) if power else comps[a] for a in columns})
     table = {(a,): rows[0][a] for a in columns}
     for k in range(2, len(columns) + 1):
@@ -349,14 +326,14 @@ def _minor_table(psis: Sequence[GrassmannElement], phis: Sequence[GrassmannEleme
 
 
 def delta_determinant(psis: Sequence[GrassmannElement], phis: Sequence[GrassmannElement],
-                      lams: Sequence[complex], indices: Sequence[int], which: int,
-                      power_rule: str = DELTA_POWER_RULE) -> GrassmannElement:
+                      lams: Sequence[complex], indices: Sequence[int],
+                      which: int) -> GrassmannElement:
     """Determinant over the chosen indices; ``which`` selects Delta^1 or Delta^2.
 
-    Row t (counted from the bottom) holds lambda_a^power(t) times psi_a for
-    even t and phi_a for odd t; Delta^2 swaps psi and phi.  Entries are even,
-    so the ordinary alternating sum applies; it is taken from the minor
-    table over the sorted indices, signed by the parity of their given order.
+    Row t (counted from the bottom) holds lambda_a^t times psi_a for even t
+    and phi_a for odd t; Delta^2 swaps psi and phi.  Entries are even, so
+    the ordinary alternating sum applies; it is taken from the minor table
+    over the sorted indices, signed by the parity of their given order.
     No indices gives zero (the printed blanket convention); the one place the
     closed form needs the empty determinant to count as 1 instead (the n = 2
     top tier) is handled there, see SIGN_CONVENTIONS.md.
@@ -369,8 +346,8 @@ def delta_determinant(psis: Sequence[GrassmannElement], phis: Sequence[Grassmann
         raise ValueError("component lists must be nonempty")
     if not indices:
         return GrassmannElement.zero(psis[0].gens)
-    value = _minor_table(psis, phis, lams, indices, which, power_rule)[tuple(sorted(indices))]
-    return value if _alpha_sign(indices, "inversions") > 0 else -value
+    value = _minor_table(psis, phis, lams, indices, which)[tuple(sorted(indices))]
+    return value if _inversion_sign(indices) > 0 else -value
 
 
 def x_product(chis: Sequence[GrassmannElement], lams: Sequence[complex],
@@ -387,15 +364,14 @@ def x_product(chis: Sequence[GrassmannElement], lams: Sequence[complex],
     return out * pref
 
 
-def p_polynomial(lams: Sequence[complex], left: Sequence[int], right: Sequence[int],
-                 n: int, alpha_rule: str = ALPHA_RULE,
-                 include_n_sign: bool = INCLUDE_N_SIGN) -> complex:
+def p_polynomial(lams: Sequence[complex], left: Sequence[int],
+                 right: Sequence[int]) -> complex:
     """Signed product of all cross sums (lambda_l + lambda_r) over the split.
 
     Empty sides give 1 (no sign): the convention the displayed expansions use.
     The sign is (-1)^alpha with alpha the permutation parity of the
-    concatenated split; the printed global (-1)^n factor is configurable and
-    pinned OFF by the chain oracle (see SIGN_CONVENTIONS.md).
+    concatenated split; the printed global (-1)^n factor is dropped, as the
+    chain oracle requires (see SIGN_CONVENTIONS.md).
     """
     if set(left) & set(right):
         raise ValueError("left and right index sets must be disjoint")
@@ -405,23 +381,11 @@ def p_polynomial(lams: Sequence[complex], left: Sequence[int], right: Sequence[i
     for a in left:
         for b in right:
             prod *= lams[a] + lams[b]
-    sign = _alpha_sign(tuple(left) + tuple(right), alpha_rule)
-    if include_n_sign:
-        sign *= (-1) ** n
-    return sign * prod
+    return _inversion_sign(tuple(left) + tuple(right)) * prod
 
 
-@dataclass(frozen=True)
-class ClosedFormConventions:
-    power_rule: str = DELTA_POWER_RULE
-    alpha_rule: str = ALPHA_RULE
-    include_n_sign: bool = INCLUDE_N_SIGN
-    empty_delta: float = EMPTY_DELTA_FIRST_SUM
-    xx_weight: float = SECOND_SUM_WEIGHT
-
-
-def _closed_form_sides(psis, phis, chis, lams, n: int,
-                       conv: ClosedFormConventions) -> tuple[GrassmannElement, GrassmannElement]:
+def _closed_form_sides(psis, phis, chis, lams,
+                       n: int) -> tuple[GrassmannElement, GrassmannElement]:
     """Numerator and denominator of the closed-form ratio.
 
     They differ only in their minors (Delta^1 above, Delta^2 below): each X
@@ -429,45 +393,41 @@ def _closed_form_sides(psis, phis, chis, lams, n: int,
     """
     gens = psis[0].gens
     all_indices = tuple(range(n))
-    minors = [_minor_table(psis, phis, lams, all_indices, which, conv.power_rule)
-              for which in (1, 2)]
+    minors = [_minor_table(psis, phis, lams, all_indices, which) for which in (1, 2)]
     x = functools.cache(lambda idx: x_product(chis, lams, idx))
     sides = [GrassmannElement.zero(gens)] * 2
     shared = GrassmannElement.zero(gens)
     # main sum over splits into n-2m determinant indices and 2m X indices;
-    # the empty determinant counts only at n = 2, where the double-X sum
-    # below is empty and the top tier degenerates to i X_01 (as displayed)
+    # the empty determinant counts (as 1) only at n = 2, where the double-X
+    # sum below is empty and the top tier degenerates to i X_01 (as displayed)
     for m in range(0, n // 2 + 1):
         for knu in itertools.combinations(all_indices, 2 * m):
             kj = tuple(a for a in all_indices if a not in knu)
-            coeff = (1j ** m) * p_polynomial(lams, kj, knu, n, conv.alpha_rule,
-                                             conv.include_n_sign)
+            coeff = (1j ** m) * p_polynomial(lams, kj, knu)
             if not kj:
-                if n == 2 and conv.empty_delta != 0.0:
-                    shared = shared + x(knu) * (conv.empty_delta * coeff)
+                if n == 2:
+                    shared = shared + x(knu) * coeff
                 continue
             weight = x(knu) * coeff if knu else coeff
             sides = [side + minor[kj] * weight for side, minor in zip(sides, minors)]
-    # even order: the extra sum of double chi products
-    if n % 2 == 0 and conv.xx_weight != 0.0:
+    # even order: the extra sum of double chi products over ordered splits,
+    # weight 1/2 since each unordered pairing appears twice
+    if n % 2 == 0:
         for m in range(1, n // 2):
             for knu in itertools.combinations(all_indices, 2 * m):
                 kj = tuple(a for a in all_indices if a not in knu)
-                coeff = ((-1) ** m / math.factorial(m)) * conv.xx_weight \
-                    * p_polynomial(lams, kj, knu, n, conv.alpha_rule, conv.include_n_sign)
+                coeff = ((-1) ** m / math.factorial(m)) * 0.5 * p_polynomial(lams, kj, knu)
                 shared = shared + x(kj) * x(knu) * coeff
     return sides[0] + shared, sides[1] + shared
 
 
-def closed_form_sn(k: int, seeds: Sequence[SeedParams], n: int,
-                   conventions: ClosedFormConventions | None = None) -> Superfield:
+def closed_form_sn(k: int, seeds: Sequence[SeedParams], n: int) -> Superfield:
     """s[n] from the determinant expansion over the n seed wavefunctions."""
     if n < 1 or n > len(seeds):
         raise ValueError(f"need 1 <= n <= {len(seeds)}, got {n}")
     lams = [p.lam for p in seeds]
     if len(set(lams)) != len(lams):
         raise ValueError("spectral constants lambda_j must be distinct")
-    conv = conventions or ClosedFormConventions()
     triples = [seed_wavefunction(p) for p in seeds[:n]]
     base = TWO_PI * k
 
@@ -475,7 +435,7 @@ def closed_form_sn(k: int, seeds: Sequence[SeedParams], n: int,
         psis = [t[0].evaluate(pt) for t in triples]
         phis = [t[1].evaluate(pt) for t in triples]
         chis = [t[2].evaluate(pt) for t in triples]
-        num, den = _closed_form_sides(psis, phis, chis, lams, n, conv)
+        num, den = _closed_form_sides(psis, phis, chis, lams, n)
         ratio = num * _checked_inverse(den, "closed-form denominator")
         if near_zero(scalar_value(ratio.body())):
             raise SingularBodyError("singular point: closed-form numerator body vanishes")

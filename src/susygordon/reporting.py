@@ -97,12 +97,14 @@ def _at(value, i: int):
 
 
 def _chunk_results(chunk: Sequence[SuperspacePoint], check: Callable) -> list[dict]:
-    """check() on the chunk as one batch; point by point if the batch is singular."""
+    """check() on the chunk as one batch; point by point if a batch of several
+    points is singular (a batch of one fails exactly where its point does)."""
     try:
         result = check(PointBatch.of(chunk))
         return [_at(result, i) for i in range(len(chunk))]
-    except SingularBodyError:
-        pass
+    except SingularBodyError as err:
+        if len(chunk) == 1:
+            return [{"singular": str(err), "passed": True}]
     results = []
     for pt in chunk:
         try:

@@ -44,6 +44,9 @@ from .supermatrix import SuperMatrix
 
 Triple = tuple[GrassmannElement, GrassmannElement, GrassmannElement]
 
+#: how far, relative to the matrix scale, the two bosonic Lax constructions may disagree
+LAX_CONSISTENCY_TOL = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # the equation itself
@@ -198,8 +201,7 @@ def bosonic_v_pair_closed(s: Superfield, pt: SuperspacePoint, lam: JetScalar,
     return v_plus, v_minus
 
 
-def build_lax_bosonic(s: Superfield, pt: SuperspacePoint,
-                      consistency_tol: float = 1e-9) -> LaxPairBosonic:
+def build_lax_bosonic(s: Superfield, pt: SuperspacePoint) -> LaxPairBosonic:
     """V+- from both constructions; they must agree or the transcription is wrong.
 
     The guard is relative to the matrix scale (solutions deep in a Darboux
@@ -214,7 +216,7 @@ def build_lax_bosonic(s: Superfield, pt: SuperspacePoint,
                   for u, deriv, v in ((pair.u_plus, d_plus, v_plus), (pair.u_minus, d_minus, v_minus))
                   for i, k, entry in bosonic_v_defining_entries(u, deriv))
     scale = peak((1.0, v_plus.max_abs(), v_minus.max_abs()))
-    if np.any(defect > consistency_tol * scale):
+    if np.any(defect > LAX_CONSISTENCY_TOL * scale):
         raise LaxConsistencyError(
             f"defining and closed bosonic Lax matrices disagree by {np.max(defect):.3e}")
     return LaxPairBosonic(v_plus, v_minus, defect)

@@ -163,7 +163,9 @@ def test_memo_entry_lives_as_long_as_its_batch():
     assert len(calls) == 2
 
 
-def test_lax_guard_decides_per_point():
+def test_lax_guard_decides_per_point(monkeypatch):
+    import susygordon.ssge as ssge_module
+
     seeds = [SeedParams(lam=0.6, c=1.2, b=0.1, a="a0")]
     s = darboux_chain(0, seeds, 1).solution()
     pts = grid(4, gens=generator_set(seeds))
@@ -172,9 +174,11 @@ def test_lax_guard_decides_per_point():
     worst = max(p.defect / max(1.0, p.v_plus.max_abs(), p.v_minus.max_abs()) for p in pairs)
     assert worst > 0.0
     # the batch stops exactly when one of its points would
-    build_lax_bosonic(s, PointBatch.of(pts), consistency_tol=worst * 1.01)
+    monkeypatch.setattr(ssge_module, "LAX_CONSISTENCY_TOL", worst * 1.01)
+    build_lax_bosonic(s, PointBatch.of(pts))
+    monkeypatch.setattr(ssge_module, "LAX_CONSISTENCY_TOL", worst * 0.99)
     with pytest.raises(LaxConsistencyError):
-        build_lax_bosonic(s, PointBatch.of(pts), consistency_tol=worst * 0.99)
+        build_lax_bosonic(s, PointBatch.of(pts))
 
 
 def test_chain_and_closed_form_agree_on_a_batch():
@@ -271,24 +275,43 @@ def _entries(points, check, monkeypatch, chunk):
     return sweep(points, "p[{}]", check)
 
 
-def test_singular_point_in_a_chunk_reports_per_point_entries(monkeypatch):
-    # b0 = 2 sqrt(lambda0) c0: psi_0 has no body where eta0 = 0, i.e. at x+ = x- = 0
+def _singular_at_origin():
+    """A one-soliton bundle and its ssge check.  b0 = 2 sqrt(lambda0) c0:
+    psi_0 has no body where eta0 = 0, i.e. at x+ = x- = 0."""
     lam0, c0 = 0.8, 1.1
     bundle = build_solution({"kind": "darboux1", "lambda0": [lam0, 0], "a0": "a0",
                              "b0": [2 * np.sqrt(lam0) * c0, 0], "c0": [c0, 0]})
-    pts = [SuperspacePoint(x, y, 1.2, gens=bundle.gens)
-           for x, y in ((0.6, -0.5), (0.0, 0.0), (-0.7, 0.4), (0.5, 0.5))]
 
     def check(pt):
         mag = residual_magnitude(ssge_residual(bundle.s, pt))
         return {"residual": mag, "passed": mag <= 1e-10}
+    return bundle, check
 
+
+def test_singular_point_in_a_chunk_reports_per_point_entries(monkeypatch):
+    bundle, check = _singular_at_origin()
+    pts = [SuperspacePoint(x, y, 1.2, gens=bundle.gens)
+           for x, y in ((0.6, -0.5), (0.0, 0.0), (-0.7, 0.4), (0.5, 0.5))]
     with pytest.raises(SingularBodyError):
         check(PointBatch.of(pts))
     batched = _entries(pts, check, monkeypatch, reporting.CHUNK)
     assert batched == _entries(pts, check, monkeypatch, 1)
     assert ["singular" in e for e in batched] == [False, True, False, False]
     assert all(e["passed"] for e in batched)
+
+
+def test_a_singular_chunk_of_one_point_is_checked_once():
+    """A batch of one fails where its point fails, so the sweep records the
+    batch's error, which is the point's own, without checking the point again."""
+    bundle, check = _singular_at_origin()
+    pt = SuperspacePoint(0.0, 0.0, 1.2, gens=bundle.gens)
+    with pytest.raises(SingularBodyError) as err:
+        check(pt)
+    kinds = []
+    entries = sweep([pt], "p[{}]", lambda p: kinds.append(type(p).__name__) or check(p))
+    assert kinds == ["PointBatch"]
+    assert entries == [{"name": "p[0]", "point": reporting._point_json(pt),
+                        "singular": str(err.value), "passed": True}]
 
 
 def test_mixed_branch_in_a_chunk_reports_per_point_entries(monkeypatch):

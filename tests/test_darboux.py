@@ -1,14 +1,15 @@
 """Seeds, transformation steps, the chain, and the determinant closed form."""
 
 import cmath
+import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import susygordon.darboux as darboux_module
 from susygordon.darboux import (
-    ClosedFormConventions,
     CONVENTION_FINGERPRINT,
     SeedParams,
     WaveTriple,
@@ -28,6 +29,7 @@ from susygordon.darboux import (
 )
 from susygordon.errors import SingularBodyError
 from susygordon.grassmann import EVEN, ODD, GrassmannElement, allclose, ginv
+from susygordon.jets import JetScalar
 from susygordon.ssge import lsp_residual, residual_magnitude, ssge_residual
 from susygordon.superfield import PointBatch, Superfield, SuperspacePoint, combine
 
@@ -245,6 +247,21 @@ def test_chain_inverts_each_consumed_triple_once_per_step(deep, monkeypatch):
             assert (f.evaluate(pt) - g.evaluate(pt)).max_abs() == 0.0
 
 
+def test_chain_takes_each_seed_exponential_once_per_point(deep, monkeypatch):
+    """u (behind psi and phi) and chi of a seed read one exp(eta) field: a
+    cold s[4] of the 4-seed chain takes exp 4 times, where each component
+    taking its own made 8."""
+    seeds, gens = deep
+    chain = darboux_chain(0, seeds, 4)
+    names = []
+    analytic = JetScalar.analytic
+    monkeypatch.setattr(JetScalar, "analytic", lambda jet, name: (
+        names.append(name) or analytic(jet, name)))
+    pt = SuperspacePoint(0.0131, -0.0093, 1.05, gens=gens)
+    chain.solution().evaluate(pt)
+    assert names.count("exp") == 4
+
+
 def test_chain_with_mixed_degenerate_seeds():
     """Pure-fermionic (b = 0), pure-bosonic (no generator) and full seeds mix
     freely: zero odd components must flow through the transformation ratios."""
@@ -342,7 +359,12 @@ def test_delta_empty_is_zero(components):
     assert delta_determinant(psis, phis, lams, (), 1).is_zero()
 
 
-def permutation_delta(psis, phis, lams, indices, which, power_rule):
+#: the row powers the minor table is checked under: the pinned lambda^t, and
+#: the rejected lambda^ceil(t/2) as a test-side patch of ``_row_power``
+ROW_POWERS = {"t": lambda t: t, "ceil": lambda t: (t + 1) // 2}
+
+
+def permutation_delta(psis, phis, lams, indices, which, power):
     """Delta as the alternating sum over all r! column permutations: the
     oracle of the minor table.  Rows are listed top-down, so the top row is
     t = r-1 counted from the bottom."""
@@ -350,7 +372,6 @@ def permutation_delta(psis, phis, lams, indices, which, power_rule):
     if r == 0:
         return GrassmannElement.zero(psis[0].gens)
     first, second = (psis, phis) if which == 1 else (phis, psis)
-    power = {"t": lambda t: t, "ceil": lambda t: (t + 1) // 2}[power_rule]
     grid = [[(first if t % 2 == 0 else second)[a] * (lams[a] ** power(t)) for a in indices]
             for t in reversed(range(r))]
     total = GrassmannElement.zero(psis[0].gens)
@@ -375,27 +396,32 @@ def minor_points(deep):
 @pytest.mark.parametrize("which", [1, 2])
 @pytest.mark.parametrize("r", range(5))
 def test_minor_table_matches_permutation_expansion(deep, minor_points, r, which, power_rule,
-                                                   where):
+                                                   where, monkeypatch):
+    """The Laplace table is the determinant for the row powers ``_row_power``
+    gives, the rejected ones included: the row-power mutant of the chain test
+    below changes the determinant and nothing else."""
     seeds, _ = deep
+    power = ROW_POWERS[power_rule]
+    monkeypatch.setattr(darboux_module, "_row_power", power)
     pt = minor_points[where]
     triples = [seed_wavefunction(p) for p in seeds]
     psis = [t[0].evaluate(pt) for t in triples]
     phis = [t[1].evaluate(pt) for t in triples]
     lams = [p.lam for p in seeds]
     for indices in itertools.combinations(range(len(seeds)), r):
-        got = delta_determinant(psis, phis, lams, indices, which, power_rule)
-        want = permutation_delta(psis, phis, lams, indices, which, power_rule)
+        got = delta_determinant(psis, phis, lams, indices, which)
+        want = permutation_delta(psis, phis, lams, indices, which, power)
         assert np.all(allclose(got, want, 1e-12, 1e-12)), indices
         if r >= 2:
             # a transposition flips the sign exactly; the reversed order
             # carries the parity of r(r-1)/2 swaps
             swapped = (indices[1], indices[0]) + indices[2:]
-            assert np.all((delta_determinant(psis, phis, lams, swapped, which, power_rule)
+            assert np.all((delta_determinant(psis, phis, lams, swapped, which)
                            + got).max_abs() == 0.0)
             backwards = indices[::-1]
             assert np.all(allclose(
-                delta_determinant(psis, phis, lams, backwards, which, power_rule),
-                permutation_delta(psis, phis, lams, backwards, which, power_rule),
+                delta_determinant(psis, phis, lams, backwards, which),
+                permutation_delta(psis, phis, lams, backwards, which, power),
                 1e-12, 1e-12)), backwards
 
 
@@ -411,11 +437,13 @@ def test_x_product(components):
 
 def test_p_polynomial_conventions():
     lams = [0.5, 1.5, 2.5]
-    assert p_polynomial(lams, (0, 1), (), 3) == 1
-    assert p_polynomial(lams, (), (1, 2), 3) == 1
-    assert abs(abs(p_polynomial(lams, (0,), (2,), 2)) - abs(lams[0] + lams[2])) < 1e-14
+    assert p_polynomial(lams, (0, 1), ()) == 1
+    assert p_polynomial(lams, (), (1, 2)) == 1
+    assert p_polynomial(lams, (0,), (2,)) == lams[0] + lams[2]
+    assert p_polynomial(lams, (2,), (0, 1)) == (lams[2] + lams[0]) * (lams[2] + lams[1])
+    assert p_polynomial(lams, (1,), (0, 2)) == -(lams[1] + lams[0]) * (lams[1] + lams[2])
     with pytest.raises(ValueError):
-        p_polynomial(lams, (0, 1), (1, 2), 3)
+        p_polynomial(lams, (0, 1), (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +453,7 @@ def test_p_polynomial_conventions():
 def test_closed_form_low_orders_match_displays(components, deep):
     """s[1] and s[2] numerators are the displayed combinations exactly."""
     psis, phis, chis, lams = components
-    conv = ClosedFormConventions()
-    num2, _ = darboux_module._closed_form_sides(psis, phis, chis, lams, 2, conv)
+    num2, _ = darboux_module._closed_form_sides(psis, phis, chis, lams, 2)
     expect = delta_determinant(psis, phis, lams, (0, 1), 1) \
         + x_product(chis, lams, (0, 1)) * 1j
     assert allclose(num2, expect, 1e-11, 1e-11)
@@ -454,7 +481,7 @@ def test_closed_form_n3_term_list(components):
         + delta_determinant(psis, phis, lams, (0,), 1) * x_product(chis, lams, (1, 2)) * (1j * pp(0, (1, 2))) \
         - delta_determinant(psis, phis, lams, (1,), 1) * x_product(chis, lams, (0, 2)) * (1j * pp(1, (0, 2))) \
         + delta_determinant(psis, phis, lams, (2,), 1) * x_product(chis, lams, (0, 1)) * (1j * pp(2, (0, 1)))
-    got, _ = darboux_module._closed_form_sides(psis, phis, chis, lams, 3, ClosedFormConventions())
+    got, _ = darboux_module._closed_form_sides(psis, phis, chis, lams, 3)
     assert allclose(got, expect, 1e-10, 1e-10)
 
 
@@ -476,24 +503,113 @@ def test_closed_form_solves_equation(deep, deep_points):
         assert worst < 1e-10
 
 
-def test_sign_conventions_are_uniquely_pinned(deep):
-    """Record both readings: the pinned convention matches the chain at
-    order 3; flipping the alpha rule, the row powers, or reinstating the
-    global (-1)^n factor in P all break the match."""
+# The rejected readings of the closed form, as mutants of the pinned one: each
+# patches one helper of the darboux module or swaps in ``tiered_sides`` with
+# one tier weight changed.  SIGN_CONVENTIONS.md lists them.
+
+def tiered_sides(empty_delta=1.0, xx_weight=0.5):
+    """``_closed_form_sides`` with the weight of the n = 2 empty-Delta tier
+    and of the even-order double-X sum as parameters; the pinned weights
+    reproduce it bit for bit (test below)."""
+    def sides(psis, phis, chis, lams, n):
+        all_indices = tuple(range(n))
+        minors = [darboux_module._minor_table(psis, phis, lams, all_indices, which)
+                  for which in (1, 2)]
+        x = functools.partial(x_product, chis, lams)
+        out = [GrassmannElement.zero(psis[0].gens)] * 2
+        shared = GrassmannElement.zero(psis[0].gens)
+        for m in range(0, n // 2 + 1):
+            for knu in itertools.combinations(all_indices, 2 * m):
+                kj = tuple(a for a in all_indices if a not in knu)
+                coeff = (1j ** m) * p_polynomial(lams, kj, knu)
+                if not kj:
+                    if n == 2 and empty_delta != 0.0:
+                        shared = shared + x(knu) * (empty_delta * coeff)
+                    continue
+                weight = x(knu) * coeff if knu else coeff
+                out = [side + minor[kj] * weight for side, minor in zip(out, minors)]
+        if n % 2 == 0 and xx_weight != 0.0:
+            for m in range(1, n // 2):
+                for knu in itertools.combinations(all_indices, 2 * m):
+                    kj = tuple(a for a in all_indices if a not in knu)
+                    coeff = ((-1) ** m / math.factorial(m)) * xx_weight \
+                        * p_polynomial(lams, kj, knu)
+                    shared = shared + x(kj) * x(knu) * coeff
+        return out[0] + shared, out[1] + shared
+    return sides
+
+
+def cyclic_sign(split):
+    """The rejected 'cyclic permutations' reading of (-1)^alpha: the parity of
+    the rotation taking the sorted list to the split, or 1 when none does."""
+    ordered = sorted(split)
+    for shift in range(len(split)):
+        if list(split) == ordered[shift:] + ordered[:shift]:
+            return -1 if shift & 1 else 1
+    return 1
+
+
+def with_n_sign(n):
+    """P with the printed global (-1)^n reinstated on every two-sided split."""
+    pinned = darboux_module.p_polynomial
+    return lambda lams, left, right: (
+        pinned(lams, left, right) * ((-1) ** n if left and right else 1))
+
+
+MUTANTS = {
+    "empty-delta 0": lambda n: ("_closed_form_sides", tiered_sides(empty_delta=0.0)),
+    "alpha none": lambda n: ("_inversion_sign", lambda split: 1),
+    "alpha cyclic": lambda n: ("_inversion_sign", cyclic_sign),
+    "row power ceil": lambda n: ("_row_power", ROW_POWERS["ceil"]),
+    "(-1)^n in P": lambda n: ("p_polynomial", with_n_sign(n)),
+    "xx-weight 1": lambda n: ("_closed_form_sides", tiered_sides(xx_weight=1.0)),
+    "xx-weight 0": lambda n: ("_closed_form_sides", tiered_sides(xx_weight=0.0)),
+}
+
+#: the order at which each mutant fails the chain (measured on the deep chain):
+#: a reading that survives an order is equivalent to the pinned one there,
+#: e.g. (-1)^n is 1 at every even order
+KILLED_AT = {
+    2: ["empty-delta 0"],
+    3: ["alpha none", "alpha cyclic", "row power ceil", "(-1)^n in P"],
+    4: ["alpha none", "alpha cyclic", "row power ceil", "xx-weight 1", "xx-weight 0"],
+}
+
+
+def test_tiered_sides_at_the_pinned_weights_is_the_closed_form(components):
+    psis, phis, chis, lams = components
+    for n in range(1, 5):
+        want = darboux_module._closed_form_sides(psis, phis, chis, lams, n)
+        got = tiered_sides()(psis, phis, chis, lams, n)
+        for a, b in zip(got, want):
+            assert a.layout.keys == b.layout.keys and np.array_equal(a.block, b.block), n
+
+
+@pytest.fixture(scope="module")
+def chain_oracle(deep):
+    """The deep chain's s[1..4] on a batch of two grid points, and a test of
+    whether the closed form of order n matches it there."""
     seeds, gens = deep
-    chain = darboux_chain(0, seeds, 3)
-    pts = sample_grid(gens, count=2, seed=5)
+    batch = PointBatch.of(sample_grid(gens, count=2, seed=5))
+    chain = darboux_chain(0, seeds, 4)
+    values = [s.evaluate(batch) for s in chain.solutions]
 
-    def matches(conv):
-        cf = closed_form_sn(0, seeds, 3, conv)
-        return all(values_match_mod_2pi(chain.solutions[3].evaluate(pt),
-                                        cf.evaluate(pt), 1e-8) for pt in pts)
+    def matches(n):
+        cf = closed_form_sn(0, seeds, n).evaluate(batch)
+        return bool(np.all(values_match_mod_2pi(values[n], cf, 1e-8)))
+    return matches
 
-    assert matches(ClosedFormConventions())
-    assert not matches(ClosedFormConventions(alpha_rule="none"))
-    assert not matches(ClosedFormConventions(alpha_rule="cyclic"))
-    assert not matches(ClosedFormConventions(power_rule="ceil"))
-    assert not matches(ClosedFormConventions(include_n_sign=True))
+
+def test_sign_conventions_are_uniquely_pinned(chain_oracle, monkeypatch):
+    """The pinned convention matches the chain at orders 1-4, and every
+    rejected reading fails it at the orders listed in KILLED_AT."""
+    for n in range(1, 5):
+        assert chain_oracle(n), f"pinned convention fails at n={n}"
+    for n, names in KILLED_AT.items():
+        for name in names:
+            with monkeypatch.context() as patch:
+                patch.setattr(darboux_module, *MUTANTS[name](n))
+                assert not chain_oracle(n), f"mutant {name!r} survives at n={n}"
 
 
 def test_fingerprint_is_stable():

@@ -135,8 +135,9 @@ def test_v_consistency_defining_vs_closed(chain):
 
 
 def test_lax_guard_catches_one_entry_off_by_a_millionth(chain, monkeypatch):
-    """The default consistency tolerance (1e-9 of the matrix scale) catches a
+    """The consistency tolerance (1e-9 of the matrix scale) catches a
     closed-form V+ entry scaled by 1 + 1e-6; a tolerance of 1e-3 would not."""
+    assert ssge.LAX_CONSISTENCY_TOL == 1e-9
     pt = SuperspacePoint(0.2, -0.1, 1.4, gens=GENS)
     s = chain.solutions[1]
     build_lax_bosonic(s, pt)
@@ -199,17 +200,20 @@ def test_bosonic_lax_pair_lifts_each_exponential_once(deep, deep_points, monkeyp
 
 def test_bosonic_lax_build_takes_sqrt_lambda_once(deep, deep_points, monkeypatch):
     """build_lax_bosonic takes sqrt(lambda) once and hands the jet to both
-    constructions: one analytic("sqrt") per zcc_bosonic_residual evaluation."""
+    constructions: one analytic("sqrt") per zcc_bosonic_residual evaluation.
+    It builds U+- once too (the zcc-fermionic check builds its own)."""
     seeds, _ = deep
     s = darboux_chain(0, seeds, len(seeds)).solution()
     pt = deep_points[1]
     s.evaluate(pt)
-    names = []
-    analytic = JetScalar.analytic
+    names, pairs = [], []
+    analytic, u_pair = JetScalar.analytic, ssge.fermionic_u_pair
     monkeypatch.setattr(JetScalar, "analytic", lambda jet, name: (
         names.append(name) or analytic(jet, name)))
+    monkeypatch.setattr(ssge, "fermionic_u_pair", lambda *args: (
+        pairs.append(args) or u_pair(*args)))
     assert residual_magnitude(zcc_bosonic_residual(s, pt)) < 1e-10
-    assert names.count("sqrt") == 1
+    assert names.count("sqrt") == 1 and len(pairs) == 1
 
 
 def test_riccati_inverts_psi_once(deep, monkeypatch):

@@ -42,6 +42,10 @@ COMMANDS = {
     **{f"solve-{mode}-deep": ["solve", "darboux", "--seeds", "perfbench/inputs/deep_seeds.json",
                               "--mode", mode, *DEEP]
        for mode in ("chain", "closed-form")},
+    **{f"solve-closed-form-deep-n{n}": ["solve", "darboux", "--seeds",
+                                        "perfbench/inputs/deep_seeds.json", "--mode",
+                                        "closed-form", "--iterations", str(n), *DEEP]
+       for n in (2, 3)},
     **{f"reproduce-{target}": ["reproduce", target]
        for target in ("example1", "example2", "constraints")},
     "geometry-soliton": ["geometry", "--solution", "samples/one_soliton.json"],
@@ -136,11 +140,11 @@ def main(argv=None) -> int:
     for name in args.only or COMMANDS:
         code, digest, text = run(cli, root, COMMANDS[name])
         if not other:
-            print(f"{name:24s} exit {code} sha256 {digest}")
+            print(f"{name:26s} exit {code} sha256 {digest}")
             continue
         code_b, digest_b, text_b = run(other_cli, other, COMMANDS[name])
         same = "same" if (code, digest) == (code_b, digest_b) else "differs"
-        print(f"{name:24s} exit {code} {code_b} sha256 {digest} {digest_b} {same}")
+        print(f"{name:26s} exit {code} {code_b} sha256 {digest} {digest_b} {same}")
         differs |= code != code_b
         if digest != digest_b:
             lines = compare(text, text_b)
