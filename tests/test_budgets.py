@@ -44,7 +44,7 @@ BUDGETS = {
     "ssge_residual": (1, 1, 0),
     "zcc_fermionic_residual": (1, 1, 0),
     "build_lax_bosonic": (1, 2, 0),
-    "zcc_bosonic_residual": (1, 2, 0),
+    "zcc_bosonic_residual": (1, 1, 0),
     "lsp_residual": (1, 1, 0),
     "riccati_residuals": (1, 1, 0),
     "backlund_residuals": (1, 1, 0),

@@ -137,6 +137,9 @@ def test_exit_codes(tmp_path, capsys):
     code = main(["verify", "ssge", "--solution", sol, "--points", "2",
                  "--tol", "1e-30", "--out", str(tmp_path / "f.json")])
     assert code == 1
+    # zcc-bosonic reads only the closed V+-, so it runs at its (1, 1, 0) budget
+    assert main(["verify", "zcc-bosonic", "--solution", str(SAMPLES / "one_soliton.json"),
+                 "--points", "2", "--jet-spec", "1,1,0", "--out", str(tmp_path / "z.json")]) == 0
     # a config problem exits 2
     trivial = write(tmp_path, "t.json", {"kind": "trivial"})
     assert main(["verify", "lsp", "--solution", trivial, "--out", str(tmp_path / "x.json")]) == 2
@@ -154,7 +157,7 @@ def test_exit_codes(tmp_path, capsys):
         ["verify", "ssge", "--solution", write(tmp_path, "seed3.json", {**DARBOUX2, "seeds": [3]})],
         ["solve", "darboux", "--seeds", write(tmp_path, "seeds_list.json", [1, 2])],
         ["verify", "zcc-bosonic", "--solution", str(SAMPLES / "one_soliton.json"),
-         "--jet-spec", "1,1,0"],
+         "--jet-spec", "1,0,0"],
         # JSON of the right shape holding values of the wrong type
         ["verify", "ssge", "--solution", write(tmp_path, "n.json", {"kind": "darboux", "seeds": 3})],
         ["verify", "ssge", "--solution", write(tmp_path, "k.json", {"kind": "trivial", "k": [1]})],

@@ -1,11 +1,9 @@
 """Induced surface geometry: tangents, metric, normal, curvatures, examples."""
 
-from dataclasses import replace
-
 import pytest
 
 from susygordon.darboux import SeedParams, generator_set, seed_trivial
-from susygordon.errors import LaxConsistencyError, SingularBodyError
+from susygordon.errors import SingularBodyError
 from susygordon.geometry import (
     BetaFunction,
     curvatures,
@@ -18,7 +16,6 @@ from susygordon.geometry import (
 from susygordon.grassmann import GrassmannElement, allclose, analytic_lift, ginv
 from susygordon.ssge import build_lax_fermionic
 from susygordon.superfield import SuperspacePoint, d_lambda
-from susygordon.supermatrix import SuperMatrix
 from susygordon.worked_examples import (
     example1_bundle,
     example1_checks,
@@ -100,18 +97,6 @@ def test_trivial_solution_has_no_normal():
     td = tangent_data(s, pt, BETA)
     with pytest.raises(SingularBodyError):
         normal_core(td)
-
-
-def test_normal_rejects_an_anticommutator_that_is_not_diagonal(ex1):
-    pt = pt_for(ex1)
-    td = tangent_data(ex1.s, pt, BETA)
-    rows = [list(row) for row in td.ebd_plus.rows]
-    rows[0][2] = rows[0][2] * 1.5
-    bent = replace(td, ebd_plus=SuperMatrix(2, 1, rows, parity=td.ebd_plus.parity))
-    anti = bent.ebd_plus.bracket(bent.ebd_minus, "anticommutator")
-    assert anti.entry(0, 1).max_abs() > 1e-3
-    with pytest.raises(LaxConsistencyError):
-        normal_core(bent)
 
 
 def test_trivial_solution_second_form_vanishes_against_any_unit_normal(ex1):

@@ -28,7 +28,13 @@ from susygordon.ssge import (
     zcc_bosonic_residual,
     zcc_fermionic_residual,
 )
-from susygordon.superfield import Superfield, SuperspacePoint, combine, constant_superfield
+from susygordon.superfield import (
+    PointBatch,
+    Superfield,
+    SuperspacePoint,
+    combine,
+    constant_superfield,
+)
 from susygordon.supermatrix import SuperMatrix
 
 SEEDS = [SeedParams(lam=0.6, c=1.2 + 0.1j, b=0.1 - 0.04j, a="a0"),
@@ -154,6 +160,26 @@ def test_lax_guard_catches_one_entry_off_by_a_millionth(chain, monkeypatch):
         build_lax_bosonic(s, pt)
 
 
+def test_zcc_bosonic_catches_a_closed_entry_off_by_a_millionth(deep, deep_points, monkeypatch):
+    """zcc_bosonic_residual reads the closed V+- alone, so the residual
+    itself must see a closed entry that is slightly off: with V+[0, 0] scaled
+    by 1 + 1e-6, the deep chain's residual passes its 1e-10 gate."""
+    seeds, _ = deep
+    s = darboux_chain(0, seeds, len(seeds)).solution()
+    batch = PointBatch.of(deep_points[:3])
+    assert np.all(residual_magnitude(zcc_bosonic_residual(s, batch)) < 1e-10)
+    closed = ssge.bosonic_v_pair_closed
+
+    def skewed(s, pt, lam, sqrt_lam):
+        v_plus, v_minus = closed(s, pt, lam, sqrt_lam)
+        rows = [list(row) for row in v_plus.rows]
+        rows[0][0] = rows[0][0] * (1 + 1e-6)
+        return SuperMatrix(v_plus.m, v_plus.n, rows, v_plus.parity), v_minus
+
+    monkeypatch.setattr(ssge, "bosonic_v_pair_closed", skewed)
+    assert np.max(residual_magnitude(zcc_bosonic_residual(s, batch))) > 1e-10
+
+
 def test_bosonic_lax_pair_lifts_each_exponential_once(deep, deep_points, monkeypatch):
     """exp(+-i s) and D- s are fields derived from s, evaluated once per
     solution and point.  Over one deep point, the equation, zcc-fermionic,
@@ -199,9 +225,9 @@ def test_bosonic_lax_pair_lifts_each_exponential_once(deep, deep_points, monkeyp
 
 
 def test_bosonic_lax_build_takes_sqrt_lambda_once(deep, deep_points, monkeypatch):
-    """build_lax_bosonic takes sqrt(lambda) once and hands the jet to both
-    constructions: one analytic("sqrt") per zcc_bosonic_residual evaluation.
-    It builds U+- once too (the zcc-fermionic check builds its own)."""
+    """zcc_bosonic_residual takes sqrt(lambda) once, for the closed forms of
+    V+-, and builds no U+-: the defining formula V = i (D U - (E U)^2) is the
+    tests' reference (build_lax_bosonic), not part of the check."""
     seeds, _ = deep
     s = darboux_chain(0, seeds, len(seeds)).solution()
     pt = deep_points[1]
@@ -213,7 +239,7 @@ def test_bosonic_lax_build_takes_sqrt_lambda_once(deep, deep_points, monkeypatch
     monkeypatch.setattr(ssge, "fermionic_u_pair", lambda *args: (
         pairs.append(args) or u_pair(*args)))
     assert residual_magnitude(zcc_bosonic_residual(s, pt)) < 1e-10
-    assert names.count("sqrt") == 1 and len(pairs) == 1
+    assert names.count("sqrt") == 1 and len(pairs) == 0
 
 
 def test_riccati_inverts_psi_once(deep, monkeypatch):
