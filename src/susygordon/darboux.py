@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import SingularBodyError
 from .grassmann import EVEN, ODD, GeneratorSet, GrassmannElement, analytic_lift, ginv
-from .jets import JetScalar, near_zero, scalar_value
+from .jets import JetScalar, near_zero, peak, scalar_value
 from .superfield import (
     BASE_GENERATORS,
     Superfield,
@@ -456,10 +456,7 @@ def values_match_mod_2pi(a: GrassmannElement, b: GrassmannElement,
     every soul coefficient must still agree exactly.  Batches compare per point.
     """
     diff = a - b
-    body = diff.terms.get(0, None)
-    shifted = dict(diff.terms)
-    if body is not None:
-        v = scalar_value(body)
-        v = v - TWO_PI * np.round(v.real / TWO_PI)
-        shifted[0] = body - scalar_value(body) + v
-    return GrassmannElement(a.gens, shifted).max_abs() <= tol
+    body = diff.body()
+    body = body - TWO_PI * np.round(np.real(scalar_value(body)) / TWO_PI)
+    body_size = body.max_abs() if isinstance(body, JetScalar) else abs(body)
+    return peak((diff.soul().max_abs(), body_size)) <= tol

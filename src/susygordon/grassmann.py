@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -579,6 +579,20 @@ class GrassmannElement:
     def value_terms(self) -> dict[int, complex]:
         """Monomial map of plain complex values (jet coefficients collapsed)."""
         return {m: scalar_value(c) for m, c in self.terms.items()}
+
+    def pulled_back(self, f_plus: complex, f_minus: complex,
+                    monomial_factor: Callable[[int], complex]) -> "GrassmannElement":
+        """Coefficient ``(i, j, k)`` of monomial ``m`` times
+        ``f_plus^i f_minus^j monomial_factor(m)``: the element pulled back
+        through ``x+- -> f+- x+-`` and a rescaling of the generators."""
+        if not self.layout.keys:
+            return self
+        s_plus, s_minus = self.block.shape[2:4]
+        g_plus = np.asarray([f_plus ** i for i in range(s_plus)], dtype=complex)
+        g_minus = np.asarray([f_minus ** j for j in range(s_minus)], dtype=complex)
+        rows = np.asarray([monomial_factor(m) for m in self.layout.keys], dtype=complex)
+        block = self.block * g_plus[:, None, None] * g_minus[None, :, None]
+        return _pruned(self.gens, self.layout, block * rows[:, None, None, None, None])
 
     # -- ring operations ---------------------------------------------------------
 

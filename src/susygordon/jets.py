@@ -343,14 +343,6 @@ class JetScalar:
         raw = self.c[:, i, j, k] * math.factorial(i) * math.factorial(j) * math.factorial(k)
         return per_point(raw)
 
-    def scale_axes(self, f0: complex, f1: complex, f2: complex) -> "JetScalar":
-        """Multiply coefficient ``(i, j, k)`` by ``f0^i f1^j f2^k`` (pullback helper)."""
-        s = self.c.shape[1:]
-        g0 = np.asarray([f0 ** i for i in range(s[0])], dtype=complex)
-        g1 = np.asarray([f1 ** j for j in range(s[1])], dtype=complex)
-        g2 = np.asarray([f2 ** k for k in range(s[2])], dtype=complex)
-        return _wrap(self.c * g0[:, None, None] * g1[None, :, None] * g2[None, None, :])
-
     # -- analytic functions ---------------------------------------------------
 
     def _compose(self, seq: np.ndarray) -> "JetScalar":

@@ -340,19 +340,17 @@ def scaling_map(s: Superfield, mu: float, sign: int = 1) -> Superfield:
 
     def ev(pt: SuperspacePoint) -> GrassmannElement:
         v = s.evaluate(pt.rescaled(scale))
-        ip = v.gens.index("theta_plus")
-        im = v.gens.index("theta_minus")
-        terms = {}
-        for m, c in v.terms.items():
+        plus, minus = (1 << v.gens.index(name) for name in ("theta_plus", "theta_minus"))
+
+        def theta_factor(monomial: int) -> complex:
             factor = 1.0 + 0.0j
-            if m >> ip & 1:
+            if monomial & plus:
                 factor *= root
-            if m >> im & 1:
+            if monomial & minus:
                 factor /= root
-            if isinstance(c, JetScalar):
-                c = c.scale_axes(scale, 1.0 / scale, 1.0)
-            terms[m] = c * factor
-        return GrassmannElement(v.gens, terms)
+            return factor
+
+        return v.pulled_back(scale, 1.0 / scale, theta_factor)
 
     return Superfield(ev, s.parity, f"scaled({s.label}, mu={mu}, sign={sign})")
 

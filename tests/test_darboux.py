@@ -628,3 +628,36 @@ def test_values_match_mod_2pi_tolerates_branch_shifts(deep):
     shifted = v + 2 * np.pi
     assert values_match_mod_2pi(v, shifted, 1e-12)
     assert not values_match_mod_2pi(v, v + 1.0, 1e-12)
+
+
+def values_match_by_terms(a, b, tol=1e-10):
+    """The dict round trip that values_match_mod_2pi replaced, kept as its oracle."""
+    diff = a - b
+    body = diff.terms.get(0, None)
+    shifted = dict(diff.terms)
+    if body is not None:
+        v = JetScalar(body.c).value if isinstance(body, JetScalar) else complex(body)
+        v = v - 2 * math.pi * np.round(np.real(v) / (2 * math.pi))
+        shifted[0] = body - (body.value if isinstance(body, JetScalar) else body) + v
+    return GrassmannElement(a.gens, shifted).max_abs() <= tol
+
+
+def test_values_match_mod_2pi_on_the_block_equals_the_dict_round_trip(deep):
+    """The same verdict as the oracle at every tolerance from 1e-15 to 1e-6,
+    at one point and per point of a batch, on branch shifts, body and soul
+    offsets, a constant body, no body at all, and chain against closed form."""
+    seeds, gens = deep
+    pts = sample_grid(gens, count=3, seed=11)
+    chain = darboux_chain(0, seeds, 3)
+    closed = closed_form_sn(0, seeds, 3)
+    a0 = GrassmannElement.generator(gens, "a0")
+    for pt in (pts[0], PointBatch.of(pts)):
+        v = chain.solution().evaluate(pt)
+        soul = v.soul()
+        for a, b in ((v, closed.evaluate(pt)), (v, v + 2 * np.pi), (v, v - 4 * np.pi + 1e-9),
+                     (v, v + 1.0), (v, v + a0 * GrassmannElement.generator(gens, "a1") * 1e-8),
+                     (soul, soul + 1e-12 * v), (soul, soul), (v + 0.5, v)):
+            for tol in 10.0 ** np.arange(-15, -5):
+                # the oracle gives one verdict where every monomial cancels
+                got, want = values_match_mod_2pi(a, b, tol), values_match_by_terms(a, b, tol)
+                assert np.array_equal(got, np.broadcast_to(want, np.shape(got))), tol

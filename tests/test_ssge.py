@@ -1,5 +1,8 @@
 """Residual evaluators: Lax pairs, zero curvature, LSP, Riccati, Backlund, scaling."""
 
+import cmath
+import math
+
 import numpy as np
 import pytest
 
@@ -385,6 +388,49 @@ def test_scaling_preserves_solutions(chain):
             mapped = scaling_map(chain.solutions[n], mu, 1)
             for pt in points(3):
                 assert residual_magnitude(ssge_residual(mapped, pt)) < 1e-10
+
+
+def scaling_map_by_terms(s, mu, sign=1):
+    """The dict round trip that scaling_map replaced, kept as its oracle:
+    unpack the terms, scale each jet by L^i L^-j (and 1^k) on its (i, j, k)
+    slot, then by sqrt(L)^(n+ - n-), and pack again."""
+    scale = sign * math.exp(mu)
+    root = cmath.sqrt(scale)
+
+    def ev(pt):
+        v = s.evaluate(pt.rescaled(scale))
+        ip, im = v.gens.index("theta_plus"), v.gens.index("theta_minus")
+        terms = {}
+        for m, c in v.terms.items():
+            factor = 1.0 + 0.0j
+            if m >> ip & 1:
+                factor *= root
+            if m >> im & 1:
+                factor /= root
+            if isinstance(c, JetScalar):
+                g = [np.asarray([f ** i for i in range(n)], dtype=complex)
+                     for f, n in zip((scale, 1.0 / scale, 1.0), c.c.shape[1:])]
+                c = JetScalar(c.c * g[0][:, None, None] * g[1][None, :, None] * g[2][None, None, :])
+            terms[m] = c * factor
+        return GrassmannElement(v.gens, terms)
+
+    return Superfield(ev, s.parity, f"scaled-by-terms({s.label})")
+
+
+def test_scaling_map_on_the_block_equals_the_dict_round_trip(deep, deep_points):
+    """Same monomials, known shapes and coefficient bits as the oracle, on
+    s[1], s[2] and s[4] of the deep chain, at each of 4 points and on their batch."""
+    seeds, _ = deep
+    chain = darboux_chain(0, seeds, len(seeds))
+    pts = deep_points[4:8]
+    for n in (1, 2, 4):
+        for mu, sign in ((0.3, 1), (-0.3, 1), (0.3, -1)):
+            got, want = scaling_map(chain.solutions[n], mu, sign), scaling_map_by_terms(
+                chain.solutions[n], mu, sign)
+            for pt in (*pts, PointBatch.of(pts)):
+                a, b = got.evaluate(pt), want.evaluate(pt)
+                assert a.layout is b.layout and a.block.shape == b.block.shape
+                assert a.block.tobytes() == b.block.tobytes(), (n, mu, sign)
 
 
 # ---------------------------------------------------------------------------
