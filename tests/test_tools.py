@@ -52,7 +52,7 @@ def test_report_hashes_prints_exit_code_and_stdout_hash(capsys):
         os.chdir(cwd)
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
     assert lines[1].split()[1:] == ["exit", str(code), "sha256", digest]
-    assert code == 0 and len(tool.COMMANDS) == 16
+    assert code == 0 and len(tool.COMMANDS) == 17
 
 
 def test_report_hashes_against_a_checkout_with_one_residual_perturbed(tmp_path, capsys):

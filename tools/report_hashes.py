@@ -49,6 +49,8 @@ COMMANDS = {
     **{f"reproduce-{target}": ["reproduce", target]
        for target in ("example1", "example2", "constraints")},
     "geometry-soliton": ["geometry", "--solution", "samples/one_soliton.json"],
+    "verify-zcc-bosonic-scaled": ["verify", "zcc-bosonic", "--solution",
+                                  "samples/scaled_one_soliton.json"],
     "verify-lsp-soliton": ["verify", "lsp", "--solution", "samples/one_soliton.json"],
     "verify-riccati-soliton": ["verify", "riccati", "--solution", "samples/one_soliton.json"],
     "verify-backlund": ["verify", "backlund", "--solution", "samples/backlund_trivial.json"],
