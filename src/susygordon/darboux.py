@@ -210,7 +210,7 @@ def darboux_step_wavefunction(phi0: WaveTriple, target: WaveTriple) -> WaveTripl
     if target.index == phi0.index:
         raise ValueError("the consumed wavefunction cannot be transformed by itself")
     lam0, lamj = phi0.lam, target.lam
-    cross = cmath.sqrt(lam0 * lamj)
+    cross = cmath.sqrt(lam0) * cmath.sqrt(lamj)  # the seeds' own roots, not the product's
     phi_psi0, psi_phi0 = phi0.ratio("phi", "psi"), phi0.ratio("psi", "phi")
     q_psi, q_phi = phi0.ratio("chi", "psi"), phi0.ratio("chi", "phi")
 
@@ -352,12 +352,13 @@ def delta_determinant(psis: Sequence[GrassmannElement], phis: Sequence[Grassmann
 
 def x_product(chis: Sequence[GrassmannElement], lams: Sequence[complex],
               indices: Sequence[int]) -> GrassmannElement:
-    """sqrt(prod lambda) times the ordered product of chi components."""
+    """prod sqrt(lambda) times the ordered product of chi components (the
+    root of each seed, as the seeds take it, not the root of the product)."""
     if len(set(indices)) != len(indices):
         raise ValueError("x_product requires distinct indices (it vanishes anyway)")
     if not indices:
         raise ValueError("empty index list")
-    pref = cmath.sqrt(math.prod([lams[a] for a in indices], start=1.0 + 0.0j))
+    pref = math.prod([cmath.sqrt(lams[a]) for a in indices], start=1.0 + 0.0j)
     out = chis[indices[0]]
     for a in indices[1:]:
         out = out * chis[a]

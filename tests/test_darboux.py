@@ -661,3 +661,33 @@ def test_values_match_mod_2pi_on_the_block_equals_the_dict_round_trip(deep):
                 # the oracle gives one verdict where every monomial cancels
                 got, want = values_match_mod_2pi(a, b, tol), values_match_by_terms(a, b, tol)
                 assert np.array_equal(got, np.broadcast_to(want, np.shape(got))), tol
+
+
+#: seed constants whose square roots do not multiply to the root of their
+#: product: two negative, two complex whose arguments sum past pi, three negative
+ROOT_SEED_SETS = {
+    "two negative": [-0.5, -1.7],
+    "complex past the cut": [0.8 * cmath.exp(2.0j), 1.6 * cmath.exp(1.5j)],
+    "three negative": [-0.4, -1.3, -3.9],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_SEED_SETS))
+def test_chain_takes_the_root_of_each_seed(name):
+    """Every level of the chain solves the equation, and every live triple
+    its LSP, when the seed constants lie off the positive axis; the closed
+    form agrees with the chain at every order.  Taking the root of a product
+    of seed constants gives cross terms of the wrong sign here."""
+    seeds = [SeedParams(lam=lam, c=2.0 * (1 + 0.05j * (-1) ** j), b=0.1 * (-1) ** j, a=f"a{j}")
+             for j, lam in enumerate(ROOT_SEED_SETS[name])]
+    batch = PointBatch.of(sample_grid(generator_set(seeds), count=4, seed=1, x_half_width=0.05))
+    chain = darboux_chain(0, seeds, len(seeds))
+    for level, s in enumerate(chain.solutions):
+        assert np.all(residual_magnitude(ssge_residual(s, batch)) <= 1e-10), level
+        for wt in chain.waves[level]:
+            fields = wt.fields() if level == 0 else lsp_normalized_triple(wt)
+            residual = lsp_residual(fields, s, wt.lam, batch)
+            assert np.all(residual_magnitude(residual) <= 1e-10), (level, wt.index)
+        if level:
+            closed = closed_form_sn(0, seeds, level).evaluate(batch)
+            assert np.all(values_match_mod_2pi(s.evaluate(batch), closed)), level
