@@ -104,19 +104,17 @@ def normal_core(td: TangentData) -> SuperMatrix:
     q formally, leaving a constant matrix.  Dividing numerically instead
     would fail where the body of q vanishes (the purely fermionic solutions)
     and would flip sign with the branch of the square root, which the
-    reported closed forms do not.  The shape is an identity of the tangent
-    formulas for any even s, so it is checked by the tests
-    (``tests/test_identities.py``), not here: only q, the anticommutator's
-    entry (0, 0), is formed, to find the points where the normal is undefined.
+    reported closed forms do not.  The shape is an identity for any even s,
+    checked in ``tests/test_identities.py``; only q, the entry (0, 0), is
+    formed here, to find the points where the normal is undefined.
     """
     q = (td.ebd_plus.product_entry(td.ebd_minus, 0, 0)
          + td.ebd_minus.product_entry(td.ebd_plus, 0, 0))
-    gens = q.gens
     if np.any(q.max_abs() <= 1e-12):
         raise SingularBodyError("normal undefined: the tangent anticommutator vanishes")
     # orientation pinned by the reported second-fundamental forms
-    zero = GrassmannElement.zero(gens)
-    one = GrassmannElement.from_scalar(gens, 1.0 + 0.0j)
+    zero = GrassmannElement.zero(q.gens)
+    one = GrassmannElement.from_scalar(q.gens, 1.0 + 0.0j)
     return SuperMatrix(2, 1, [[-one, zero, zero], [zero, one, zero], [zero, zero, zero]],
                        parity=EVEN)
 

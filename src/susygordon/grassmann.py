@@ -582,14 +582,12 @@ class GrassmannElement:
 
     def pulled_back(self, f_plus: complex, f_minus: complex,
                     monomial_factor: Callable[[int], complex]) -> "GrassmannElement":
-        """Coefficient ``(i, j, k)`` of monomial ``m`` times
-        ``f_plus^i f_minus^j monomial_factor(m)``: the element pulled back
-        through ``x+- -> f+- x+-`` and a rescaling of the generators."""
+        """Coefficient ``(i, j, k)`` of monomial ``m`` times ``f_plus^i f_minus^j
+        monomial_factor(m)``: the pullback of the scaling map."""
         if not self.layout.keys:
             return self
-        s_plus, s_minus = self.block.shape[2:4]
-        g_plus = np.asarray([f_plus ** i for i in range(s_plus)], dtype=complex)
-        g_minus = np.asarray([f_minus ** j for j in range(s_minus)], dtype=complex)
+        g_plus, g_minus = (np.asarray([f ** i for i in range(n)], dtype=complex)
+                           for f, n in zip((f_plus, f_minus), self.block.shape[2:4]))
         rows = np.asarray([monomial_factor(m) for m in self.layout.keys], dtype=complex)
         block = self.block * g_plus[:, None, None] * g_minus[None, :, None]
         return _pruned(self.gens, self.layout, block * rows[:, None, None, None, None])

@@ -223,12 +223,9 @@ def build_lax_bosonic(s: Superfield, pt: SuperspacePoint) -> LaxPairBosonic:
 
 
 def zcc_bosonic_residual(s: Superfield, pt: SuperspacePoint) -> SuperMatrix:
-    """d/dx+ V- - d/dx- V+ + [V-, V+]; zero iff s solves the equation.
-
-    Reads the closed forms of V+- only.  That they equal the defining formula
-    is an identity of any even s, checked by the tests through
-    :func:`build_lax_bosonic`.
-    """
+    """d/dx+ V- - d/dx- V+ + [V-, V+]; zero iff s solves the equation.  Reads
+    the closed V+- only: that they equal the defining formula is an identity
+    of any even s, checked in the tests (:func:`build_lax_bosonic`)."""
     lam_jet = pt.lam_jet()
     v_plus, v_minus = bosonic_v_pair_closed(s, pt, lam_jet, lam_jet.analytic("sqrt"))
     return SuperMatrix.from_entries(2, 1, lambda i, k: (
@@ -341,16 +338,8 @@ def scaling_map(s: Superfield, mu: float, sign: int = 1) -> Superfield:
     def ev(pt: SuperspacePoint) -> GrassmannElement:
         v = s.evaluate(pt.rescaled(scale))
         plus, minus = (1 << v.gens.index(name) for name in ("theta_plus", "theta_minus"))
-
-        def theta_factor(monomial: int) -> complex:
-            factor = 1.0 + 0.0j
-            if monomial & plus:
-                factor *= root
-            if monomial & minus:
-                factor /= root
-            return factor
-
-        return v.pulled_back(scale, 1.0 / scale, theta_factor)
+        return v.pulled_back(scale, 1.0 / scale, lambda m: (
+            (root if m & plus else 1.0 + 0.0j) / (root if m & minus else 1.0)))
 
     return Superfield(ev, s.parity, f"scaled({s.label}, mu={mu}, sign={sign})")
 
