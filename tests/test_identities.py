@@ -40,12 +40,13 @@ from susygordon.worked_examples import example1_bundle
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 ONE = load_solution(SAMPLES / "one_soliton.json")
+DEEP_SEEDS = deep_seeds()
 
 #: each subject's chain and a batch of its sample points; the batches live as
 #: long as the module, so each chain is evaluated on them once
 SUBJECTS = {
-    "deep": (darboux_chain(0, deep_seeds(), 4),
-             PointBatch.of(sample_grid(generator_set(deep_seeds()), count=3, seed=5))),
+    "deep": (darboux_chain(0, DEEP_SEEDS, 4),
+             PointBatch.of(sample_grid(generator_set(DEEP_SEEDS), count=3, seed=5))),
     "one soliton": (ONE.chain, PointBatch.of(sample_grid(ONE.gens, count=3, seed=5,
                                                          x_half_width=0.4))),
 }
