@@ -31,20 +31,22 @@ import cmath
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import SingularBodyError
-from .grassmann import EVEN, ODD, GeneratorSet, GrassmannElement, analytic_lift, ginv
+from .grassmann import EVEN, ODD, GeneratorSet, GrassmannElement, analytic_lift
 from .jets import JetScalar, near_zero, peak, scalar_value
 from .superfield import (
     BASE_GENERATORS,
     Superfield,
     SuperspacePoint,
+    checked_inverse,
     combine,
+    constant_superfield,
+    quotient,
 )
 
 TWO_PI = 2 * math.pi
@@ -82,12 +84,7 @@ def generator_set(seeds: Sequence[SeedParams]) -> GeneratorSet:
 
 def seed_trivial(k: int) -> Superfield:
     """The constant solution s = 2 k pi."""
-    value = TWO_PI * k
-
-    def ev(pt: SuperspacePoint) -> GrassmannElement:
-        return pt.scalar(pt.const_jet(value))
-
-    return Superfield(ev, EVEN, f"trivial(k={k})")
+    return constant_superfield(TWO_PI * k, f"trivial(k={k})")
 
 
 def eta_jet(pt: SuperspacePoint, lam: complex) -> JetScalar:
@@ -158,23 +155,13 @@ class WaveTriple:
         return (self.psi, self.phi, self.chi)
 
     def ratio(self, num: str, den: str) -> Superfield:
-        """The component ``num`` over the even component ``den`` as the triple
-        consumed by a step: derived from ``num``, with the inverse derived from
-        ``den``, so every transformation by this triple shares both."""
-        what = f"{den}_0"
-        inverse = getattr(self, den).derive(
-            f"1/{what}", EVEN, lambda v: _checked_inverse(v, what))
-        top = getattr(self, num)
-        return top.derive(f"{num}_0/{what}", top.parity, operator.mul, inverse)
+        """``num`` over the even ``den`` of the triple a step consumes: the one
+        :func:`~susygordon.superfield.quotient` that every transformation by the
+        triple and the Riccati variables read off it share, with its inverse."""
+        return quotient(getattr(self, num), getattr(self, den))
 
     def evaluate(self, pt: SuperspacePoint):
         return (self.psi.evaluate(pt), self.phi.evaluate(pt), self.chi.evaluate(pt))
-
-
-def _checked_inverse(value: GrassmannElement, what: str) -> GrassmannElement:
-    if near_zero(scalar_value(value.body())):
-        raise SingularBodyError(f"singular point: body of {what} vanishes")
-    return ginv(value)
 
 
 def darboux_step_s(s: Superfield, phi0: WaveTriple) -> Superfield:
@@ -184,7 +171,7 @@ def darboux_step_s(s: Superfield, phi0: WaveTriple) -> Superfield:
     def ev(pt: SuperspacePoint) -> GrassmannElement:
         ratio = psi_over_phi.evaluate(pt)
         if near_zero(scalar_value(ratio.body())):
-            raise SingularBodyError("singular point: body of psi_0 vanishes")
+            raise SingularBodyError(f"singular point: body of {phi0.psi.label} vanishes")
         return s.evaluate(pt) - 1j * analytic_lift("ln", ratio)
 
     return Superfield(ev, EVEN, f"darboux_s({s.label}; {phi0.index})")
@@ -201,8 +188,7 @@ def lsp_normalized_triple(wt: WaveTriple) -> tuple[Superfield, Superfield, Super
     of the linear problem for s[k+1] itself.  Both statements are verified by
     the residual tests.
     """
-    neg_chi = combine(ODD, f"-{wt.chi.label}", lambda v: -1 * v, wt.chi)
-    return (wt.phi, wt.psi, neg_chi)
+    return (wt.phi, wt.psi, wt.chi.derive(f"-{wt.chi.label}", ODD, lambda v: -1 * v))
 
 
 def darboux_step_wavefunction(phi0: WaveTriple, target: WaveTriple) -> WaveTriple:
@@ -437,7 +423,7 @@ def closed_form_sn(k: int, seeds: Sequence[SeedParams], n: int) -> Superfield:
         phis = [t[1].evaluate(pt) for t in triples]
         chis = [t[2].evaluate(pt) for t in triples]
         num, den = _closed_form_sides(psis, phis, chis, lams, n)
-        ratio = num * _checked_inverse(den, "closed-form denominator")
+        ratio = num * checked_inverse(den, "closed-form denominator")
         if near_zero(scalar_value(ratio.body())):
             raise SingularBodyError("singular point: closed-form numerator body vanishes")
         return pt.scalar(pt.const_jet(base)) - 1j * analytic_lift("ln", ratio)

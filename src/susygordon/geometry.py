@@ -84,9 +84,6 @@ class MetricCoefficients:
     g12: GrassmannElement
     g22: GrassmannElement
 
-    def triple(self):
-        return (self.g11, self.g12, self.g22)
-
 
 def metric_coeffs(td: TangentData) -> MetricCoefficients:
     return MetricCoefficients(
@@ -120,17 +117,22 @@ def normal_core(td: TangentData) -> SuperMatrix:
 
 
 def second_form_coeffs(td: TangentData, normal: SuperMatrix) -> tuple[GrassmannElement, ...]:
-    """(b11, b12, b22, b21); built from beta D_j dU_i - {beta E dU_i, E U_j}."""
+    """(b11, b12, b22, b21); built from beta D_j dU_i - {beta E dU_i, E U_j}, of
+    which only the diagonal entries that the (diagonal) normal reads are formed."""
     du = {1: td.bd_plus, 2: td.bd_minus}          # already beta-weighted
-    u = {1: td.pair.u_plus, 2: td.pair.u_minus}
+    edu = {1: td.ebd_plus, 2: td.ebd_minus}
+    eu = {1: td.pair.u_plus.e_twist(), 2: td.pair.u_minus.e_twist()}
     which = {1: "D_plus", 2: "D_minus"}
+    read = {k for k in range(normal.size) if not normal.entry(k, k).is_zero()}
+    zero = GrassmannElement.zero(normal.gens)
 
     def b(i: int, j: int) -> GrassmannElement:
         # D_j acts on the entries as printed, with no extra E twist: that is
         # what reproduces the closed-form b_12 of both worked examples
-        deriv = du[i].map_entries(lambda e: cov_derivative(e, which[j]), parity=EVEN)
-        bracket = du[i].e_twist().bracket(u[j].e_twist(), "anticommutator")
-        return (deriv - bracket).killing(normal)
+        return SuperMatrix.from_entries(normal.m, normal.n, lambda r, k: (
+            cov_derivative(du[i].entry(k, k), which[j])
+            - (edu[i].product_entry(eu[j], k, k) + eu[j].product_entry(edu[i], k, k))
+            if r == k and k in read else zero), parity=EVEN).killing(normal)
 
     return b(1, 1), b(1, 2), b(2, 2), b(2, 1)
 

@@ -22,23 +22,22 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import LaxConsistencyError, ParityError
-from .grassmann import EVEN, ODD, GeneratorSet, GrassmannElement, analytic_lift, ginv
+from .grassmann import EVEN, ODD, GeneratorSet, GrassmannElement, analytic_lift
 from .jets import JetScalar, peak
 from .superfield import (
     Superfield,
     SuperspacePoint,
-    combine,
     d_minus,
     d_plus,
     dx_minus,
     dx_plus,
+    quotient,
 )
 from .supermatrix import SuperMatrix
 
@@ -287,12 +286,11 @@ def riccati_residuals(p: Superfield, q: Superfield, s: Superfield, lam: complex,
 
 
 def riccati_from_wavefunction(phi: Sequence[Superfield]) -> tuple[Superfield, Superfield]:
-    """p = phi/psi and q = chi/psi built from a wavefunction triple; both read
-    one 1/psi derived from psi."""
+    """p = phi/psi and q = chi/psi built from a wavefunction triple: the
+    :func:`~susygordon.superfield.quotient` fields a Darboux step consuming the
+    triple reads, so both share one 1/psi with it."""
     psi_f, phi_f, chi_f = phi
-    inv_psi = psi_f.derive("1/psi", EVEN, ginv)
-    return (combine(EVEN, "p=phi/psi", operator.mul, phi_f, inv_psi),
-            combine(ODD, "q=chi/psi", operator.mul, chi_f, inv_psi))
+    return quotient(phi_f, psi_f), quotient(chi_f, psi_f)
 
 
 # ---------------------------------------------------------------------------

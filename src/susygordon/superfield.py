@@ -23,18 +23,14 @@ a point axis of length 1 and take the same arithmetic path.
 
 from __future__ import annotations
 
+import operator
 import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
-from .errors import ParityError
-from .grassmann import (
-    EVEN,
-    ODD,
-    GeneratorSet,
-    GrassmannElement,
-)
-from .jets import DEFAULT_SPEC, JetScalar, JetSpec
+from .errors import ParityError, SingularBodyError
+from .grassmann import EVEN, ODD, GeneratorSet, GrassmannElement, ginv
+from .jets import DEFAULT_SPEC, JetScalar, JetSpec, near_zero, scalar_value
 
 THETA_PLUS = "theta_plus"
 THETA_MINUS = "theta_minus"
@@ -169,8 +165,8 @@ class Superfield:
     solution at the same sweep points for several different residuals.
     The memo holds its points weakly, so a value lives only as long as its
     point (or batch) object does.  A value that several formulas read off
-    one superfield (exp(+-i s), D- s, the inverses and ratios of a
-    wavefunction) is a superfield of its own, made once by :meth:`derive`,
+    one superfield (exp(+-i s), D- s, the inverses and quotients of
+    :func:`quotient`) is a superfield of its own, made once by :meth:`derive`,
     so it shares this memo too.
     """
 
@@ -226,3 +222,20 @@ def combine(parity: str, label: str,
             fn: Callable[..., GrassmannElement], *fields: Superfield) -> Superfield:
     """Pointwise combination of superfields (sums, scalings, compositions)."""
     return Superfield(lambda pt: fn(*(f.evaluate(pt) for f in fields)), parity, label)
+
+
+def checked_inverse(value: GrassmannElement, what: str) -> GrassmannElement:
+    """1/value; where its body vanishes, a singular point that names ``what``."""
+    if near_zero(scalar_value(value.body())):
+        raise SingularBodyError(f"singular point: body of {what} vanishes")
+    return ginv(value)
+
+
+def quotient(num: Superfield, den: Superfield) -> Superfield:
+    """num/den, derived from num and read through the inverse derived from den.
+
+    Both keys name the fields by their own labels, not by the roles a caller
+    reads them in, so each num/den and each 1/den is made once per point.
+    """
+    inverse = den.derive(f"1/{den.label}", EVEN, lambda v: checked_inverse(v, den.label))
+    return num.derive(f"{num.label}/{den.label}", num.parity, operator.mul, inverse)

@@ -49,7 +49,7 @@ BUDGETS = {
     "riccati_residuals": (1, 1, 0),
     "backlund_residuals": (1, 1, 0),
     "tangent_data": (0, 1, 1),
-    "second_form_coeffs": (1, 1, 1),
+    "second_form_coeffs": (0, 1, 1),
 }
 
 

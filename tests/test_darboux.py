@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import susygordon.darboux as darboux_module
+import susygordon.superfield as superfield_module
 from susygordon.darboux import (
     CONVENTION_FINGERPRINT,
     SeedParams,
@@ -223,6 +224,19 @@ def test_chain_solves_equation_to_depth_four(deep, deep_points):
         assert worst < 1e-10, f"n={n}: {worst}"
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_chain_does_not_depend_on_the_order_it_consumes_seeds(deep, deep_points, n):
+    """Bianchi permutability: s[n] from the first n deep seeds, consumed in any
+    order, is one solution.  The closed form was pinned against the chain, so
+    this is the check of the chain that does not rest on it."""
+    seeds, _ = deep
+    batch = PointBatch.of(deep_points[:3])
+    want = darboux_chain(0, seeds[:n], n).solution().evaluate(batch)
+    for order in itertools.permutations(range(n)):
+        got = darboux_chain(0, [seeds[j] for j in order], n).solution().evaluate(batch)
+        assert np.all(values_match_mod_2pi(got, want, 1e-10)), order
+
+
 def test_chain_inverts_each_consumed_triple_once_per_step(deep, monkeypatch):
     """s[4] needs 1/psi_0 and 1/phi_0 once for each of the three steps with live
     targets, and 1/phi_0 of the last step: 7.  The s step reuses the step's
@@ -233,7 +247,7 @@ def test_chain_inverts_each_consumed_triple_once_per_step(deep, monkeypatch):
     seeds, gens = deep
     chain = darboux_chain(0, seeds, 4)
     calls = []
-    monkeypatch.setattr(darboux_module, "ginv", lambda v: calls.append(v) or ginv(v))
+    monkeypatch.setattr(superfield_module, "ginv", lambda v: calls.append(v) or ginv(v))
     pt = SuperspacePoint(0.0123, -0.0217, 1.1, gens=gens)
     chain.solution().evaluate(pt)
     assert len(calls) == 7

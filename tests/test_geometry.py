@@ -1,8 +1,10 @@
 """Induced surface geometry: tangents, metric, normal, curvatures, examples."""
 
+import numpy as np
 import pytest
 
-from susygordon.darboux import SeedParams, generator_set, seed_trivial
+import susygordon.geometry as geometry_module
+from susygordon.darboux import SeedParams, darboux_chain, generator_set, seed_trivial
 from susygordon.errors import SingularBodyError
 from susygordon.geometry import (
     BetaFunction,
@@ -13,9 +15,9 @@ from susygordon.geometry import (
     surface_data,
     tangent_data,
 )
-from susygordon.grassmann import GrassmannElement, allclose, analytic_lift, ginv
+from susygordon.grassmann import EVEN, GrassmannElement, allclose, analytic_lift, ginv
 from susygordon.ssge import build_lax_fermionic
-from susygordon.superfield import SuperspacePoint, d_lambda
+from susygordon.superfield import PointBatch, SuperspacePoint, cov_derivative, d_lambda
 from susygordon.worked_examples import (
     example1_bundle,
     example1_checks,
@@ -107,6 +109,42 @@ def test_trivial_solution_second_form_vanishes_against_any_unit_normal(ex1):
     td_triv = tangent_data(seed_trivial(0), pt, BETA)
     b11, b12, b22, b21 = second_form_coeffs(td_triv, n)
     assert max(b11.max_abs(), b12.max_abs(), b22.max_abs(), b21.max_abs()) < 1e-12
+
+
+def second_form_from_whole_matrices(td, normal):
+    """The reference: every entry of beta D_j dU_i - {beta E dU_i, E U_j},
+    paired with the normal."""
+    du = {1: td.bd_plus, 2: td.bd_minus}
+    u = {1: td.pair.u_plus, 2: td.pair.u_minus}
+    which = {1: "D_plus", 2: "D_minus"}
+
+    def b(i, j):
+        deriv = du[i].map_entries(lambda e: cov_derivative(e, which[j]), parity=EVEN)
+        bracket = du[i].e_twist().bracket(u[j].e_twist(), "anticommutator")
+        return (deriv - bracket).killing(normal)
+
+    return b(1, 1), b(1, 2), b(2, 2), b(2, 1)
+
+
+def test_second_form_forms_only_the_normal_diagonal(ex1, deep, deep_points, monkeypatch):
+    """The second form forms the two diagonal entries the normal reads: 2
+    covariant derivatives per coefficient, where the whole matrices took 9,
+    and the floats of the whole-matrix construction, at a point and on a batch."""
+    seeds, _ = deep
+    s4 = darboux_chain(0, seeds, 4).solution()
+    cov = geometry_module.cov_derivative
+    for s, pt in ((ex1.s, pt_for(ex1)), (s4, PointBatch.of(deep_points[:3]))):
+        td = tangent_data(s, pt, BETA)
+        normal = normal_core(td)
+        want = second_form_from_whole_matrices(td, normal)
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry_module, "cov_derivative",
+                          lambda *args: calls.append(args) or cov(*args))
+            got = second_form_coeffs(td, normal)
+        assert len(calls) == 8
+        for a, b in zip(got, want):
+            assert a.layout.keys == b.layout.keys and np.array_equal(a.block, b.block)
 
 
 def test_example1_full_table(ex1):

@@ -1,6 +1,7 @@
 """Residual evaluators: Lax pairs, zero curvature, LSP, Riccati, Backlund, scaling."""
 
 import cmath
+import inspect
 import math
 
 import numpy as np
@@ -16,8 +17,8 @@ from susygordon.darboux import (
 )
 from susygordon import ssge
 from susygordon.errors import LaxConsistencyError, ParityError
-from susygordon.grassmann import EVEN, ODD, GrassmannElement, allclose
-from susygordon.jets import JetScalar, scalar_value
+from susygordon.grassmann import EVEN, ODD, GrassmannElement, allclose, analytic_lift, ginv
+from susygordon.jets import JetScalar, peak, scalar_value
 from susygordon.ssge import (
     backlund_residuals,
     build_lax_bosonic,
@@ -37,6 +38,7 @@ from susygordon.superfield import (
     SuperspacePoint,
     combine,
     constant_superfield,
+    d_plus,
 )
 from susygordon.supermatrix import SuperMatrix
 
@@ -247,21 +249,42 @@ def test_bosonic_lax_build_takes_sqrt_lambda_once(deep, deep_points, monkeypatch
 
 def test_riccati_inverts_psi_once(deep, monkeypatch):
     """p = phi/psi and q = chi/psi read one derived 1/psi: one inverse of psi
-    per point, where each inverting psi on its own made two."""
-    import susygordon.ssge as ssge_module
+    per point, where each inverting psi on its own made two.  The triple is
+    evaluated first, so the inverses behind its components are not counted."""
+    import susygordon.superfield as superfield_module
 
     seeds, gens = deep
     chain = darboux_chain(0, seeds, 2)
     fields = lsp_normalized_triple(chain.waves[1][0])
     pt = SuperspacePoint(0.011, -0.007, 1.3, gens=gens)
-    psi = fields[0].evaluate(pt)
+    psi, _, _ = (f.evaluate(pt) for f in fields)
     inverted = []
-    ginv = ssge_module.ginv
-    monkeypatch.setattr(ssge_module, "ginv", lambda v: inverted.append(v) or ginv(v))
+    ginv = superfield_module.ginv
+    monkeypatch.setattr(superfield_module, "ginv", lambda v: inverted.append(v) or ginv(v))
     p, q = riccati_from_wavefunction(fields)
     assert residual_magnitude(riccati_residuals(p, q, chain.solutions[1], chain.waves[1][0].lam,
                                                 pt)) < 1e-10
     assert len(inverted) == 1 and inverted[0] is psi
+
+
+def test_riccati_reads_the_quotients_of_the_step_consuming_its_triple(deep, monkeypatch):
+    """p and q of a seed triple are the step's phi_0/psi_0 and chi_0/psi_0.
+    s[1] reads psi_0/phi_0 alone; s[2] transforms the live triples by those
+    quotients, so once it is evaluated, the Riccati variables invert nothing."""
+    import susygordon.superfield as superfield_module
+
+    seeds, gens = deep
+    chain = darboux_chain(0, seeds, 2)
+    wt = chain.waves[0][0]
+    pt = SuperspacePoint(0.0147, -0.0088, 1.2, gens=gens)
+    chain.solutions[2].evaluate(pt)
+    inverted = []
+    ginv = superfield_module.ginv
+    monkeypatch.setattr(superfield_module, "ginv", lambda v: inverted.append(v) or ginv(v))
+    p, q = riccati_from_wavefunction(wt.fields())
+    assert p is wt.ratio("phi", "psi") and q is wt.ratio("chi", "psi")
+    assert residual_magnitude(riccati_residuals(p, q, chain.solutions[0], wt.lam, pt)) < 1e-10
+    assert inverted == []
 
 
 def test_zcc_bosonic(chain):
@@ -357,6 +380,56 @@ def test_backlund_rejects_random_triple():
     f = Superfield(lambda pt: pt.theta("-") * 0.3, ODD, "f")
     pt = points(1)[0]
     assert residual_magnitude(backlund_residuals(s, st, f, 1.0, pt)) > 1e-3
+
+
+def chain_backlund_pairs(deep, deep_points):
+    """``(s, s~, f, lambda_k)`` for each step k of the deep chain, and a batch of
+    three grid points.  The pair is (-s[k], s[k+1]) at the consumed seed's
+    constant: the sign flip is the mirror solution of ``lsp_normalized_triple``.
+    f = sqrt(lambda_k) D+(s + s~) / cos((s - s~)/2) is r1 solved for f."""
+    seeds, _ = deep
+    chain = darboux_chain(0, seeds, len(seeds))
+    pairs = []
+    for k in range(len(seeds)):
+        lam = chain.waves[k][0].lam
+        s = combine(EVEN, f"-s[{k}]", lambda v: -1 * v, chain.solutions[k])
+        st = chain.solutions[k + 1]
+
+        def f_fn(pt, s=s, st=st, root=cmath.sqrt(lam)):
+            sv, tv = s.evaluate(pt), st.evaluate(pt)
+            return d_plus(sv + tv) * ginv(analytic_lift("cos", (sv - tv) * 0.5)) * root
+
+        pairs.append((s, st, Superfield(f_fn, ODD, f"f[{k}]"), lam))
+    return pairs, PointBatch.of(deep_points[:3])
+
+
+def test_backlund_relates_consecutive_chain_solutions(deep, deep_points):
+    pairs, batch = chain_backlund_pairs(deep, deep_points)
+    for k, (s, st, f, lam) in enumerate(pairs):
+        worst = residual_magnitude(backlund_residuals(s, st, f, lam, batch))
+        assert np.all(worst <= 1e-10), f"step {k}: {worst}"
+
+
+#: hand mutants of ``backlund_residuals`` that the trivial pairs, where every
+#: term vanishes, let through: each replaces one coefficient of one relation
+BACKLUND_MUTANTS = {
+    "r1 f term x7": ("fv * cos_diff * inv_sqrt", "fv * cos_diff * inv_sqrt * 7"),
+    "r2 3 sqrt(lambda)": ("fv * cos_sum * (2 * sqrt_lam)", "fv * cos_sum * (3 * sqrt_lam)"),
+    "r4 -2j": ("sin_sum * (2j * sqrt_lam)", "sin_sum * (-2j * sqrt_lam)"),
+}
+
+
+@pytest.mark.parametrize("name", list(BACKLUND_MUTANTS))
+def test_chain_backlund_pairs_kill_each_backlund_mutant(deep, deep_points, name):
+    old, new = BACKLUND_MUTANTS[name]
+    source = inspect.getsource(ssge.backlund_residuals)
+    assert source.count(old) == 1, "the mutated term is no longer in the source"
+    namespace = dict(vars(ssge))
+    exec(compile(source.replace(old, new), ssge.__file__, "exec"), namespace)
+    mutant = namespace["backlund_residuals"]
+    pairs, batch = chain_backlund_pairs(deep, deep_points)
+    worst = peak(residual_magnitude(mutant(s, st, f, lam, batch)) for s, st, f, lam in pairs)
+    assert np.all(worst > 1e-10), f"mutant {name!r} survives: {worst}"
 
 
 # ---------------------------------------------------------------------------

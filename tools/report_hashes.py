@@ -49,6 +49,7 @@ COMMANDS = {
     **{f"reproduce-{target}": ["reproduce", target]
        for target in ("example1", "example2", "constraints")},
     "geometry-soliton": ["geometry", "--solution", "samples/one_soliton.json"],
+    "geometry-deep": ["geometry", "--solution", "perfbench/inputs/deep_chain.json", *DEEP],
     "verify-zcc-bosonic-scaled": ["verify", "zcc-bosonic", "--solution",
                                   "samples/scaled_one_soliton.json"],
     "verify-lsp-soliton": ["verify", "lsp", "--solution", "samples/one_soliton.json"],
