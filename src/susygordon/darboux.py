@@ -36,14 +36,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SingularBodyError
-from .grassmann import EVEN, ODD, GeneratorSet, GrassmannElement, analytic_lift
-from .jets import JetScalar, near_zero, peak, scalar_value
+from .grassmann import EVEN, ODD, GeneratorSet, GrassmannElement, analytic_lift, ginv
+from .jets import JetScalar, peak, scalar_value
 from .superfield import (
     BASE_GENERATORS,
     Superfield,
     SuperspacePoint,
-    checked_inverse,
+    checked,
     combine,
     constant_superfield,
     quotient,
@@ -170,9 +169,8 @@ def darboux_step_s(s: Superfield, phi0: WaveTriple) -> Superfield:
 
     def ev(pt: SuperspacePoint) -> GrassmannElement:
         ratio = psi_over_phi.evaluate(pt)
-        if near_zero(scalar_value(ratio.body())):
-            raise SingularBodyError(f"singular point: body of {phi0.psi.label} vanishes")
-        return s.evaluate(pt) - 1j * analytic_lift("ln", ratio)
+        log = checked(analytic_lift, "ln", ratio, what=f"body of {phi0.psi.label} vanishes")
+        return s.evaluate(pt) - 1j * log  # s last: a point names this step's body first
 
     return Superfield(ev, EVEN, f"darboux_s({s.label}; {phi0.index})")
 
@@ -188,7 +186,7 @@ def lsp_normalized_triple(wt: WaveTriple) -> tuple[Superfield, Superfield, Super
     of the linear problem for s[k+1] itself.  Both statements are verified by
     the residual tests.
     """
-    return (wt.phi, wt.psi, wt.chi.derive(f"-{wt.chi.label}", ODD, lambda v: -1 * v))
+    return (wt.phi, wt.psi, wt.chi.derive(f"-{wt.chi.label}", ODD, lambda v: -v))
 
 
 def darboux_step_wavefunction(phi0: WaveTriple, target: WaveTriple) -> WaveTriple:
@@ -423,10 +421,9 @@ def closed_form_sn(k: int, seeds: Sequence[SeedParams], n: int) -> Superfield:
         phis = [t[1].evaluate(pt) for t in triples]
         chis = [t[2].evaluate(pt) for t in triples]
         num, den = _closed_form_sides(psis, phis, chis, lams, n)
-        ratio = num * checked_inverse(den, "closed-form denominator")
-        if near_zero(scalar_value(ratio.body())):
-            raise SingularBodyError("singular point: closed-form numerator body vanishes")
-        return pt.scalar(pt.const_jet(base)) - 1j * analytic_lift("ln", ratio)
+        ratio = num * checked(ginv, den, what="body of closed-form denominator vanishes")
+        log = checked(analytic_lift, "ln", ratio, what="closed-form numerator body vanishes")
+        return pt.scalar(pt.const_jet(base)) - 1j * log
 
     return Superfield(ev, EVEN, f"closed_form_s[{n}]")
 

@@ -107,7 +107,7 @@ def normal_core(td: TangentData) -> SuperMatrix:
     """
     q = (td.ebd_plus.product_entry(td.ebd_minus, 0, 0)
          + td.ebd_minus.product_entry(td.ebd_plus, 0, 0))
-    if np.any(q.max_abs() <= 1e-12):
+    if np.any(q.max_abs() <= TINY):
         raise SingularBodyError("normal undefined: the tangent anticommutator vanishes")
     # orientation pinned by the reported second-fundamental forms
     zero = GrassmannElement.zero(q.gens)

@@ -32,10 +32,11 @@ afresh, and layouts that no live element holds go with their tables.  A
 product is then one signed jet product per pair, one ``np.add.reduceat`` over
 the runs and one nonzero pass that drops the monomials that came out zero.  Up
 to ``GATHER_ROWS`` pair rows (pairs times points) it gathers both blocks' rows
-and the index pairs of :func:`susygordon.jets._product_table`.  A larger one
-transposes both blocks once to jet-major ``(s+, s-, slam, M, P)``, gathers the
-pair rows innermost in chunks of whole runs, at most ``SHIFT_ROWS`` pair rows
-each (a longer run alone), and sums shifted jet slices of the supports.
+and convolves them with :func:`susygordon.jets.truncated_product`, as a jet
+product does.  A larger one transposes both blocks once to jet-major
+``(s+, s-, slam, M, P)``, gathers the pair rows innermost in chunks of whole
+runs, at most ``SHIFT_ROWS`` pair rows each (a longer run alone), and sums
+shifted jet slices of the supports.
 A monomial is dropped only when it is zero at every point;
 :meth:`GrassmannElement.at` gives the element at one point.
 """
@@ -54,15 +55,15 @@ from .jets import (
     JetScalar,
     PerPoint,
     _derivative_slice,
-    _product_table,
     _wrap,
     axis_of,
+    derivative_sequence,
     near_zero,
     peak,
     per_point,
-    scalar_analytic_derivatives,
     scalar_is_zero,
     scalar_value,
+    truncated_product,
 )
 
 #: largest supported generator count (monomials are machine-word bitmasks)
@@ -383,16 +384,8 @@ def _pair_sums(a: np.ndarray, b: np.ndarray, pairs: "_Product", grid: tuple) -> 
     else:
         # numpy sums a long run in interleaved partial sums, so the runs keep the
         # zero terms of ``grid``'s table: a shorter run would round differently
-        p, q, starts = _product_table(grid)
-        xf = _fit(x, grid).reshape(x.shape[:-3] + (len(starts),))
-        yf = _fit(y, grid).reshape(y.shape[:-3] + (len(starts),))
-        if xf.shape[1] < yf.shape[1]:  # gather the batched operand first, multiply in place
-            terms = yf.take(q, axis=-1)
-            terms *= xf.take(p, axis=-1)
-        else:
-            terms = xf.take(p, axis=-1)
-            terms *= yf.take(q, axis=-1)
-        out = np.add.reduceat(terms, starts, axis=-1).reshape(terms.shape[:-1] + grid)
+        out = truncated_product(_fit(x, grid).reshape(x.shape[:-3] + (-1,)),
+                                _fit(y, grid).reshape(y.shape[:-3] + (-1,)), grid)
     return out if pairs.single else np.add.reduceat(out, pairs.starts, axis=0)
 
 
@@ -740,7 +733,8 @@ def analytic_lift(name: str, a: GrassmannElement) -> GrassmannElement:
         raise ParityError(f"analytic_lift({name}) requires an even element, got {a.parity()}")
     body = a.body()
     kmax = len(a.gens) // 2
-    seq = scalar_analytic_derivatives(body, name, kmax)
+    seq = (body.analytic_derivatives(name, kmax) if isinstance(body, JetScalar)
+           else derivative_sequence(name, complex(body), kmax))
     result = GrassmannElement.from_scalar(a.gens, seq[0])
     soul = a.soul()
     power = GrassmannElement.from_scalar(a.gens, 1.0 + 0.0j)

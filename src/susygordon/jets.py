@@ -163,6 +163,17 @@ def _product_table(shape: tuple[int, ...]):
     return p[order], q[order], np.flatnonzero(np.diff(r[order], prepend=-1))
 
 
+def truncated_product(x: np.ndarray, y: np.ndarray, shape: tuple) -> np.ndarray:
+    """Truncated products of jets of ``shape``, flattened on the last axis with
+    the points on the one before: gathers the operand with more points first."""
+    p, q, starts = _product_table(shape)
+    if x.shape[-2] < y.shape[-2]:
+        x, y, p, q = y, x, q, p
+    terms = x.take(p, axis=-1)
+    terms *= y.take(q, axis=-1)
+    return np.add.reduceat(terms, starts, axis=-1).reshape(terms.shape[:-1] + shape)
+
+
 @lru_cache(maxsize=None)
 def _derivative_slice(axis: int, size: int):
     """Index dropping order 0 along jet ``axis`` (counted among the last three
@@ -283,10 +294,8 @@ class JetScalar:
     def __mul__(self, other):
         if isinstance(other, JetScalar):
             a, b = self._crop_pair(other)
-            shape = a.shape[1:]
-            p, q, starts = _product_table(shape)
-            terms = a.reshape(len(a), -1).take(p, axis=-1) * b.reshape(len(b), -1).take(q, axis=-1)
-            return _wrap(np.add.reduceat(terms, starts, axis=-1).reshape((len(terms),) + shape))
+            return _wrap(truncated_product(a.reshape(len(a), -1), b.reshape(len(b), -1),
+                                           a.shape[1:]))
         if isinstance(other, (int, float, complex)):
             return _wrap(self.c * other)
         return NotImplemented
@@ -362,7 +371,7 @@ class JetScalar:
 
     def analytic(self, name: str) -> "JetScalar":
         """Taylor composition ``f(self)`` truncated to this jet's spec."""
-        return self._compose(derivative_sequence(name, self.c[:, 0, 0, 0], sum(self.spec)))
+        return self.analytic_derivatives(name, 0)[0]
 
     def analytic_derivatives(self, name: str, kmax: int) -> list["JetScalar"]:
         """Jets of ``f(self), f'(self), ..., f^(kmax)(self)``."""
@@ -426,9 +435,3 @@ def scalar_is_zero(c) -> bool:
 
 def scalar_value(c) -> complex:
     return c.value if isinstance(c, JetScalar) else complex(c)
-
-
-def scalar_analytic_derivatives(c, name: str, kmax: int) -> list:
-    if isinstance(c, JetScalar):
-        return c.analytic_derivatives(name, kmax)
-    return derivative_sequence(name, complex(c), kmax)

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 from .errors import ParityError, SingularBodyError
 from .grassmann import EVEN, ODD, GeneratorSet, GrassmannElement, ginv
-from .jets import DEFAULT_SPEC, JetScalar, JetSpec, near_zero, scalar_value
+from .jets import DEFAULT_SPEC, JetScalar, JetSpec
 
 THETA_PLUS = "theta_plus"
 THETA_MINUS = "theta_minus"
@@ -224,11 +224,13 @@ def combine(parity: str, label: str,
     return Superfield(lambda pt: fn(*(f.evaluate(pt) for f in fields)), parity, label)
 
 
-def checked_inverse(value: GrassmannElement, what: str) -> GrassmannElement:
-    """1/value; where its body vanishes, a singular point that names ``what``."""
-    if near_zero(scalar_value(value.body())):
-        raise SingularBodyError(f"singular point: body of {what} vanishes")
-    return ginv(value)
+def checked(op: Callable[..., GrassmannElement], *args, what: str) -> GrassmannElement:
+    """``op(*args)``, an inverse or a log lift, which tests the body it reads;
+    where that body vanishes, the singular point ``what``."""
+    try:
+        return op(*args)
+    except SingularBodyError:
+        raise SingularBodyError(f"singular point: {what}") from None
 
 
 def quotient(num: Superfield, den: Superfield) -> Superfield:
@@ -237,5 +239,6 @@ def quotient(num: Superfield, den: Superfield) -> Superfield:
     Both keys name the fields by their own labels, not by the roles a caller
     reads them in, so each num/den and each 1/den is made once per point.
     """
-    inverse = den.derive(f"1/{den.label}", EVEN, lambda v: checked_inverse(v, den.label))
+    inverse = den.derive(f"1/{den.label}", EVEN,
+                         lambda v: checked(ginv, v, what=f"body of {den.label} vanishes"))
     return num.derive(f"{num.label}/{den.label}", num.parity, operator.mul, inverse)

@@ -2,11 +2,14 @@
 
 import cmath
 import functools
+import inspect
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import susygordon.darboux as darboux_module
 import susygordon.superfield as superfield_module
@@ -31,6 +34,7 @@ from susygordon.darboux import (
 from susygordon.errors import SingularBodyError
 from susygordon.grassmann import EVEN, ODD, GrassmannElement, allclose, ginv
 from susygordon.jets import JetScalar
+from susygordon.solutions import build_solution
 from susygordon.ssge import lsp_residual, residual_magnitude, ssge_residual
 from susygordon.superfield import PointBatch, Superfield, SuperspacePoint, combine
 
@@ -323,6 +327,48 @@ def test_singularity_is_loud():
     singular = SuperspacePoint(0.0, 0.0, 1.0, gens=gens)
     with pytest.raises(SingularBodyError):
         chain.solutions[1].evaluate(singular)
+
+
+def test_each_singular_body_keeps_its_message():
+    """ginv and the ln lift raise where a body vanishes; the quotient, the
+    Darboux step and the closed form only rename that error, and a report
+    prints the new name."""
+    flat = SeedParams(lam=1 + 0j, c=0j, b=0j, a="a0")  # psi_0 and phi_0 have no body
+    wt = WaveTriple(*seed_wavefunction(flat), lam=flat.lam, index=0)
+    pt = SuperspacePoint(0.31, -0.27, 1.1, gens=generator_set([flat]))
+    for num, den in (("psi", "phi"), ("phi", "psi")):
+        with pytest.raises(SingularBodyError) as err:
+            wt.ratio(num, den).evaluate(pt)
+        assert str(err.value) == f"singular point: body of {den}[lam=(1+0j)] vanishes"
+    # b0 = 2 sqrt(lambda0) c0: the body of psi_0 vanishes at x+ = x- = 0 alone
+    lam0, c0 = 0.8, 1.1
+    bundle = build_solution({"kind": "darboux1", "lambda0": [lam0, 0], "a0": "a0",
+                             "b0": [2 * np.sqrt(lam0) * c0, 0], "c0": [c0, 0]})
+    origin = SuperspacePoint(0.0, 0.0, 1.2, gens=bundle.gens)
+    for field, message in ((bundle.s, "body of psi[lam=(0.8+0j)] vanishes"),
+                           (closed_form_sn(0, bundle.seeds, 1), "closed-form numerator body vanishes")):
+        with pytest.raises(SingularBodyError) as err:
+            field.evaluate(origin)
+        assert str(err.value) == f"singular point: {message}"
+
+
+def test_a_darboux_step_tests_each_body_once(deep, monkeypatch):
+    """s[1] reads the body of phi_0 in its inverse and of psi_0/phi_0 in its
+    log, and so does the closed form of order 1 with its two sides: 2 reads
+    each, where testing a body before the inverse or the log tests it again
+    made 4.  The points are fresh, and the seed components already evaluated."""
+    seeds, gens = deep
+    body, reads = GrassmannElement.body, []
+    for field, pt in ((darboux_chain(0, seeds[:1], 1).solution(),
+                       SuperspacePoint(0.0171, -0.0139, 0.93, gens=gens)),
+                      (closed_form_sn(0, seeds, 1), SuperspacePoint(-0.0158, 0.0127, 1.07, gens=gens))):
+        for component in seed_wavefunction(seeds[0]):
+            component.evaluate(pt)
+        with monkeypatch.context() as patch:
+            patch.setattr(GrassmannElement, "body", lambda v: reads.append(v) or body(v))
+            field.evaluate(pt)
+        assert len(reads) == 2, field.label
+        reads.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -705,3 +751,52 @@ def test_chain_takes_the_root_of_each_seed(name):
         if level:
             closed = closed_form_sn(0, seeds, level).evaluate(batch)
             assert np.all(values_match_mod_2pi(s.evaluate(batch), closed)), level
+
+
+def seed_constant(modulus, turn):
+    """``modulus e^(i pi turn)``; at ``turn = 1`` exactly the negative real."""
+    return complex(-modulus) if turn == 1 else cmath.rect(modulus, math.pi * turn)
+
+
+def root_of_product_step():
+    """``darboux_step_wavefunction`` taking the root of the product of the two
+    seed constants, built from its source as the Backlund mutants are."""
+    source = inspect.getsource(darboux_module.darboux_step_wavefunction)
+    old = "cross = cmath.sqrt(lam0) * cmath.sqrt(lamj)"
+    assert source.count(old) == 1, "the cross root is no longer in the source"
+    namespace = dict(vars(darboux_module))
+    exec(compile(source.replace(old, "cross = cmath.sqrt(lam0 * lamj)"), darboux_module.__file__,
+                 "exec"), namespace)
+    return namespace["darboux_step_wavefunction"]
+
+
+def second_solution(seeds, step):
+    """s[2] of two seeds, transforming the second triple by ``step``."""
+    first, second = (WaveTriple(*seed_wavefunction(p), lam=p.lam, index=j)
+                     for j, p in enumerate(seeds))
+    return darboux_step_s(darboux_step_s(seed_trivial(0), first), step(first, second))
+
+
+def test_chain_solves_the_equation_for_seed_constants_over_the_plane():
+    """Two seed constants drawn over the complex plane, negative reals
+    included, with deep-style c, b and a: s[2] solves the equation on 3 grid
+    points.  The root of the product of the constants fails on some draws."""
+    mutant, mutant_fails = root_of_product_step(), []
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.lists(st.builds(seed_constant, st.floats(0.3, 3.0), st.floats(-1.0, 1.0)),
+                    min_size=2, max_size=2))
+    def run(lams):
+        scale = max(map(abs, lams))
+        assume(min(abs(lams[0] - lams[1]), abs(lams[0] + lams[1])) >= 0.5 * scale)
+        seeds = [SeedParams(lam=lam, c=5.0 * (1 + 0.05j * (-1) ** j),
+                            b=0.03 * (1 + 0.3j) * (-1) ** j, a=f"a{j}")
+                 for j, lam in enumerate(lams)]
+        batch = PointBatch.of(sample_grid(generator_set(seeds), count=3, seed=2))
+        residual = residual_magnitude(ssge_residual(darboux_chain(0, seeds, 2).solution(), batch))
+        assert np.all(residual <= 1e-10), (lams, residual)
+        wrong = residual_magnitude(ssge_residual(second_solution(seeds, mutant), batch))
+        mutant_fails.append(bool(np.any(wrong > 1e-10)))
+
+    run()
+    assert any(mutant_fails), f"the root of the product survives {len(mutant_fails)} draws"

@@ -1,5 +1,7 @@
 """Induced surface geometry: tangents, metric, normal, curvatures, examples."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from susygordon.geometry import (
     tangent_data,
 )
 from susygordon.grassmann import EVEN, GrassmannElement, allclose, analytic_lift, ginv
+from susygordon.reporting import sample_points
 from susygordon.ssge import build_lax_fermionic
 from susygordon.superfield import PointBatch, SuperspacePoint, cov_derivative, d_lambda
 from susygordon.worked_examples import (
@@ -157,6 +160,17 @@ def test_example2_full_table(ex2):
     for pt in (pt_for(ex2), pt_for(ex2, -0.2, 0.3, 1.7)):
         _, checks = example2_checks(ex2, pt, 1e-10)
         assert all(c["passed"] for c in checks), checks
+
+
+def test_example2_expectations_reject_a_seed_off_by_a_millionth(ex2):
+    """Expected values from a seed whose c0 is off by a millionth fail at
+    every point of ``reproduce example2`` (worst deviation 4.2e-8 or more),
+    where the seed itself passes (at most 2.2e-12)."""
+    seed = ex2.seeds[0]
+    near = dataclasses.replace(ex2, seeds=[dataclasses.replace(seed, c=seed.c * (1 + 1e-6))])
+    for pt in sample_points(10, 7, ex2.gens, x_range=(-0.45, 0.45)):
+        assert all(c["passed"] for c in example2_checks(ex2, pt, 1e-10)[1]), pt
+        assert not all(c["passed"] for c in example2_checks(near, pt, 1e-10)[1]), pt
 
 
 def test_example2_curvature_quotients(ex2):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from susygordon.darboux import SeedParams, darboux_chain, generator_set
 from susygordon.errors import GeneratorMismatchError, JetBudgetError, ParityError, SingularBodyError
-from susygordon import grassmann
+from susygordon import grassmann, jets
 from susygordon.grassmann import (
     EVEN,
     INHOMOGENEOUS,
@@ -119,6 +119,8 @@ def test_ginv():
         ginv(tp)
     with pytest.raises(SingularBodyError):
         ginv(tp * tm)  # even, but zero body
+    with pytest.raises(SingularBodyError):
+        ginv(GrassmannElement.from_scalar(G4, 1e-13))  # a constant body divides without error
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +622,21 @@ def test_chunked_product_matches_dict_oracle(monkeypatch, budget):
             assert len(got) > 1 and max(sizes) > 1
         elif budget == "below-longest-run":
             assert any(k1 - k0 > limit for k0, k1, *_ in got)
+
+
+def test_jet_and_gathered_products_share_one_convolution(monkeypatch):
+    """A jet product and a gathered element product at one point both run
+    ``jets.truncated_product``; the element's runs end at its support."""
+    u = JetScalar.seed("x_plus", 0.3) * 0.5 + JetScalar.seed("lambda", 1.2)
+    v = JetScalar.seed("x_minus", -0.2).analytic("exp")
+    shapes, convolve = [], jets.truncated_product
+    spy = lambda x, y, shape: shapes.append(shape) or convolve(x, y, shape)
+    monkeypatch.setattr(jets, "truncated_product", spy)
+    monkeypatch.setattr(grassmann, "truncated_product", spy)
+    jet = u * v
+    element = GrassmannElement.from_scalar(G4, u) * GrassmannElement.from_scalar(G4, v)
+    assert shapes == [(3, 3, 2), (2, 3, 2)] and element.points() == 1
+    assert np.allclose(element.body().c, jet.c, rtol=1e-15, atol=0)
 
 
 # ---------------------------------------------------------------------------

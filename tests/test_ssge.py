@@ -403,11 +403,53 @@ def chain_backlund_pairs(deep, deep_points):
     return pairs, PointBatch.of(deep_points[:3])
 
 
+def off_by_a_millionth(field):
+    """``field`` times 1 + 1e-6: a near miss that a gate at 1e-10 must reject."""
+    return combine(field.parity, f"{field.label} (1 + 1e-6)", lambda v: v * (1 + 1e-6), field)
+
+
 def test_backlund_relates_consecutive_chain_solutions(deep, deep_points):
+    """Each chain pair passes (at most 2.3e-13), and fails once its f is off
+    by a millionth (by 5.0e-6 or more)."""
     pairs, batch = chain_backlund_pairs(deep, deep_points)
     for k, (s, st, f, lam) in enumerate(pairs):
         worst = residual_magnitude(backlund_residuals(s, st, f, lam, batch))
         assert np.all(worst <= 1e-10), f"step {k}: {worst}"
+        near = residual_magnitude(backlund_residuals(s, st, off_by_a_millionth(f), lam, batch))
+        assert np.all(near > 1e-10), f"step {k}: {near}"
+
+
+def test_lsp_gate_rejects_a_component_off_by_a_millionth(deep, deep_points):
+    """At levels 0-3 the first live triple solves the LSP of its solution (at
+    most 1.9e-11), and fails it once its psi or chi is off by a millionth (by
+    4.3e-6 or more)."""
+    seeds, _ = deep
+    chain = darboux_chain(0, seeds, len(seeds))
+    batch = PointBatch.of(deep_points[:3])
+    for level in range(len(seeds)):
+        wt, s = chain.waves[level][0], chain.solutions[level]
+        triple = wt.fields() if level == 0 else lsp_normalized_triple(wt)
+        assert np.all(residual_magnitude(lsp_residual(triple, s, wt.lam, batch)) <= 1e-10), level
+        for i in (0, 2):
+            near = tuple(off_by_a_millionth(f) if j == i else f for j, f in enumerate(triple))
+            worst = residual_magnitude(lsp_residual(near, s, wt.lam, batch))
+            assert np.all(worst > 1e-10), (level, i, worst)
+
+
+def test_riccati_gate_rejects_a_component_off_by_a_millionth(deep, deep_points):
+    """p and q of the seed triple solve the Riccati system (8.9e-16), and fail
+    it once phi or chi is off by a millionth (by 3.8e-6 or more)."""
+    seeds, _ = deep
+    triple = seed_wavefunction(seeds[0])
+    batch = PointBatch.of(deep_points[:3])
+
+    def worst(fields):
+        p, q = riccati_from_wavefunction(fields)
+        return residual_magnitude(riccati_residuals(p, q, seed_trivial(0), seeds[0].lam, batch))
+    assert np.all(worst(triple) <= 1e-10)
+    for i in (1, 2):
+        near = tuple(off_by_a_millionth(f) if j == i else f for j, f in enumerate(triple))
+        assert np.all(worst(near) > 1e-10), i
 
 
 #: hand mutants of ``backlund_residuals`` that the trivial pairs, where every

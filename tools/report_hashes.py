@@ -55,6 +55,13 @@ COMMANDS = {
     "verify-lsp-soliton": ["verify", "lsp", "--solution", "samples/one_soliton.json"],
     "verify-riccati-soliton": ["verify", "riccati", "--solution", "samples/one_soliton.json"],
     "verify-backlund": ["verify", "backlund", "--solution", "samples/backlund_trivial.json"],
+    # psi_0 and phi_0 have no body anywhere: every point is singular, and the
+    # report names the body the check found vanishing first
+    **{f"verify-{kind}-singular": ["verify", kind, "--solution",
+                                   "samples/singular_one_soliton.json", "--points", "3"]
+       for kind in ("ssge", "riccati")},
+    "solve-closed-form-singular": ["solve", "darboux", "--seeds", "samples/singular_seeds.json",
+                                   "--mode", "closed-form", "--points", "3"],
 }
 
 
