@@ -33,7 +33,8 @@ from .darboux import lsp_normalized_triple
 from .errors import ConfigError
 from .geometry import BetaFunction, surface_data
 from .grassmann import element_to_json
-from .reporting import _at, make_report, parse_jet_spec, sample_points, sweep, write_report
+from .reporting import (_at, check_sampling, make_report, parse_jet_spec, sample_points, sweep,
+                        write_report)
 from .solutions import SolutionBundle, build_solution, json_object, load_solution, seed_json
 from .ssge import (
     build_constraint_matrices,
@@ -167,9 +168,12 @@ def cmd_solve(args) -> dict:
 def _parse_beta(text: str) -> BetaFunction:
     try:
         coeff, power = text.split(",")
-        return BetaFunction(complex(float(coeff)), int(power))
-    except (ValueError, TypeError):
+        coeff, power = float(coeff), int(power)
+    except ValueError:
         raise ConfigError(f"bad beta {text!r}; expected 'coefficient,power'") from None
+    if not math.isfinite(coeff):
+        raise ConfigError(f"beta coefficient must be finite, got {text!r}")
+    return BetaFunction(complex(coeff), power)
 
 
 def cmd_geometry(args) -> dict:
@@ -200,6 +204,7 @@ def cmd_geometry(args) -> dict:
 
 def cmd_reproduce(args) -> dict:
     tol = _tol(args)
+    check_sampling(args.points, args.seed)
     config = {"target": args.target, "points": args.points, "seed": args.seed, "tol": tol}
     if args.target == "constraints":
         j, k, m, n = build_constraint_matrices()

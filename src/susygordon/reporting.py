@@ -19,9 +19,9 @@ from .darboux import CONVENTION_FINGERPRINT
 from .errors import ConfigError, SingularBodyError
 from .grassmann import GeneratorSet
 from .jets import DEFAULT_SPEC, JetSpec, PerPoint
-from .superfield import PointBatch, SuperspacePoint
+from .superfield import SuperspacePoint
 
-#: most points a sweep evaluates together as one :class:`PointBatch` (larger is unmeasured)
+#: most points a sweep evaluates together as one batch (larger is unmeasured)
 CHUNK = 20
 
 #: highest derivative order ``--jet-spec`` accepts per axis; no check needs more than 2
@@ -42,6 +42,14 @@ def parse_jet_spec(text: str | None) -> JetSpec:
     return JetSpec(orders)
 
 
+def check_sampling(count: int, seed: int) -> None:
+    """Reject a point count or seed that :func:`sample_points` cannot take."""
+    if count < 1:
+        raise ConfigError("point count must be at least 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+
+
 def sample_points(count: int, seed: int, gens: GeneratorSet,
                   spec: JetSpec = DEFAULT_SPEC,
                   x_range: tuple[float, float] = (-1.0, 1.0),
@@ -53,8 +61,7 @@ def sample_points(count: int, seed: int, gens: GeneratorSet,
     principal square root is safe; complex offsets are opt-in and keep the
     real part of lambda in range.
     """
-    if count < 1:
-        raise ConfigError("point count must be at least 1")
+    check_sampling(count, seed)
     if lam_range[0] <= 0:
         raise ConfigError("lambda range must stay positive")
     rng = np.random.default_rng(seed)
@@ -72,10 +79,11 @@ def sample_points(count: int, seed: int, gens: GeneratorSet,
 
 
 def _point_json(pt: SuperspacePoint) -> dict:
+    (xp,), (xm,), (lam,) = pt.x_plus, pt.x_minus, pt.lam
     return {
-        "x_plus": [complex(pt.x_plus).real, complex(pt.x_plus).imag],
-        "x_minus": [complex(pt.x_minus).real, complex(pt.x_minus).imag],
-        "lambda": [complex(pt.lam).real, complex(pt.lam).imag],
+        "x_plus": [complex(xp).real, complex(xp).imag],
+        "x_minus": [complex(xm).real, complex(xm).imag],
+        "lambda": [complex(lam).real, complex(lam).imag],
     }
 
 
@@ -97,29 +105,23 @@ def _at(value, i: int):
 
 
 def _chunk_results(chunk: Sequence[SuperspacePoint], check: Callable) -> list[dict]:
-    """check() on the chunk as one batch; point by point if a batch of several
-    points is singular (a batch of one fails exactly where its point does)."""
+    """check() on the chunk as one batch; a singular chunk of several points
+    is checked again as chunks of one (a batch of one is its point)."""
     try:
-        result = check(PointBatch.of(chunk))
-        return [_at(result, i) for i in range(len(chunk))]
+        result = check(SuperspacePoint.batch(chunk))
     except SingularBodyError as err:
         if len(chunk) == 1:
             return [{"singular": str(err), "passed": True}]
-    results = []
-    for pt in chunk:
-        try:
-            results.append(_at(check(pt), 0))
-        except SingularBodyError as err:
-            results.append({"singular": str(err), "passed": True})
-    return results
+        return [entry for pt in chunk for entry in _chunk_results([pt], check)]
+    return [_at(result, i) for i in range(len(chunk))]
 
 
 def sweep(points: Sequence[SuperspacePoint], name: str,
-          check: Callable[[SuperspacePoint | PointBatch], dict]) -> list[dict]:
+          check: Callable[[SuperspacePoint], dict]) -> list[dict]:
     """One report entry per point: ``name.format(index)``, the point, check(pt).
 
-    Points are checked ``CHUNK`` at a time as one :class:`PointBatch`; the
-    check's per-point values (arrays, :class:`PerPoint`) are split into the
+    Points are checked ``CHUNK`` at a time as one ``SuperspacePoint.batch``;
+    the check's per-point values (arrays, :class:`PerPoint`) are split into the
     entries.  A point where the solution is singular (a Darboux denominator
     body vanishes there) is outside its domain, not a defect: a batch that
     meets one is re-run point by point, the singular entry records the reason
@@ -150,7 +152,7 @@ def make_report(command: str, config: dict, checks: list[dict]) -> dict:
 
 
 def render_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_report(report: dict, out: str | Path | None) -> str:

@@ -17,6 +17,7 @@ read as a real).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,7 +36,8 @@ from .superfield import BASE_GENERATORS, Superfield
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number (``json`` reads ``NaN`` and ``Infinity`` as floats)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def parse_complex(value) -> complex:

@@ -14,8 +14,8 @@ together with the coupled Riccati system for p = phi/psi, q = chi/psi, the
 auto-Backlund system relating two solutions through an odd auxiliary
 function f, and the scaling symmetry that introduces the spectral parameter.
 All residuals vanish identically exactly when s solves the equation.
-Every function takes a point or a :class:`~susygordon.superfield.PointBatch`;
-on a batch, magnitudes and guards are per point.
+Every function takes a :class:`~susygordon.superfield.SuperspacePoint`, one
+point or a batch of several; on a batch, magnitudes and guards are per point.
 """
 
 from __future__ import annotations
@@ -330,7 +330,12 @@ def scaling_map(s: Superfield, mu: float, sign: int = 1) -> Superfield:
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    scale = sign * math.exp(mu)
+    try:
+        scale = sign * math.exp(mu)
+    except OverflowError:
+        scale = math.inf
+    if not 0 < abs(scale) < math.inf:
+        raise ValueError(f"scaling_map needs 0 < exp(mu) < inf, got mu={mu}")
     root = cmath.sqrt(scale)
 
     def ev(pt: SuperspacePoint) -> GrassmannElement:

@@ -14,11 +14,10 @@ act algebraically: the theta part is the exact left derivative in the
 Grassmann algebra and the x part is a coefficient-wise jet shift.  They
 satisfy D+-^2 = -i d/dx+- and {D+, D-} = 0.
 
-Every jet carries a point axis.  A :class:`PointBatch` stands in for a point
-anywhere a point is taken: it holds several sample points, and every jet
-built from it carries one expansion per point, so a whole chunk of a sweep is
-one evaluation.  A :class:`SuperspacePoint` is a batch of one: its jets have
-a point axis of length 1 and take the same arithmetic path.
+Every jet carries a point axis.  A :class:`SuperspacePoint` holds one or more
+sample points, and every jet built from it carries one expansion per point,
+so a whole chunk of a sweep (``SuperspacePoint.batch``) is one evaluation.  A
+single point is a batch of one: it equals the batch of itself.
 """
 
 from __future__ import annotations
@@ -39,13 +38,39 @@ THETA_MINUS = "theta_minus"
 BASE_GENERATORS = (THETA_PLUS, THETA_MINUS)
 
 
-class _PointBlocks:
-    """The building blocks shared by a point and a batch of points."""
+@dataclass(frozen=True)
+class SuperspacePoint:
+    """Bosonic sample points, a tuple of one value per point for each of x+, x-
+    and lambda (a number is one point); the fermionic directions remain symbolic."""
+
+    x_plus: tuple
+    x_minus: tuple
+    lam: tuple
+    spec: JetSpec = DEFAULT_SPEC
+    gens: GeneratorSet = field(default_factory=lambda: GeneratorSet(BASE_GENERATORS))
 
     def __post_init__(self) -> None:
+        for name in ("x_plus", "x_minus", "lam"):
+            if not isinstance(getattr(self, name), tuple):
+                object.__setattr__(self, name, (getattr(self, name),))
         for name in BASE_GENERATORS:
             if name not in self.gens.names:
                 raise ValueError(f"generator set must contain {name!r}")
+
+    @classmethod
+    def batch(cls, points: Sequence[SuperspacePoint]) -> "SuperspacePoint":
+        """The points side by side, evaluated as one; a batch of one equals its point."""
+        spec, gens = points[0].spec, points[0].gens
+        if any(pt.spec != spec or pt.gens != gens for pt in points):
+            raise ValueError("a batch needs one jet spec and one generator set")
+        return cls(tuple(x for pt in points for x in pt.x_plus),
+                   tuple(x for pt in points for x in pt.x_minus),
+                   tuple(x for pt in points for x in pt.lam), spec, gens)
+
+    def rescaled(self, factor: complex) -> "SuperspacePoint":
+        """The points moved by x+ -> factor x+, x- -> x-/factor."""
+        return replace(self, x_plus=tuple(factor * x for x in self.x_plus),
+                       x_minus=tuple(x / factor for x in self.x_minus))
 
     # -- building blocks -------------------------------------------------------
 
@@ -71,47 +96,6 @@ class _PointBlocks:
     def theta(self, sign: str) -> GrassmannElement:
         return GrassmannElement.generator(
             self.gens, THETA_PLUS if sign == "+" else THETA_MINUS)
-
-
-@dataclass(frozen=True)
-class SuperspacePoint(_PointBlocks):
-    """Bosonic sample point; the fermionic directions remain symbolic."""
-
-    x_plus: complex
-    x_minus: complex
-    lam: complex
-    spec: JetSpec = DEFAULT_SPEC
-    gens: GeneratorSet = field(default_factory=lambda: GeneratorSet(BASE_GENERATORS))
-
-    def rescaled(self, factor: complex) -> "SuperspacePoint":
-        """The point moved by x+ -> factor x+, x- -> x-/factor."""
-        return replace(self, x_plus=factor * self.x_plus, x_minus=self.x_minus / factor)
-
-
-@dataclass(frozen=True)
-class PointBatch(_PointBlocks):
-    """Several sample points sharing ``spec`` and ``gens``, evaluated as one.
-
-    ``const_jet`` takes one value for all points or a sequence of one per point.
-    """
-
-    x_plus: tuple
-    x_minus: tuple
-    lam: tuple
-    spec: JetSpec = DEFAULT_SPEC
-    gens: GeneratorSet = field(default_factory=lambda: GeneratorSet(BASE_GENERATORS))
-
-    @classmethod
-    def of(cls, points: Sequence[SuperspacePoint]) -> "PointBatch":
-        spec, gens = points[0].spec, points[0].gens
-        if any(pt.spec != spec or pt.gens != gens for pt in points):
-            raise ValueError("a batch needs one jet spec and one generator set")
-        return cls(tuple(pt.x_plus for pt in points), tuple(pt.x_minus for pt in points),
-                   tuple(pt.lam for pt in points), spec, gens)
-
-    def rescaled(self, factor: complex) -> "PointBatch":
-        return replace(self, x_plus=tuple(factor * x for x in self.x_plus),
-                       x_minus=tuple(x / factor for x in self.x_minus))
 
 
 # ---------------------------------------------------------------------------
@@ -164,26 +148,27 @@ class Superfield:
     transformed wavefunctions), and residual checks re-evaluate the same
     solution at the same sweep points for several different residuals.
     The memo holds its points weakly, so a value lives only as long as its
-    point (or batch) object does.  A value that several formulas read off
-    one superfield (exp(+-i s), D- s, the inverses and quotients of
+    point object does; an equal point (a batch of one is equal to its point)
+    reads the same entry.  A value that several formulas read off one
+    superfield (exp(+-i s), D- s, the inverses and quotients of
     :func:`quotient`) is a superfield of its own, made once by :meth:`derive`,
     so it shares this memo too.
     """
 
     __slots__ = ("_fn", "parity", "label", "_cache", "_derived")
 
-    def __init__(self, fn: Callable[[SuperspacePoint | PointBatch], GrassmannElement],
+    def __init__(self, fn: Callable[[SuperspacePoint], GrassmannElement],
                  parity: str, label: str = "") -> None:
         if parity not in (EVEN, ODD):
             raise ParityError(f"superfield parity must be even or odd, got {parity!r}")
         self._fn = fn
         self.parity = parity
         self.label = label
-        self._cache: weakref.WeakKeyDictionary[SuperspacePoint | PointBatch,
+        self._cache: weakref.WeakKeyDictionary[SuperspacePoint,
                                                GrassmannElement] = weakref.WeakKeyDictionary()
         self._derived: dict[tuple, Superfield] = {}
 
-    def evaluate(self, pt: SuperspacePoint | PointBatch) -> GrassmannElement:
+    def evaluate(self, pt: SuperspacePoint) -> GrassmannElement:
         got = self._cache.get(pt)
         if got is None:
             got = self._fn(pt)

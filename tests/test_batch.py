@@ -1,6 +1,6 @@
 """Batches of sample points: one jet/Grassmann evaluation per sweep chunk.
 
-A :class:`PointBatch` evaluates the same formulas as its points one at a
+A batch of points evaluates the same formulas as its points one at a
 time.  These tests pin that down at every layer: batched jets and elements
 against their per-point slices, every sweep command of the CLI with the
 chunk size forced to 1 against the batched default, the per-point fallback
@@ -36,7 +36,7 @@ from susygordon.ssge import (
     zcc_bosonic_residual,
     zcc_fermionic_residual,
 )
-from susygordon.superfield import PointBatch, Superfield, SuperspacePoint
+from susygordon.superfield import Superfield, SuperspacePoint
 from test_cli import DARBOUX1, DARBOUX2, SAMPLES, write
 
 from conftest import sample_grid
@@ -54,35 +54,30 @@ def grid(count=5, seed=11, gens=GENS):
 
 def test_point_is_a_batch_of_one(deep, deep_points):
     """A point evaluates on the batch path: every jet it builds has a point
-    axis of length 1, and a residual at the point is, bit for bit, the
-    residual at the batch of that one point."""
+    axis of length 1, and the batch of that one point is the point itself,
+    an equal memo key that reads the point's memo entries."""
     pt = deep_points[2]
+    assert all(len(v) == 1 for v in (pt.x_plus, pt.x_minus, pt.lam))
     for jet in (pt.xp_jet(), pt.xm_jet(), pt.lam_jet(), pt.const_jet(0.3)):
         assert jet.c.shape == (1,) + pt.spec.shape
     for elem in (pt.scalar(pt.lam_jet()), pt.scalar(0.5), pt.theta("+"), pt.odd_generator("a0")):
         assert elem.points() == 1 and elem.block.shape[1] == 1
     assert JetScalar(np.ones((3, 3, 2))).c.shape == (1, 3, 3, 2)
+    batch = SuperspacePoint.batch([pt])
+    assert batch is not pt and batch == pt and hash(batch) == hash(pt)
     seeds, _ = deep
     s = darboux_chain(0, seeds, len(seeds)).solution()
-    batch = PointBatch.of([pt])
-
-    def entries(value):
-        return [value] if isinstance(value, GrassmannElement) else [
-            e for row in value.rows for e in row]
-
-    for residual in (ssge_residual, zcc_bosonic_residual):
-        at_point, at_batch = entries(residual(s, pt)), entries(residual(s, batch))
-        assert len(at_point) == len(at_batch)
-        for a, b in zip(at_point, at_batch):
-            assert a.layout.keys == b.layout.keys and a.block.shape == b.block.shape
-            assert a.block.tobytes() == b.block.tobytes(), residual.__name__
+    calls = []
+    counted = Superfield(lambda p: calls.append(p) or s.evaluate(p), EVEN, "counted s")
+    assert counted.evaluate(pt) is counted.evaluate(batch) and calls == [pt]
+    assert s.evaluate(batch) is s.evaluate(pt)
 
 
 def test_batched_jets_match_their_points():
     pts = grid()
-    batch = PointBatch.of(pts)
+    batch = SuperspacePoint.batch(pts)
     u = (batch.xp_jet() * batch.lam_jet() + 0.3j).analytic("exp") * batch.xm_jet()
-    v = batch.const_jet([pt.lam for pt in pts]).analytic("sqrt").reciprocal() - u.derivative("x_plus")
+    v = batch.const_jet(batch.lam).analytic("sqrt").reciprocal() - u.derivative("x_plus")
     assert u.c.shape == (5, 3, 3, 2) and v.c.shape == (5, 2, 3, 2)
     for i, pt in enumerate(pts):
         ui = (pt.xp_jet() * pt.lam_jet() + 0.3j).analytic("exp") * pt.xm_jet()
@@ -92,12 +87,12 @@ def test_batched_jets_match_their_points():
     # a jet of one point is the same at every point of a batch; two batches do not mix
     assert np.array_equal((u * JetScalar.constant(2.0)).c, (u * 2.0).c)
     with pytest.raises(ValueError):
-        u * PointBatch.of(pts[:3]).xp_jet()
+        u * SuperspacePoint.batch(pts[:3]).xp_jet()
 
 
 def test_batch_extract_and_allclose_decide_per_point():
     pts = grid()
-    batch = PointBatch.of(pts)
+    batch = SuperspacePoint.batch(pts)
     u = (batch.xp_jet() * batch.lam_jet()).analytic("exp") * batch.xm_jet()
     d = u.extract((1, 1, 1))
     assert d.shape == (5,)
@@ -113,7 +108,7 @@ def test_batch_extract_and_allclose_decide_per_point():
 
 
 def test_arrays_on_the_left_defer_to_jets_and_elements():
-    batch = PointBatch.of(grid())
+    batch = SuperspacePoint.batch(grid())
     u, shift = batch.xp_jet(), np.arange(5.0)
     assert np.array_equal((shift + u).c, (u + shift).c)
     elem = batch.theta("+")
@@ -124,11 +119,11 @@ def test_arrays_on_the_left_defer_to_jets_and_elements():
 
 def test_batch_drops_a_monomial_only_where_it_vanishes_everywhere():
     pts = [SuperspacePoint(0.0, 0.1, 1.0, gens=GENS), SuperspacePoint(0.5, 0.1, 1.0, gens=GENS)]
-    batch = PointBatch.of(pts)
+    batch = SuperspacePoint.batch(pts)
     body = batch.scalar(batch.const_jet(1.0))
     tt = batch.theta("+") * batch.theta("-")
     # the theta+ theta- coefficient x+ vanishes at the first point only
-    elem = body + tt * batch.scalar(batch.const_jet([pt.x_plus for pt in pts]))
+    elem = body + tt * batch.scalar(batch.const_jet(batch.x_plus))
     assert set(elem.terms) == {0, 0b11} and elem.points() == 2
     assert set(elem.at(0).terms) == {0} and set(elem.at(1).terms) == {0, 0b11}
     both = element_to_json(elem)
@@ -139,27 +134,45 @@ def test_batch_drops_a_monomial_only_where_it_vanishes_everywhere():
 
 def test_point_batch_is_a_memo_key():
     pts = grid(3)
-    batch = PointBatch.of(pts)
-    assert batch == PointBatch.of(list(pts)) and hash(batch) == hash(PointBatch.of(pts))
+    batch = SuperspacePoint.batch(pts)
+    again = SuperspacePoint.batch(list(pts))
+    assert batch == again and hash(batch) == hash(again)
+    assert batch == SuperspacePoint.batch([SuperspacePoint.batch(pts[:2]), pts[2]])
     calls = []
     field = Superfield(lambda pt: calls.append(pt) or pt.scalar(pt.xp_jet()), EVEN, "x+")
-    assert field.evaluate(batch) is field.evaluate(PointBatch.of(pts)) and len(calls) == 1
-    with pytest.raises(ValueError):
-        PointBatch.of([pts[0], SuperspacePoint(0.1, 0.2, 1.0, spec=JetSpec((1, 1, 1)),
-                                               gens=GENS)])
+    assert field.evaluate(batch) is field.evaluate(again) and len(calls) == 1
+
+
+def test_a_batch_needs_one_spec_and_one_generator_set():
+    pt = grid(1)[0]
+    (xp,), (xm,), (lam,) = pt.x_plus, pt.x_minus, pt.lam
+    other_spec = SuperspacePoint(xp, xm, lam, spec=JetSpec((1, 1, 1)), gens=GENS)
+    other_gens = SuperspacePoint(xp, xm, lam, gens=generator_set([SeedParams(1.0, 1.0, a="a1")]))
+    for odd in (other_spec, other_gens):
+        assert odd != pt
+        with pytest.raises(ValueError, match="one jet spec and one generator set"):
+            SuperspacePoint.batch([pt, odd])
+
+
+def test_rescaled_batch_is_the_batch_of_rescaled_points():
+    pts = grid(3)
+    for factor in (2.5, -0.4, 0.3 + 0.7j):
+        moved = SuperspacePoint.batch(pts).rescaled(factor)
+        assert moved == SuperspacePoint.batch([pt.rescaled(factor) for pt in pts])
+        assert moved.lam == SuperspacePoint.batch(pts).lam
 
 
 def test_memo_entry_lives_as_long_as_its_batch():
     pts = grid(3)
     calls = []
     field = Superfield(lambda pt: calls.append(1) or pt.scalar(pt.xp_jet()), EVEN, "x+")
-    batch = PointBatch.of(pts)
+    batch = SuperspacePoint.batch(pts)
     field.evaluate(batch)
     assert len(calls) == 1
     del batch
     gc.collect()
     # an equal batch misses: nothing was kept for the one that is gone
-    field.evaluate(PointBatch.of(pts))
+    field.evaluate(SuperspacePoint.batch(pts))
     assert len(calls) == 2
 
 
@@ -170,15 +183,16 @@ def test_lax_guard_decides_per_point(monkeypatch):
     s = darboux_chain(0, seeds, 1).solution()
     pts = grid(4, gens=generator_set(seeds))
     pairs = [build_lax_bosonic(s, pt) for pt in pts]
-    assert list(build_lax_bosonic(s, PointBatch.of(pts)).defect) == [p.defect for p in pairs]
+    assert (list(build_lax_bosonic(s, SuperspacePoint.batch(pts)).defect)
+            == [p.defect for p in pairs])
     worst = max(p.defect / max(1.0, p.v_plus.max_abs(), p.v_minus.max_abs()) for p in pairs)
     assert worst > 0.0
     # the batch stops exactly when one of its points would
     monkeypatch.setattr(ssge_module, "LAX_CONSISTENCY_TOL", worst * 1.01)
-    build_lax_bosonic(s, PointBatch.of(pts))
+    build_lax_bosonic(s, SuperspacePoint.batch(pts))
     monkeypatch.setattr(ssge_module, "LAX_CONSISTENCY_TOL", worst * 0.99)
     with pytest.raises(LaxConsistencyError):
-        build_lax_bosonic(s, PointBatch.of(pts))
+        build_lax_bosonic(s, SuperspacePoint.batch(pts))
 
 
 def test_chain_and_closed_form_agree_on_a_batch():
@@ -187,7 +201,7 @@ def test_chain_and_closed_form_agree_on_a_batch():
     gens = generator_set(seeds)
     pts = grid(3, gens=gens)
     chain, closed = darboux_chain(0, seeds, 2).solution(), closed_form_sn(0, seeds, 2)
-    batch = PointBatch.of(pts)
+    batch = SuperspacePoint.batch(pts)
     agree = values_match_mod_2pi(chain.evaluate(batch), closed.evaluate(batch))
     assert list(agree) == [True] * 3
     # a per-point shift of the body by 2 pi is still a match, a soul shift is not
@@ -293,7 +307,7 @@ def test_singular_point_in_a_chunk_reports_per_point_entries(monkeypatch):
     pts = [SuperspacePoint(x, y, 1.2, gens=bundle.gens)
            for x, y in ((0.6, -0.5), (0.0, 0.0), (-0.7, 0.4), (0.5, 0.5))]
     with pytest.raises(SingularBodyError):
-        check(PointBatch.of(pts))
+        check(SuperspacePoint.batch(pts))
     batched = _entries(pts, check, monkeypatch, reporting.CHUNK)
     assert batched == _entries(pts, check, monkeypatch, 1)
     assert ["singular" in e for e in batched] == [False, True, False, False]
@@ -309,7 +323,7 @@ def test_a_singular_chunk_of_one_point_is_checked_once():
         check(pt)
     kinds = []
     entries = sweep([pt], "p[{}]", lambda p: kinds.append(type(p).__name__) or check(p))
-    assert kinds == ["PointBatch"]
+    assert kinds == ["SuperspacePoint"]
     assert entries == [{"name": "p[0]", "point": reporting._point_json(pt),
                         "singular": str(err.value), "passed": True}]
 
@@ -326,7 +340,7 @@ def test_mixed_branch_in_a_chunk_reports_per_point_entries(monkeypatch):
         return {"note": curv.gaussian_note, "passed": True}
 
     with pytest.raises(SingularBodyError):
-        check(PointBatch.of(pts))
+        check(SuperspacePoint.batch(pts))
     batched = _entries(pts, check, monkeypatch, reporting.CHUNK)
     assert batched == _entries(pts, check, monkeypatch, 1)
     assert [e["note"] for e in batched] == ["quotient", "undefined: vanishing discriminant",

@@ -46,7 +46,7 @@ def test_sample_points_deterministic():
 
 def test_sample_points_lambda_stays_positive():
     pts = sample_points(50, 3, GENS)
-    assert all(pt.lam.real > 0 and pt.lam.imag == 0 for pt in pts)
+    assert all(lam.real > 0 and lam.imag == 0 for pt in pts for lam in pt.lam)
 
 
 def test_sample_points_config_errors():
@@ -203,11 +203,31 @@ def test_exit_codes(tmp_path, capsys):
         ["verify", "lsp", "--solution", scaled],
         ["verify", "riccati", "--solution", scaled],
         ["geometry", "--solution", scaled, "--expect", "example1"],
+        # numbers a float cannot hold: exp(mu) underflows to 0 or overflows, NaN would
+        # be echoed as ``NaN``, which is not JSON, and a NaN beta makes every surface
+        # value NaN
+        ["verify", "ssge", "--solution", write(tmp_path, "under.json", {
+            "kind": "scaled", "mu": -1000, "base": json.loads((SAMPLES / "one_soliton.json")
+                                                              .read_text())})],
+        ["verify", "ssge", "--solution", write(tmp_path, "over.json", {
+            "kind": "scaled", "mu": 1000, "base": {"kind": "trivial"}})],
+        ["verify", "ssge", "--solution", write(tmp_path, "nan.json", {
+            "kind": "scaled", "mu": float("nan"), "base": {"kind": "trivial"}})],
+        ["geometry", "--solution", sol, "--beta", "nan,1"],
+        ["geometry", "--solution", sol, "--beta", "0,1"],
+        # constraints samples no points, but takes the sampling flags as every target does
+        ["reproduce", "constraints", "--points", "0"],
+        ["reproduce", "constraints", "--seed", "-1"],
     ):
         capsys.readouterr()
-        assert main(argv + ["--points", "2"]) == 2, argv
+        assert main(argv if "--points" in argv else argv + ["--points", "2"]) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, argv
+    # a zero beta coefficient is reported in BetaFunction's own words, exp(mu) by mu
+    assert main(["geometry", "--solution", sol, "--beta", "0,1"]) == 2
+    assert capsys.readouterr().err == "error: beta coefficient must be nonzero\n"
+    assert main(["verify", "ssge", "--solution", str(tmp_path / "over.json")]) == 2
+    assert "got mu=1000.0" in capsys.readouterr().err
 
 
 def test_solution_echo_is_the_file_as_written(tmp_path):

@@ -36,7 +36,7 @@ from susygordon.grassmann import EVEN, ODD, GrassmannElement, allclose, ginv
 from susygordon.jets import JetScalar
 from susygordon.solutions import build_solution
 from susygordon.ssge import lsp_residual, residual_magnitude, ssge_residual
-from susygordon.superfield import PointBatch, Superfield, SuperspacePoint, combine
+from susygordon.superfield import Superfield, SuperspacePoint, combine
 
 from conftest import sample_grid
 
@@ -234,7 +234,7 @@ def test_chain_does_not_depend_on_the_order_it_consumes_seeds(deep, deep_points,
     order, is one solution.  The closed form was pinned against the chain, so
     this is the check of the chain that does not rest on it."""
     seeds, _ = deep
-    batch = PointBatch.of(deep_points[:3])
+    batch = SuperspacePoint.batch(deep_points[:3])
     want = darboux_chain(0, seeds[:n], n).solution().evaluate(batch)
     for order in itertools.permutations(range(n)):
         got = darboux_chain(0, [seeds[j] for j in order], n).solution().evaluate(batch)
@@ -448,7 +448,7 @@ def permutation_delta(psis, phis, lams, indices, which, power):
 def minor_points(deep):
     seeds, gens = deep
     pts = sample_grid(gens, count=3, seed=11)
-    return {"point": pts[0], "batch": PointBatch.of(pts)}
+    return {"point": pts[0], "batch": SuperspacePoint.batch(pts)}
 
 
 @pytest.mark.parametrize("where", ["point", "batch"])
@@ -650,7 +650,7 @@ def chain_oracle(deep):
     """The deep chain's s[1..4] on a batch of two grid points, and a test of
     whether the closed form of order n matches it there."""
     seeds, gens = deep
-    batch = PointBatch.of(sample_grid(gens, count=2, seed=5))
+    batch = SuperspacePoint.batch(sample_grid(gens, count=2, seed=5))
     chain = darboux_chain(0, seeds, 4)
     values = [s.evaluate(batch) for s in chain.solutions]
 
@@ -711,7 +711,7 @@ def test_values_match_mod_2pi_on_the_block_equals_the_dict_round_trip(deep):
     chain = darboux_chain(0, seeds, 3)
     closed = closed_form_sn(0, seeds, 3)
     a0 = GrassmannElement.generator(gens, "a0")
-    for pt in (pts[0], PointBatch.of(pts)):
+    for pt in (pts[0], SuperspacePoint.batch(pts)):
         v = chain.solution().evaluate(pt)
         soul = v.soul()
         for a, b in ((v, closed.evaluate(pt)), (v, v + 2 * np.pi), (v, v - 4 * np.pi + 1e-9),
@@ -740,7 +740,8 @@ def test_chain_takes_the_root_of_each_seed(name):
     of seed constants gives cross terms of the wrong sign here."""
     seeds = [SeedParams(lam=lam, c=2.0 * (1 + 0.05j * (-1) ** j), b=0.1 * (-1) ** j, a=f"a{j}")
              for j, lam in enumerate(ROOT_SEED_SETS[name])]
-    batch = PointBatch.of(sample_grid(generator_set(seeds), count=4, seed=1, x_half_width=0.05))
+    batch = SuperspacePoint.batch(sample_grid(generator_set(seeds), count=4, seed=1,
+                                              x_half_width=0.05))
     chain = darboux_chain(0, seeds, len(seeds))
     for level, s in enumerate(chain.solutions):
         assert np.all(residual_magnitude(ssge_residual(s, batch)) <= 1e-10), level
@@ -792,7 +793,7 @@ def test_chain_solves_the_equation_for_seed_constants_over_the_plane():
         seeds = [SeedParams(lam=lam, c=5.0 * (1 + 0.05j * (-1) ** j),
                             b=0.03 * (1 + 0.3j) * (-1) ** j, a=f"a{j}")
                  for j, lam in enumerate(lams)]
-        batch = PointBatch.of(sample_grid(generator_set(seeds), count=3, seed=2))
+        batch = SuperspacePoint.batch(sample_grid(generator_set(seeds), count=3, seed=2))
         residual = residual_magnitude(ssge_residual(darboux_chain(0, seeds, 2).solution(), batch))
         assert np.all(residual <= 1e-10), (lams, residual)
         wrong = residual_magnitude(ssge_residual(second_solution(seeds, mutant), batch))

@@ -20,7 +20,7 @@ from susygordon.geometry import (
 from susygordon.grassmann import EVEN, GrassmannElement, allclose, analytic_lift, ginv
 from susygordon.reporting import sample_points
 from susygordon.ssge import build_lax_fermionic
-from susygordon.superfield import PointBatch, SuperspacePoint, cov_derivative, d_lambda
+from susygordon.superfield import SuperspacePoint, cov_derivative, d_lambda
 from susygordon.worked_examples import (
     example1_bundle,
     example1_checks,
@@ -136,7 +136,7 @@ def test_second_form_forms_only_the_normal_diagonal(ex1, deep, deep_points, monk
     seeds, _ = deep
     s4 = darboux_chain(0, seeds, 4).solution()
     cov = geometry_module.cov_derivative
-    for s, pt in ((ex1.s, pt_for(ex1)), (s4, PointBatch.of(deep_points[:3]))):
+    for s, pt in ((ex1.s, pt_for(ex1)), (s4, SuperspacePoint.batch(deep_points[:3]))):
         td = tangent_data(s, pt, BETA)
         normal = normal_core(td)
         want = second_form_from_whole_matrices(td, normal)

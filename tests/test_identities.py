@@ -34,7 +34,7 @@ from susygordon.ssge import (
     residual_magnitude,
     ssge_residual,
 )
-from susygordon.superfield import PointBatch, SuperspacePoint, combine, constant_superfield
+from susygordon.superfield import SuperspacePoint, combine, constant_superfield
 from susygordon.supermatrix import SuperMatrix
 from susygordon.worked_examples import example1_bundle
 
@@ -46,8 +46,8 @@ DEEP_SEEDS = deep_seeds()
 #: long as the module, so each chain is evaluated on them once
 SUBJECTS = {
     "deep": (darboux_chain(0, DEEP_SEEDS, 4),
-             PointBatch.of(sample_grid(generator_set(DEEP_SEEDS), count=3, seed=5))),
-    "one soliton": (ONE.chain, PointBatch.of(sample_grid(ONE.gens, count=3, seed=5,
+             SuperspacePoint.batch(sample_grid(generator_set(DEEP_SEEDS), count=3, seed=5))),
+    "one soliton": (ONE.chain, SuperspacePoint.batch(sample_grid(ONE.gens, count=3, seed=5,
                                                          x_half_width=0.4))),
 }
 

@@ -33,7 +33,6 @@ from susygordon.ssge import (
     zcc_fermionic_residual,
 )
 from susygordon.superfield import (
-    PointBatch,
     Superfield,
     SuperspacePoint,
     combine,
@@ -171,7 +170,7 @@ def test_zcc_bosonic_catches_a_closed_entry_off_by_a_millionth(deep, deep_points
     by 1 + 1e-6, the deep chain's residual passes its 1e-10 gate."""
     seeds, _ = deep
     s = darboux_chain(0, seeds, len(seeds)).solution()
-    batch = PointBatch.of(deep_points[:3])
+    batch = SuperspacePoint.batch(deep_points[:3])
     assert np.all(residual_magnitude(zcc_bosonic_residual(s, batch)) < 1e-10)
     closed = ssge.bosonic_v_pair_closed
 
@@ -400,7 +399,7 @@ def chain_backlund_pairs(deep, deep_points):
             return d_plus(sv + tv) * ginv(analytic_lift("cos", (sv - tv) * 0.5)) * root
 
         pairs.append((s, st, Superfield(f_fn, ODD, f"f[{k}]"), lam))
-    return pairs, PointBatch.of(deep_points[:3])
+    return pairs, SuperspacePoint.batch(deep_points[:3])
 
 
 def off_by_a_millionth(field):
@@ -425,7 +424,7 @@ def test_lsp_gate_rejects_a_component_off_by_a_millionth(deep, deep_points):
     4.3e-6 or more)."""
     seeds, _ = deep
     chain = darboux_chain(0, seeds, len(seeds))
-    batch = PointBatch.of(deep_points[:3])
+    batch = SuperspacePoint.batch(deep_points[:3])
     for level in range(len(seeds)):
         wt, s = chain.waves[level][0], chain.solutions[level]
         triple = wt.fields() if level == 0 else lsp_normalized_triple(wt)
@@ -441,7 +440,7 @@ def test_riccati_gate_rejects_a_component_off_by_a_millionth(deep, deep_points):
     it once phi or chi is off by a millionth (by 3.8e-6 or more)."""
     seeds, _ = deep
     triple = seed_wavefunction(seeds[0])
-    batch = PointBatch.of(deep_points[:3])
+    batch = SuperspacePoint.batch(deep_points[:3])
 
     def worst(fields):
         p, q = riccati_from_wavefunction(fields)
@@ -542,7 +541,7 @@ def test_scaling_map_on_the_block_equals_the_dict_round_trip(deep, deep_points):
         for mu, sign in ((0.3, 1), (-0.3, 1), (0.3, -1)):
             got, want = scaling_map(chain.solutions[n], mu, sign), scaling_map_by_terms(
                 chain.solutions[n], mu, sign)
-            for pt in (*pts, PointBatch.of(pts)):
+            for pt in (*pts, SuperspacePoint.batch(pts)):
                 a, b = got.evaluate(pt), want.evaluate(pt)
                 assert a.layout is b.layout and a.block.shape == b.block.shape
                 assert a.block.tobytes() == b.block.tobytes(), (n, mu, sign)
@@ -566,7 +565,8 @@ def test_sweep_residual_report(chain):
     assert make_report("verify", {}, good)["passed"]
     assert max(c["residual"] for c in good) < 1e-10
     assert len(good) == 5 and good[0]["name"] == "ssge[0]"
-    assert good[0]["point"]["x_plus"] == [pts[0].x_plus.real, pts[0].x_plus.imag]
+    (xp,) = pts[0].x_plus
+    assert good[0]["point"]["x_plus"] == [xp.real, xp.imag]
 
     bad = sweep(pts, "ssge[{}]", residual_check(constant_superfield(0.3)))
     assert not make_report("verify", {}, bad)["passed"]

@@ -1,4 +1,4 @@
-"""tools/: two checkouts side by side in one process, and report hashes."""
+"""tools/: two checkouts side by side in one process, report hashes and the depth probe."""
 
 import contextlib
 import hashlib
@@ -119,3 +119,16 @@ def test_report_hashes_compare_names_each_field_and_verdict():
     b["checks"][0]["singular"] = "ginv"
     assert tool.compare(json.dumps(a), json.dumps(b)) == [
         "the reports hold different fields", "passed and singular DIFFER"]
+
+
+def test_depth_probe_prints_one_line_per_depth(capsys):
+    tool = load_tool("depth_probe")
+    assert tool.main(["--depths", "4", "5"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [line["n"] for line in lines] == [4, 5]
+    # s[n] fills every even monomial of its n + 2 generators
+    assert [line["monomials"] for line in lines] == [2 ** 5, 2 ** 6]
+    for line in lines:
+        assert line["points"] == 20 and line["evaluate_s"] > 0 and line["peak_mb"] > 0
+        assert line["ratio"] == line["ssge_residual"] / line["max_abs"] < 1e-13
+    assert lines[1]["max_abs"] > lines[0]["max_abs"]
