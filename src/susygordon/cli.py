@@ -204,9 +204,9 @@ def cmd_geometry(args) -> dict:
 
 def cmd_reproduce(args) -> dict:
     tol = _tol(args)
-    check_sampling(args.points, args.seed)
     config = {"target": args.target, "points": args.points, "seed": args.seed, "tol": tol}
     if args.target == "constraints":
+        check_sampling(args.points, args.seed)
         j, k, m, n = build_constraint_matrices()
         half_m = m.scale(0.5)
         checks = [

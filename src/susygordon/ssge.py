@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -330,12 +331,10 @@ def scaling_map(s: Superfield, mu: float, sign: int = 1) -> Superfield:
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    try:
-        scale = sign * math.exp(mu)
-    except OverflowError:
-        scale = math.inf
-    if not 0 < abs(scale) < math.inf:
-        raise ValueError(f"scaling_map needs 0 < exp(mu) < inf, got mu={mu}")
+    bound = math.log(sys.float_info.max)  # exp(mu) and 1/exp(mu) are finite inside it
+    if not abs(mu) <= bound:  # NaN fails too
+        raise ValueError(f"scaling_map needs |mu| <= {bound:.2f}, got mu={mu}")
+    scale = sign * math.exp(mu)
     root = cmath.sqrt(scale)
 
     def ev(pt: SuperspacePoint) -> GrassmannElement:

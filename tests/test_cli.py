@@ -203,12 +203,12 @@ def test_exit_codes(tmp_path, capsys):
         ["verify", "lsp", "--solution", scaled],
         ["verify", "riccati", "--solution", scaled],
         ["geometry", "--solution", scaled, "--expect", "example1"],
-        # numbers a float cannot hold: exp(mu) underflows to 0 or overflows, NaN would
-        # be echoed as ``NaN``, which is not JSON, and a NaN beta makes every surface
-        # value NaN
-        ["verify", "ssge", "--solution", write(tmp_path, "under.json", {
-            "kind": "scaled", "mu": -1000, "base": json.loads((SAMPLES / "one_soliton.json")
-                                                              .read_text())})],
+        # numbers a float cannot hold: exp(mu) underflows to 0 or overflows, at mu = -720
+        # exp(mu) is subnormal and 1/exp(mu) overflows, NaN would be echoed as ``NaN``,
+        # which is not JSON, and a NaN beta makes every surface value NaN
+        *(["verify", "ssge", "--solution", write(tmp_path, f"under{mu}.json", {
+            "kind": "scaled", "mu": mu, "base": json.loads((SAMPLES / "one_soliton.json")
+                                                           .read_text())})] for mu in (-1000, -720)),
         ["verify", "ssge", "--solution", write(tmp_path, "over.json", {
             "kind": "scaled", "mu": 1000, "base": {"kind": "trivial"}})],
         ["verify", "ssge", "--solution", write(tmp_path, "nan.json", {
@@ -228,6 +228,8 @@ def test_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err == "error: beta coefficient must be nonzero\n"
     assert main(["verify", "ssge", "--solution", str(tmp_path / "over.json")]) == 2
     assert "got mu=1000.0" in capsys.readouterr().err
+    assert main(["verify", "ssge", "--solution", str(tmp_path / "under-720.json")]) == 2
+    assert "got mu=-720.0" in capsys.readouterr().err
 
 
 def test_solution_echo_is_the_file_as_written(tmp_path):

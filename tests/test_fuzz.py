@@ -31,7 +31,7 @@ SEED_FILE = {"k": 0, "seeds": DARBOUX2["seeds"]}
 MISSING = object()
 
 numbers = st.one_of(st.integers(-2, 3), st.floats(-3, 3), st.sampled_from(
-    [float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 1e-320, 10 ** 30, -1000.0]))
+    [float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 1e-320, 10 ** 30, -1000.0, -720.0]))
 junk = st.one_of(numbers, st.lists(numbers, max_size=3), st.none(), st.booleans(), st.just({}),
                  st.sampled_from(["", "bogus", "scaled", "darboux", "a0"]), st.just(MISSING))
 words = st.sampled_from(["0", "1", "-1", "2", "0.5", "5", "nan", "inf", "-inf", "1e308", "1e-320",

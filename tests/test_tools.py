@@ -129,6 +129,6 @@ def test_depth_probe_prints_one_line_per_depth(capsys):
     # s[n] fills every even monomial of its n + 2 generators
     assert [line["monomials"] for line in lines] == [2 ** 5, 2 ** 6]
     for line in lines:
-        assert line["points"] == 20 and line["evaluate_s"] > 0 and line["peak_mb"] > 0
+        assert line["evaluate_s"] > 0 and line["peak_mb"] > 0
         assert line["ratio"] == line["ssge_residual"] / line["max_abs"] < 1e-13
     assert lines[1]["max_abs"] > lines[0]["max_abs"]
