@@ -142,13 +142,13 @@ def build_lax_fermionic(s: Superfield, pt: SuperspacePoint) -> LaxPairFermionic:
 
 
 def zcc_fermionic_residual(s: Superfield, pt: SuperspacePoint) -> SuperMatrix:
-    """D+ U- + D- U+ - {E U+, E U-}; the zero matrix iff s solves the equation."""
+    """D+ U- + D- U+ - {E U+, E U-}; the zero matrix iff s solves the equation.
+    The anticommutator is one :meth:`SuperMatrix.bracket`."""
     pair = build_lax_fermionic(s, pt)
     u_plus, u_minus = pair.u_plus, pair.u_minus
-    eu_plus, eu_minus = u_plus.e_twist(), u_minus.e_twist()
+    anti = u_plus.e_twist().bracket(u_minus.e_twist(), "anticommutator")
     return SuperMatrix.from_entries(2, 1, lambda i, k: (
-        d_plus(u_minus.entry(i, k)) + d_minus(u_plus.entry(i, k))
-        - (eu_plus.product_entry(eu_minus, i, k) + eu_minus.product_entry(eu_plus, i, k))),
+        d_plus(u_minus.entry(i, k)) + d_minus(u_plus.entry(i, k)) - anti.entry(i, k)),
         parity=EVEN)
 
 
@@ -193,10 +193,11 @@ def bosonic_v_pair_closed(s: Superfield, pt: SuperspacePoint, lam: JetScalar,
     ], parity=EVEN).scale(0.5)
 
     lam_e = emb(lam)
+    dms_up, dms_low = dms * (-1j * sqrt_lam), dms * sqrt_lam  # two cells each: shared products
     v_minus = SuperMatrix(2, 1, [
-        [1j * dxm_s - lam_e, lam_e, dms * (-1j * sqrt_lam)],
-        [lam_e, -1j * dxm_s - lam_e, dms * (-1j * sqrt_lam)],
-        [dms * sqrt_lam, dms * sqrt_lam, emb(-2 * lam)],
+        [1j * dxm_s - lam_e, lam_e, dms_up],
+        [lam_e, -1j * dxm_s - lam_e, dms_up],
+        [dms_low, dms_low, emb(-2 * lam)],
     ], parity=EVEN)
     return v_plus, v_minus
 
@@ -225,12 +226,13 @@ def build_lax_bosonic(s: Superfield, pt: SuperspacePoint) -> LaxPairBosonic:
 def zcc_bosonic_residual(s: Superfield, pt: SuperspacePoint) -> SuperMatrix:
     """d/dx+ V- - d/dx- V+ + [V-, V+]; zero iff s solves the equation.  Reads
     the closed V+- only: that they equal the defining formula is an identity
-    of any even s, checked in the tests (:func:`build_lax_bosonic`)."""
+    of any even s, checked in the tests (:func:`build_lax_bosonic`).  V- holds
+    each odd entry twice, so :meth:`SuperMatrix.bracket` forms 12 odd terms as 4."""
     lam_jet = pt.lam_jet()
     v_plus, v_minus = bosonic_v_pair_closed(s, pt, lam_jet, lam_jet.analytic("sqrt"))
+    comm = v_minus.bracket(v_plus)
     return SuperMatrix.from_entries(2, 1, lambda i, k: (
-        (dx_plus(v_minus.entry(i, k)) - dx_minus(v_plus.entry(i, k)))
-        + (v_minus.product_entry(v_plus, i, k) - v_plus.product_entry(v_minus, i, k))),
+        (dx_plus(v_minus.entry(i, k)) - dx_minus(v_plus.entry(i, k))) + comm.entry(i, k)),
         parity=EVEN)
 
 

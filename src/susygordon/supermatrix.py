@@ -14,6 +14,7 @@ is even and ``(1/2) tr(AB)`` when it is odd.
 from __future__ import annotations
 
 import operator
+from itertools import product
 from typing import Callable, Sequence
 
 from .errors import ParityError, ShapeMismatchError
@@ -156,13 +157,40 @@ class SuperMatrix:
                                         lambda i, k: self.product_entry(other, i, k))
 
     def bracket(self, other: "SuperMatrix", kind: str = "commutator") -> "SuperMatrix":
-        """``AB - BA`` or ``AB + BA``, entry by entry (neither product is held whole)."""
+        """``AB - BA`` or ``AB + BA``, entry by entry, forming each entry product once.
+
+        A term whose operands (the same objects) met as ``a b`` reads that product
+        back, and met as ``b a``, both homogeneous, reads it times ``(-1)^(|a||b|)``.
+        First appearance in entry order, never an address, fixes the direction, and
+        a product is held until its last read.  An entry's ``AB`` and ``BA`` halves
+        are summed apart and combined last, so ``[A, A]`` is exactly zero."""
         if kind not in ("commutator", "anticommutator"):
             raise ValueError(f"unknown bracket kind {kind!r}")
         self._check_shape(other)
         combine = operator.sub if kind == "commutator" else operator.add
+        reads, held, halves = {}, {}, []
+        for i, k, (x, y) in product(range(self.size), range(self.size), ((self, other), (other, self))):
+            halves.append([])  # (key, sign, a, b) of each nonzero term of (x y)[i, k]
+            for a, b in ((x.rows[i][j], y.rows[j][k]) for j in range(self.size)):
+                if a.is_zero() or b.is_zero():
+                    continue
+                key, swapped, sign = (id(a), id(b)), (id(b), id(a)), 1
+                if key not in reads and swapped in reads and INHOMOGENEOUS not in (a.parity(), b.parity()):
+                    key, sign, a, b = swapped, -1 if a.parity() == b.parity() == ODD else 1, b, a
+                reads[key] = reads.get(key, 0) + 1
+                halves[-1].append((key, sign, a, b))
+
+        def half(terms: list):
+            for key, sign, a, b in terms:
+                value = held.pop(key) if key in held else a * b
+                reads[key] -= 1
+                if reads[key]:
+                    held[key] = value
+                yield -value if sign < 0 else value
+
+        entries, zero = iter(halves), GrassmannElement.zero(self.gens)
         return SuperMatrix.from_entries(self.m, self.n, lambda i, k: combine(
-            self.product_entry(other, i, k), other.product_entry(self, i, k)))
+            sum(half(next(entries)), zero), sum(half(next(entries)), zero)))
 
     # -- traces and the invariant form ----------------------------------------------
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sample_grid
 from susygordon.darboux import (
     SeedParams,
     darboux_chain,
@@ -244,6 +245,26 @@ def test_bosonic_lax_build_takes_sqrt_lambda_once(deep, deep_points, monkeypatch
         pairs.append(args) or u_pair(*args)))
     assert residual_magnitude(zcc_bosonic_residual(s, pt)) < 1e-10
     assert names.count("sqrt") == 1 and len(pairs) == 0
+
+
+def test_zcc_bosonic_forms_each_entry_product_once(deep, monkeypatch):
+    """V- holds its two odd entries twice each, so the bracket forms the 12
+    odd-by-odd terms of [V-, V+] as 4 products.  With s, exp(+-i s) and D- s
+    evaluated, one zcc_bosonic_residual on a 3-point deep batch makes at most 74
+    Grassmann products (93 when every term was formed), and at most 22 of them
+    multiply two elements of more than one monomial (30)."""
+    seeds, gens = deep
+    s = darboux_chain(0, seeds, len(seeds)).solution()
+    batch = SuperspacePoint.batch(sample_grid(gens, count=3, seed=5))
+    s.evaluate(batch)
+    ssge._phases(s, batch)
+    ssge._d_minus_s(s, batch)
+    products, mul = [], GrassmannElement.__mul__
+    monkeypatch.setattr(GrassmannElement, "__mul__", lambda a, b: products.append(
+        isinstance(b, GrassmannElement) and min(len(a.layout.keys), len(b.layout.keys)) > 1)
+        or mul(a, b))
+    assert residual_magnitude(zcc_bosonic_residual(s, batch)).max() < 1e-10
+    assert len(products) <= 74 and sum(products) <= 22, (len(products), sum(products))
 
 
 def test_riccati_inverts_psi_once(deep, monkeypatch):

@@ -162,6 +162,61 @@ def test_bracket_of_element_with_itself_vanishes():
     assert a.bracket(a, "commutator").max_abs() == 0.0
 
 
+def shared_matrices(seed, pa, pb, shares, order=1):
+    """Random homogeneous (2|1) matrices A (parity ``pa``) and B (``pb``) in which
+    each ``dst: src`` of ``shares`` holds the element object of cell ``src``; a
+    cell is ``(matrix, i, j)``.  ``order=-1`` allocates the objects in reverse."""
+    rng = np.random.default_rng(seed)
+    cells = [(name, i, j) for name in "ab" for i in range(3) for j in range(3)]
+    terms = {}
+    for name, i, j in cells:
+        odd = ((pa if name == "a" else pb) == EVEN) != ((i < 2) == (j < 2))
+        terms[name, i, j] = {m: complex(rng.normal(), rng.normal()) for m in range(16)
+                             if m.bit_count() % 2 == odd and rng.random() < 0.6}
+    objects = {cell: elem(terms[cell]) for cell in cells[::order] if cell not in shares}
+    objects.update({dst: objects[src] for dst, src in shares.items()})
+    a, b = ([[objects[name, i, j] for j in range(3)] for i in range(3)] for name in "ab")
+    return SuperMatrix(2, 1, a, pa), SuperMatrix(2, 1, b, pb)
+
+
+#: (parity of A, parity of B, bracket, shared cells): odd entries held twice
+#: in one matrix, as V- holds D- s terms, and swapped pairs A[i][j] is B[j][i]
+SHARED = [
+    (EVEN, EVEN, "commutator", {("a", 1, 2): ("a", 0, 2), ("b", 2, 1): ("a", 0, 2),
+                                ("b", 0, 2): ("a", 2, 0), ("b", 1, 0): ("a", 0, 1)}),
+    (ODD, ODD, "anticommutator", {("a", 1, 1): ("a", 0, 0), ("b", 0, 0): ("a", 0, 0),
+                                  ("b", 1, 0): ("a", 0, 1), ("b", 2, 0): ("a", 0, 2)}),
+    (EVEN, ODD, "commutator", {("b", 0, 2): ("a", 0, 0), ("b", 0, 0): ("a", 0, 2),
+                               ("a", 1, 2): ("a", 0, 2)}),
+]
+
+
+@pytest.mark.parametrize("pa, pb, kind, shares", SHARED)
+def test_bracket_equals_its_definition_on_shared_entries(pa, pb, kind, shares):
+    """bracket reads repeated and swapped products back; the definition forms
+    every term: AB -+ BA through ``product_entry``."""
+    sign = -1 if kind == "commutator" else 1
+    for seed in range(4):
+        a, b = shared_matrices(seed, pa, pb, shares)
+        got = a.bracket(b, kind)
+        for i in range(3):
+            for k in range(3):
+                want = a.product_entry(b, i, k) + sign * b.product_entry(a, i, k)
+                assert (got.entry(i, k) - want).max_abs() <= 1e-13 * max(1.0, want.max_abs())
+        assert a.bracket(a).max_abs() == 0.0  # the two halves read the same products
+
+
+@pytest.mark.parametrize("pa, pb, kind, shares", SHARED)
+def test_bracket_does_not_depend_on_allocation_order(pa, pb, kind, shares):
+    """The same matrices with their objects allocated in reverse give a bitwise
+    equal bracket: a product's direction is its first appearance, not an address."""
+    forward = shared_matrices(7, pa, pb, shares)
+    backward = shared_matrices(7, pa, pb, shares, order=-1)
+    assert forward[0].to_json() == backward[0].to_json()
+    assert forward[0].bracket(forward[1], kind).to_json() == \
+        backward[0].bracket(backward[1], kind).to_json()
+
+
 def test_e_twist_round_trip():
     rng = np.random.default_rng(51)
     m = rand_graded(rng, ODD)

@@ -34,6 +34,12 @@ def test_ab_stages_binds_each_checkout_to_its_own_package():
     assert result["failed"] == {"A": 0, "B": 0}
     assert result["names"][0] == "reproduce-example1"
     assert all(t < float("inf") for times in result["best"].values() for t in times)
+    # the untimed counting pass: both sides run the same code, so they agree
+    assert result["products"]["A"] == result["products"]["B"]
+    assert len(result["products"]["A"]) == len(result["names"])
+    assert all(count > 0 for count in result["products"]["A"])
+    assert all(wl.ssge.GrassmannElement.__mul__.__qualname__ == "GrassmannElement.__mul__"
+               for wl in sides.values())  # the counters are removed
 
 
 def test_report_hashes_prints_exit_code_and_stdout_hash(capsys):
