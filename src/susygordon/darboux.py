@@ -103,6 +103,9 @@ def seed_wavefunction(params: SeedParams) -> tuple[Superfield, Superfield, Super
     interned per ``params``: a chain and a closed form built from the same
     seeds share their memoized values.  psi and phi share one superfield
     ``u`` (psi = c + u, phi = c - u), and ``u`` and chi read one ``exp(eta)``.
+    The theta/a_j parts of ``u`` and chi are coefficient tables on the canonical
+    monomials (theta+, theta-, then a_j; see SIGN_CONVENTIONS.md) with the
+    reordering signs written in, so each is one product with ``exp(eta)``.
     """
     lam = params.lam
     sq = cmath.sqrt(lam)
@@ -110,25 +113,23 @@ def seed_wavefunction(params: SeedParams) -> tuple[Superfield, Superfield, Super
     tag = f"lam={lam}"
     exp_f = Superfield(lambda pt: pt.scalar(eta_jet(pt, lam).analytic("exp")), EVEN,
                        f"exp(eta)[{tag}]")
+    tp, tm = 1, 2  # the monomials theta+ and theta-: every point's first generators
 
     def u_fn(pt: SuperspacePoint) -> GrassmannElement:
-        tp = pt.theta("+")
-        tm = pt.theta("-")
-        u = pt.scalar(pt.const_jet(-b / (2 * sq)))
+        # -b/(2 sqrt) + a th+ (-i/(2 sqrt)) + a th- (i sqrt) + th+ th- (i b/(2 sqrt))
+        terms = {0: pt.const_jet(-b / (2 * sq)), tp | tm: 1j * b / (2 * sq)}
         if params.a is not None:
-            a = pt.odd_generator(params.a)
-            u = u + (a * tp) * (-1j / (2 * sq)) + (a * tm) * (1j * sq)
-        u = u + (tp * tm) * (1j * b / (2 * sq))
-        return u * exp_f.evaluate(pt)
+            a = 1 << pt.gens.index(params.a)
+            terms |= {tp | a: 1j / (2 * sq), tm | a: -1j * sq}  # a th+- = -th+- a
+        return GrassmannElement(pt.gens, terms) * exp_f.evaluate(pt)
 
     def chi_fn(pt: SuperspacePoint) -> GrassmannElement:
-        tp = pt.theta("+")
-        tm = pt.theta("-")
-        w = tp * (b / (2 * lam)) + tm * b
+        # th+ b/(2 lam) + th- b + a + a th+ th- i, where a th+ th- = th+ th- a
+        terms = {tp: b / (2 * lam), tm: b}
         if params.a is not None:
-            a = pt.odd_generator(params.a)
-            w = w + a + (a * (tp * tm)) * 1j
-        return w * exp_f.evaluate(pt)
+            a = 1 << pt.gens.index(params.a)
+            terms |= {a: 1.0, tp | tm | a: 1j}
+        return GrassmannElement(pt.gens, terms) * exp_f.evaluate(pt)
 
     u_f = Superfield(u_fn, EVEN, f"u[{tag}]")
     return (Superfield(lambda pt: pt.scalar(pt.const_jet(c)) + u_f.evaluate(pt), EVEN, f"psi[{tag}]"),

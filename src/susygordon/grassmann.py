@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping
 
@@ -727,7 +728,7 @@ def analytic_lift(name: str, a: GrassmannElement) -> GrassmannElement:
 
     ``f(body + soul) = sum_k f^(k)(body)/k! soul^k`` where the even soul is
     nilpotent of index at most ``floor(N/2) + 1`` for N generators, so the sum
-    is exact.
+    is exact.  The powers of the soul start at the soul itself.
     """
     if a.parity() != EVEN:
         raise ParityError(f"analytic_lift({name}) requires an even element, got {a.parity()}")
@@ -736,10 +737,8 @@ def analytic_lift(name: str, a: GrassmannElement) -> GrassmannElement:
     seq = (body.analytic_derivatives(name, kmax) if isinstance(body, JetScalar)
            else derivative_sequence(name, complex(body), kmax))
     result = GrassmannElement.from_scalar(a.gens, seq[0])
-    soul = a.soul()
-    power = GrassmannElement.from_scalar(a.gens, 1.0 + 0.0j)
-    for k in range(1, kmax + 1):
-        power = power * soul
+    powers = itertools.accumulate(itertools.repeat(a.soul(), kmax), operator.mul)
+    for k, power in enumerate(powers, 1):
         if power.is_zero():
             break
         result = result + power * (seq[k] / math.factorial(k))

@@ -152,52 +152,37 @@ def zcc_fermionic_residual(s: Superfield, pt: SuperspacePoint) -> SuperMatrix:
         parity=EVEN)
 
 
-def bosonic_v_defining_entries(u: SuperMatrix, deriv):
-    """V = i (D U - (E U)^2) for U+- with D+-, yielded as ``(i, k, entry)``.
-
-    One entry at a time: a batch of points never holds a whole product.
-    """
-    eu = u.e_twist()
-    for i in range(u.size):
-        for k in range(u.size):
-            yield i, k, 1j * (deriv(u.entry(i, k)) - eu.product_entry(eu, i, k))
-
-
 def bosonic_v_pair_closed(s: Superfield, pt: SuperspacePoint, lam: JetScalar,
                           sqrt_lam: JetScalar) -> tuple[SuperMatrix, SuperMatrix]:
     """The displayed closed forms of the bosonic potential matrices at lambda.
 
-    exp(+-2i s) and D+ s feed only these, so they are not derived from s.
+    exp(+-2i s) and D+ s feed only these, so they are not derived from s.  The
+    overall 1/2 of V+ is written into its coefficients.
     """
     s_val = s.evaluate(pt)
-    gens = s_val.gens
-
-    def emb(c) -> GrassmannElement:
-        return GrassmannElement.from_scalar(gens, c)
-
     eis, emis = _phases(s, pt)
     dms = _d_minus_s(s, pt)
-    inv_sqrt = sqrt_lam.reciprocal()
-    inv_lam = lam.reciprocal()
+    half_inv_sqrt = 0.5 * sqrt_lam.reciprocal()
+    half_inv_lam = 0.5 * lam.reciprocal()
+    quarter_inv_lam = 0.5 * half_inv_lam
     e2is = analytic_lift("exp", 2j * s_val)
     e2mis = analytic_lift("exp", -2j * s_val)
     dps = d_plus(s_val)
     eis_dps, emis_dps = eis * dps, emis * dps
     dxm_s = dx_minus(s_val)
 
-    half_inv = 0.5 * inv_lam
     v_plus = SuperMatrix(2, 1, [
-        [emb(half_inv), e2is * (-half_inv), eis_dps * (-1j * inv_sqrt)],
-        [e2mis * (-half_inv), emb(half_inv), emis_dps * (-1j * inv_sqrt)],
-        [emis_dps * (-inv_sqrt), eis_dps * (-inv_sqrt), emb(inv_lam)],
-    ], parity=EVEN).scale(0.5)
+        [pt.scalar(quarter_inv_lam), e2is * (-quarter_inv_lam), eis_dps * (-1j * half_inv_sqrt)],
+        [e2mis * (-quarter_inv_lam), pt.scalar(quarter_inv_lam), emis_dps * (-1j * half_inv_sqrt)],
+        [emis_dps * (-half_inv_sqrt), eis_dps * (-half_inv_sqrt), pt.scalar(half_inv_lam)],
+    ], parity=EVEN)
 
-    lam_e = emb(lam)
+    lam_e = pt.scalar(lam)
     dms_up, dms_low = dms * (-1j * sqrt_lam), dms * sqrt_lam  # two cells each: shared products
     v_minus = SuperMatrix(2, 1, [
         [1j * dxm_s - lam_e, lam_e, dms_up],
         [lam_e, -1j * dxm_s - lam_e, dms_up],
-        [dms_low, dms_low, emb(-2 * lam)],
+        [dms_low, dms_low, pt.scalar(-2 * lam)],
     ], parity=EVEN)
     return v_plus, v_minus
 
@@ -213,9 +198,10 @@ def build_lax_bosonic(s: Superfield, pt: SuperspacePoint) -> LaxPairBosonic:
     sqrt_lam = lam_jet.analytic("sqrt")
     v_plus, v_minus = bosonic_v_pair_closed(s, pt, lam_jet, sqrt_lam)
     pair = fermionic_u_pair(s, pt, sqrt_lam)
-    defect = peak((entry - v.entry(i, k)).max_abs()
-                  for u, deriv, v in ((pair.u_plus, d_plus, v_plus), (pair.u_minus, d_minus, v_minus))
-                  for i, k, entry in bosonic_v_defining_entries(u, deriv))
+    # the defining formula V = i (D U - (E U)^2) of each pair
+    defect = peak(((u.map_entries(deriv) - eu @ eu) * 1j - v).max_abs() for u, eu, deriv, v in (
+        (pair.u_plus, pair.u_plus.e_twist(), d_plus, v_plus),
+        (pair.u_minus, pair.u_minus.e_twist(), d_minus, v_minus)))
     scale = peak((1.0, v_plus.max_abs(), v_minus.max_abs()))
     if np.any(defect > LAX_CONSISTENCY_TOL * scale):
         raise LaxConsistencyError(

@@ -53,9 +53,8 @@ class SuperspacePoint:
         for name in ("x_plus", "x_minus", "lam"):
             if not isinstance(getattr(self, name), tuple):
                 object.__setattr__(self, name, (getattr(self, name),))
-        for name in BASE_GENERATORS:
-            if name not in self.gens.names:
-                raise ValueError(f"generator set must contain {name!r}")
+        if self.gens.names[: len(BASE_GENERATORS)] != BASE_GENERATORS:
+            raise ValueError(f"generator set must start with {BASE_GENERATORS}")
 
     @classmethod
     def batch(cls, points: Sequence[SuperspacePoint]) -> "SuperspacePoint":
@@ -115,17 +114,17 @@ def d_lambda(v: GrassmannElement) -> GrassmannElement:
 
 
 def cov_derivative(v: GrassmannElement, which: str) -> GrassmannElement:
-    """The covariant derivative D+ or D-; output parity is flipped."""
-    if which in ("D_plus", "+"):
-        theta = THETA_PLUS
-        var = "x_plus"
-    elif which in ("D_minus", "-"):
-        theta = THETA_MINUS
-        var = "x_minus"
-    else:
-        raise ValueError(f"unknown covariant derivative {which!r}")
-    theta_elem = GrassmannElement.generator(v.gens, theta)
-    return v.fermi_derivative(theta) - 1j * (theta_elem * v.derivative(var))
+    """The covariant derivative ``"D_plus"`` or ``"D_minus"``; output parity is flipped.
+
+    ``D v = d/dtheta v + (-i theta) d/dx v``: the constant ``-i theta`` is one
+    monomial, so the x part is one product, and the derivative one sum.
+    """
+    try:
+        theta, var = {"D_plus": (THETA_PLUS, "x_plus"), "D_minus": (THETA_MINUS, "x_minus")}[which]
+    except KeyError:
+        raise ValueError(f"unknown covariant derivative {which!r}") from None
+    minus_i_theta = GrassmannElement.generator(v.gens, theta) * -1j
+    return v.fermi_derivative(theta) + minus_i_theta * v.derivative(var)
 
 
 def d_plus(v: GrassmannElement) -> GrassmannElement:

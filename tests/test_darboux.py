@@ -5,6 +5,8 @@ import functools
 import inspect
 import itertools
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,11 +36,13 @@ from susygordon.darboux import (
 from susygordon.errors import SingularBodyError
 from susygordon.grassmann import EVEN, ODD, GrassmannElement, allclose, ginv
 from susygordon.jets import JetScalar
-from susygordon.solutions import build_solution
+from susygordon.solutions import build_solution, load_solution
 from susygordon.ssge import lsp_residual, residual_magnitude, ssge_residual
 from susygordon.superfield import Superfield, SuperspacePoint, combine
 
 from conftest import sample_grid
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +90,67 @@ def test_seed_chi_sign_is_pinned_by_the_linear_problem():
 
     flipped = (triple[0], triple[1], Superfield(flipped_chi, ODD, "chi-flipped"))
     assert residual_magnitude(lsp_residual(flipped, s0, params.lam, pt)) > 1e-2
+
+
+def seed_polynomials_by_products(params, pt):
+    """The theta/a_j parts of u and chi built from generator products, as the
+    seed wavefunction once built them: the reference of its coefficient tables."""
+    sq, b = cmath.sqrt(params.lam), params.b
+    tp, tm = pt.theta("+"), pt.theta("-")
+    u = pt.scalar(pt.const_jet(-b / (2 * sq)))
+    w = tp * (b / (2 * params.lam)) + tm * b
+    if params.a is not None:
+        a = pt.odd_generator(params.a)
+        u = u + (a * tp) * (-1j / (2 * sq)) + (a * tm) * (1j * sq)
+        w = w + a + (a * (tp * tm)) * 1j
+    u = u + (tp * tm) * (1j * b / (2 * sq))
+    return u, w
+
+
+def seed_products(params, pt, monkeypatch):
+    """The operands of the Grassmann products that evaluating psi, then chi,
+    of the seed ``params`` at ``pt`` makes, one list per component."""
+    psi, _, chi = seed_wavefunction(params)
+    mul, made = GrassmannElement.__mul__, []
+    with monkeypatch.context() as patch:
+        patch.setattr(GrassmannElement, "__mul__", lambda a, b: made[-1].append((a, b)) or mul(a, b))
+        for field in (psi, chi):
+            made.append([])
+            field.evaluate(pt)
+    return made
+
+
+def test_seed_components_are_one_product_each(deep, monkeypatch):
+    """At a fresh point, psi and chi of a seed with a fermionic constant each
+    make one product, their coefficient table times exp(eta) (7 and 6 when
+    the tables were generator products)."""
+    seeds, gens = deep
+    pt = SuperspacePoint(0.0123, -0.0171, 1.37, gens=gens)
+    psi_products, chi_products = seed_products(seeds[1], pt, monkeypatch)
+    assert len(psi_products) == len(chi_products) == 1
+    exp_eta = psi_products[0][1]
+    assert exp_eta.layout.keys == (0,) and chi_products[0][1] is exp_eta
+
+
+def test_seed_tables_equal_the_generator_products_bit_for_bit(deep, monkeypatch):
+    """Same monomials, known shapes and coefficient bits as the generator
+    products, on the deep and the one-soliton generators, with and without a
+    fermionic constant, and with b = 0."""
+    seeds, gens = deep
+    soliton = load_solution(SAMPLES / "one_soliton.json")
+    cases = [(gens, p) for p in seeds] + [(soliton.gens, p) for p in soliton.seeds]
+    cases += [(g, replace(p, a=a, b=b)) for g, p in (cases[1], cases[-1])
+              for a, b in ((None, p.b), (p.a, 0.0), (None, 0.0))]
+    assert soliton.seeds[0].b == 0 and any(p.a is None and p.b == 0 for _, p in cases)
+    for count, (g, params) in enumerate(cases):
+        pt = SuperspacePoint(0.0131 + 0.001 * count, -0.0097, 1.21, gens=g)
+        (psi_product,), (chi_product,) = seed_products(params, pt, monkeypatch)
+        for (table, _), want in zip((psi_product, chi_product),
+                                    seed_polynomials_by_products(params, pt)):
+            assert table.layout.keys == want.layout.keys, params
+            assert table.layout.shapes == want.layout.shapes, params
+            assert table.block.shape == want.block.shape, params
+            assert table.block.tobytes() == want.block.tobytes(), params
 
 
 def test_seed_triples_are_interned_within_a_bound(deep):

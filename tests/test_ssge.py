@@ -3,6 +3,7 @@
 import cmath
 import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from susygordon.darboux import (
     lsp_normalized_triple,
     seed_trivial,
     seed_wavefunction,
+    values_match_mod_2pi,
 )
 from susygordon import ssge
 from susygordon.errors import LaxConsistencyError, ParityError
@@ -247,24 +249,71 @@ def test_bosonic_lax_build_takes_sqrt_lambda_once(deep, deep_points, monkeypatch
     assert names.count("sqrt") == 1 and len(pairs) == 0
 
 
-def test_zcc_bosonic_forms_each_entry_product_once(deep, monkeypatch):
-    """V- holds its two odd entries twice each, so the bracket forms the 12
-    odd-by-odd terms of [V-, V+] as 4 products.  With s, exp(+-i s) and D- s
-    evaluated, one zcc_bosonic_residual on a 3-point deep batch makes at most 74
-    Grassmann products (93 when every term was formed), and at most 22 of them
-    multiply two elements of more than one monomial (30)."""
+def count_block_operations(monkeypatch) -> dict:
+    """Counters of ``GrassmannElement.__mul__`` calls (``products``), of those
+    by a number or a jet on an element of more than one monomial
+    (``scalings``), and of negations of such an element (``negations``)."""
+    counts = {"products": 0, "scalings": 0, "negations": 0}
+    mul, neg = GrassmannElement.__mul__, GrassmannElement.__neg__
+
+    def counted_mul(a, b):
+        counts["products"] += 1
+        counts["scalings"] += not isinstance(b, GrassmannElement) and len(a.layout.keys) > 1
+        return mul(a, b)
+
+    def counted_neg(a):
+        counts["negations"] += len(a.layout.keys) > 1
+        return neg(a)
+
+    monkeypatch.setattr(GrassmannElement, "__mul__", counted_mul)
+    monkeypatch.setattr(GrassmannElement, "__neg__", counted_neg)
+    return counts
+
+
+def deep_batch_with_shared_values(deep):
+    """s[4] of the deep chain on a 3-point batch, with s, exp(+-i s) and D- s
+    evaluated there."""
     seeds, gens = deep
     s = darboux_chain(0, seeds, len(seeds)).solution()
     batch = SuperspacePoint.batch(sample_grid(gens, count=3, seed=5))
     s.evaluate(batch)
     ssge._phases(s, batch)
     ssge._d_minus_s(s, batch)
+    return s, batch
+
+
+def test_zcc_bosonic_forms_each_entry_product_once(deep, monkeypatch):
+    """V- holds its two odd entries twice each, so the bracket forms the 12
+    odd-by-odd terms of [V-, V+] as 4 products.  With s, exp(+-i s) and D- s
+    evaluated, one zcc_bosonic_residual on a 3-point deep batch makes at most 74
+    Grassmann products (93 when every term was formed), and at most 22 of them
+    multiply two elements of more than one monomial (30)."""
+    s, batch = deep_batch_with_shared_values(deep)
     products, mul = [], GrassmannElement.__mul__
     monkeypatch.setattr(GrassmannElement, "__mul__", lambda a, b: products.append(
         isinstance(b, GrassmannElement) and min(len(a.layout.keys), len(b.layout.keys)) > 1)
         or mul(a, b))
     assert residual_magnitude(zcc_bosonic_residual(s, batch)).max() < 1e-10
     assert len(products) <= 74 and sum(products) <= 22, (len(products), sum(products))
+
+
+def test_fixed_factors_are_coefficients(deep, monkeypatch):
+    """On the batch above: D+ multiplies by the one-monomial -i theta+, so
+    D+ D- s scales and negates no element of more than one monomial (1 each
+    when it scaled theta+ d/dx+ by i and negated it).  The 1/2 of V+ lives in
+    its coefficients and exp lifts start at the soul, so zcc_bosonic_residual
+    makes at most 63 products (74) and 16 such scalings (23); with the same D+-,
+    zcc_fermionic_residual makes at most 6 such scalings (12)."""
+    s, batch = deep_batch_with_shared_values(deep)
+    counts = count_block_operations(monkeypatch)
+    d_plus(ssge._d_minus_s(s, batch))
+    assert counts["scalings"] == counts["negations"] == 0, counts
+    counts.update(products=0, scalings=0, negations=0)
+    assert residual_magnitude(zcc_bosonic_residual(s, batch)).max() < 1e-10
+    assert counts["products"] <= 63 and counts["scalings"] <= 16, counts
+    counts.update(products=0, scalings=0, negations=0)
+    assert residual_magnitude(zcc_fermionic_residual(s, batch)).max() < 1e-10
+    assert counts["scalings"] <= 6, counts
 
 
 def test_riccati_inverts_psi_once(deep, monkeypatch):
@@ -566,6 +615,56 @@ def test_scaling_map_on_the_block_equals_the_dict_round_trip(deep, deep_points):
                 a, b = got.evaluate(pt), want.evaluate(pt)
                 assert a.layout is b.layout and a.block.shape == b.block.shape
                 assert a.block.tobytes() == b.block.tobytes(), (n, mu, sign)
+
+
+def mapped_seeds(seeds, mu, sign, keep_c=False):
+    """The seeds whose chain is the scaling map of the chain of ``seeds``
+    (SIGN_CONVENTIONS.md), with L = sign exp(mu): lambda/L, b/sqrt(L) (the
+    principal root), a as is, and c times e = sqrt(lambda) / (sqrt(L)
+    sqrt(lambda/L)), which is +-1; ``keep_c`` keeps c instead."""
+    scale = sign * math.exp(mu)
+    root = cmath.sqrt(scale)
+    return [SeedParams(p.lam / scale, p.c if keep_c else
+                       p.c * round((cmath.sqrt(p.lam) / (root * cmath.sqrt(p.lam / scale))).real),
+                       p.b / root, p.a) for p in seeds]
+
+
+def assert_scaled_chain_matches(seeds, mu, sign, mapped, match, batch):
+    chain = darboux_chain(0, seeds, len(seeds))
+    other = darboux_chain(0, mapped, len(seeds))
+    for n in range(1, len(seeds) + 1):
+        got = scaling_map(chain.solutions[n], mu, sign).evaluate(batch)
+        agree = values_match_mod_2pi(got, other.solutions[n].evaluate(batch), 1e-10)
+        assert np.all(agree) if match else not np.any(agree), (mu, sign, n)
+
+
+def test_scaling_map_of_a_chain_is_the_chain_of_the_mapped_seeds(deep):
+    """scaling_map(s[n]) equals s[n] of the mapped seeds modulo 2 pi at n = 1..4,
+    for L = +-exp(+-0.3).  The deep lambdas are real and positive, so c maps
+    to sign(L) c; at L < 0, keeping c fails at every n."""
+    seeds, gens = deep
+    batch = SuperspacePoint.batch(sample_grid(gens, count=3, seed=9))
+    for mu, sign in ((0.3, 1), (-0.3, 1), (0.3, -1), (-0.3, -1)):
+        mapped = mapped_seeds(seeds, mu, sign)
+        assert [p.c for p in mapped] == [sign * p.c for p in seeds]
+        assert_scaled_chain_matches(seeds, mu, sign, mapped, True, batch)
+        if sign < 0:
+            assert_scaled_chain_matches(seeds, mu, sign, mapped_seeds(seeds, mu, sign, keep_c=True),
+                                        False, batch)
+
+
+def test_scaling_map_flips_c_by_each_seeds_own_root_sign():
+    """At L < 0, c of a seed with Im lambda > 0 keeps its sign: there
+    sqrt(lambda/L) = sqrt(lambda)/sqrt(L).  Flipping every c fails at every n."""
+    seeds = [SeedParams(lam=0.3 + 0.2j, c=1.2 + 0.1j, b=0.05 - 0.02j, a="a0"),
+             SeedParams(lam=1.1 - 0.4j, c=0.9, b=0.04, a="a1"),
+             SeedParams(lam=-0.8 + 0.1j, c=1.0, b=0.03, a="a2")]
+    batch = SuperspacePoint.batch(sample_grid(generator_set(seeds), count=3, seed=9))
+    mapped = mapped_seeds(seeds, 0.3, -1)
+    assert [p.c for p in mapped] == [seeds[0].c, -seeds[1].c, seeds[2].c]
+    assert_scaled_chain_matches(seeds, 0.3, -1, mapped, True, batch)
+    flipped = [replace(p, c=-q.c) for p, q in zip(mapped, seeds)]
+    assert_scaled_chain_matches(seeds, 0.3, -1, flipped, False, batch)
 
 
 # ---------------------------------------------------------------------------

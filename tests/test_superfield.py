@@ -137,5 +137,8 @@ def test_derive_makes_one_field_per_label_and_others():
 
 
 def test_unknown_derivative_direction():
-    with pytest.raises(ValueError):
-        cov_derivative(PT.theta("+"), "sideways")
+    """Only "D_plus" and "D_minus" name a covariant derivative: the short
+    spellings "+" and "-" are gone."""
+    for which in ("sideways", "+", "-"):
+        with pytest.raises(ValueError):
+            cov_derivative(PT.theta("+"), which)

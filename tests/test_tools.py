@@ -34,12 +34,15 @@ def test_ab_stages_binds_each_checkout_to_its_own_package():
     assert result["failed"] == {"A": 0, "B": 0}
     assert result["names"][0] == "reproduce-example1"
     assert all(t < float("inf") for times in result["best"].values() for t in times)
-    # the untimed counting pass: both sides run the same code, so they agree
-    assert result["products"]["A"] == result["products"]["B"]
-    assert len(result["products"]["A"]) == len(result["names"])
-    assert all(count > 0 for count in result["products"]["A"])
-    assert all(wl.ssge.GrassmannElement.__mul__.__qualname__ == "GrassmannElement.__mul__"
-               for wl in sides.values())  # the counters are removed
+    # the untimed counting pass: both sides run the same code, so they agree;
+    # every stage makes products, and the workload scalings and negations
+    # (reproduce-constraints makes neither)
+    operations = result["operations"]
+    assert operations["A"] == operations["B"] and len(operations["A"]) == len(result["names"])
+    assert all(len(ops) == 3 and ops[0] > 0 for ops in operations["A"])
+    assert all(total > 0 for total in map(sum, zip(*operations["A"])))
+    assert all(getattr(wl.ssge.GrassmannElement, name).__qualname__ == f"GrassmannElement.{name}"
+               for wl in sides.values() for name in ("__mul__", "__neg__"))  # the counters are removed
 
 
 def test_report_hashes_prints_exit_code_and_stdout_hash(capsys):

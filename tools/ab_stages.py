@@ -9,8 +9,10 @@ interleaved: within a cycle each stage runs on both checkouts with the same
 point seed, and the checkout that goes first alternates from cycle to cycle.
 It prints the fastest run of each stage per checkout and their ratio.  After
 the timed cycles, each stage runs once more per checkout, untimed, with that
-checkout's ``GrassmannElement.__mul__`` counted: the ``A / B products``
-column gives the Grassmann products of one run at ``POINTS`` points.
+checkout's ``GrassmannElement.__mul__`` and ``__neg__`` counted.  For one run
+at ``POINTS`` points, three ``A / B`` columns give the operations that copy a
+whole coefficient block: products of two elements, scalings of an element of
+more than one monomial by a number or a jet, and negations of such an element.
 
 On a shared host, stage times can swing by 15-20 % between processes;
 interleaving in one process puts both sides under the same conditions.  The
@@ -75,27 +77,35 @@ def run_stage(stage, ctx: dict, seed: int, points: int) -> tuple[float, int]:
     return time.perf_counter() - start, failed
 
 
-def count_products(stage, ctx: dict, seed: int, package: str) -> int:
-    """Grassmann products that one untimed run of ``stage`` makes, counted on
-    the ``GrassmannElement.__mul__`` of the checkout imported as ``package``."""
+def count_operations(stage, ctx: dict, seed: int, package: str) -> tuple[int, int, int]:
+    """Products of two elements, scalings of an element of more than one
+    monomial by a number or a jet, and negations of such an element that one
+    untimed run of ``stage`` makes, counted on the ``GrassmannElement`` of the
+    checkout imported as ``package``."""
     cls = importlib.import_module(f"{package}.grassmann").GrassmannElement
-    mul, count = cls.__mul__, 0
+    mul, neg, counts = cls.__mul__, cls.__neg__, [0, 0, 0]
 
-    def counted(a, b):
-        nonlocal count
-        count += 1
+    def counted_mul(a, b):
+        if isinstance(b, cls):
+            counts[0] += 1
+        elif len(a.layout.keys) > 1:
+            counts[1] += 1
         return mul(a, b)
 
-    cls.__mul__ = counted
+    def counted_neg(a):
+        counts[2] += len(a.layout.keys) > 1
+        return neg(a)
+
+    cls.__mul__, cls.__neg__ = counted_mul, counted_neg
     try:
         run_stage(stage, ctx, seed, POINTS)
     finally:
-        cls.__mul__ = mul
-    return count
+        cls.__mul__, cls.__neg__ = mul, neg
+    return tuple(counts)
 
 
 def interleave(sides: dict, workload: str, cycles: int, seed: int) -> dict:
-    """Fastest time, failed checks and Grassmann products per side and stage."""
+    """Fastest time, failed checks and block operations per side and stage."""
     stages = {label: wl.WORKLOADS[workload] for label, wl in sides.items()}
     names = [stage.name for stage in next(iter(stages.values()))]
     for label, wl in sides.items():
@@ -118,9 +128,9 @@ def interleave(sides: dict, workload: str, cycles: int, seed: int) -> dict:
                 elapsed, bad = run_stage(stages[label][i], ctx[label], point_seed, POINTS)
                 best[label][i] = min(best[label][i], elapsed)
                 failed[label] += bad
-    products = {label: [count_products(stage, ctx[label], seed, wl.cli.__package__)
-                        for stage in stages[label]] for label, wl in sides.items()}
-    return {"names": names, "best": best, "failed": failed, "products": products}
+    operations = {label: [count_operations(stage, ctx[label], seed, wl.cli.__package__)
+                          for stage in stages[label]] for label, wl in sides.items()}
+    return {"names": names, "best": best, "failed": failed, "operations": operations}
 
 
 def main(argv=None) -> int:
@@ -140,15 +150,19 @@ def main(argv=None) -> int:
             sys.exit(f"error: checkout {label} has no workload {args.workload!r}")
     result = interleave(sides, args.workload, args.cycles, args.seed)
     print(f"{args.workload}: fastest of {args.cycles} interleaved cycles, ms per stage run")
-    print(f"{'stage':24s} {'A':>10s} {'B':>10s} {'B/A':>7s}   A / B products")
-    products = result["products"]
-    for i, name in enumerate(result["names"]):
-        a, b = result["best"]["A"][i], result["best"]["B"][i]
+    kinds = ("products", "scalings", "negations")
+    print(f"{'stage':24s} {'A':>10s} {'B':>10s} {'B/A':>7s}" + "".join(f" {k:>13s}" for k in kinds))
+    operations = result["operations"]
+
+    def row(name, a, b, ops_a, ops_b):
         print(f"{name:24s} {a * 1e3:10.2f} {b * 1e3:10.2f} {b / a:7.3f}"
-              f"   {products['A'][i]} / {products['B'][i]}")
-    total_a, total_b = sum(result["best"]["A"]), sum(result["best"]["B"])
-    print(f"{'sum':24s} {total_a * 1e3:10.2f} {total_b * 1e3:10.2f} {total_b / total_a:7.3f}"
-          f"   {sum(products['A'])} / {sum(products['B'])}")
+              + "".join(f" {f'{x} / {y}':>13s}" for x, y in zip(ops_a, ops_b)))
+
+    for i, name in enumerate(result["names"]):
+        row(name, result["best"]["A"][i], result["best"]["B"][i],
+            operations["A"][i], operations["B"][i])
+    row("sum", sum(result["best"]["A"]), sum(result["best"]["B"]),
+        *(map(sum, zip(*operations[label])) for label in ("A", "B")))
     print(f"failed checks: A {result['failed']['A']}, B {result['failed']['B']}")
     return 0 if not any(result["failed"].values()) else 1
 
