@@ -441,16 +441,19 @@ def _product(a: "GrassmannElement", b: "GrassmannElement") -> "GrassmannElement"
     return _pruned(a.gens, layout, out)
 
 
-def _sum(a: "GrassmannElement", b: "GrassmannElement") -> "GrassmannElement":
-    if not a.layout.keys:
-        return b
+def _sum(a: "GrassmannElement", b: "GrassmannElement", subtract=False) -> "GrassmannElement":
+    """``a + b``, or ``a - b`` with ``b`` subtracted in place: a negated copy of
+    ``b`` is made only when ``a`` is zero."""
     if not b.layout.keys:
         return a
+    if not a.layout.keys:
+        return -b if subtract else b
     ba, bb = a.block, b.block
     # support: the larger of the operands' supports, within the known grid
     grid = tuple(map(max, ba.shape[-3:], bb.shape[-3:]))
+    combine = operator.sub if subtract else operator.add
     if a.layout is b.layout:
-        return _pruned(a.gens, a.layout, _fit(ba, grid) + _fit(bb, grid))
+        return _pruned(a.gens, a.layout, combine(_fit(ba, grid), _fit(bb, grid)))
     plan = _plan(_Sum, a.layout, b.layout)
     layout, grid = plan.layout, tuple(map(min, grid, plan.layout.grid))
     out = np.zeros((len(layout.keys), max(ba.shape[1], bb.shape[1])) + grid, dtype=complex)
@@ -458,10 +461,7 @@ def _sum(a: "GrassmannElement", b: "GrassmannElement") -> "GrassmannElement":
         block = _crop(block, grid)
         s = block.shape[-3:]
         index = (pos, Ellipsis, slice(0, s[0]), slice(0, s[1]), slice(0, s[2]))
-        if add:
-            out[index] += block
-        else:
-            out[index] = block
+        out[index] = combine(out[index], block) if add else block
     if plan.masked:
         zero_where = layout.zero_where(grid)
         np.copyto(out, 0, where=zero_where[:, None])
@@ -593,12 +593,12 @@ class GrassmannElement:
             raise GeneratorMismatchError(
                 f"generator sets differ: {self.gens.names} vs {other.gens.names}")
 
-    def __add__(self, other):
+    def __add__(self, other, subtract=False):
         if isinstance(other, GrassmannElement):
             self._check_gens(other)
-            return _sum(self, other)
+            return _sum(self, other, subtract)
         if isinstance(other, (int, float, complex, JetScalar)):
-            return _sum(self, GrassmannElement.from_scalar(self.gens, other))
+            return _sum(self, GrassmannElement.from_scalar(self.gens, other), subtract)
         return NotImplemented
 
     __radd__ = __add__
@@ -607,9 +607,7 @@ class GrassmannElement:
         return _new(self.gens, self.layout, -self.block)
 
     def __sub__(self, other):
-        if isinstance(other, (GrassmannElement, int, float, complex, JetScalar)):
-            return self + (-other)
-        return NotImplemented
+        return self.__add__(other, subtract=True)
 
     def __rsub__(self, other):
         return (-self) + other

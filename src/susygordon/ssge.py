@@ -13,7 +13,9 @@ defining identities,
 together with the coupled Riccati system for p = phi/psi, q = chi/psi, the
 auto-Backlund system relating two solutions through an odd auxiliary
 function f, and the scaling symmetry that introduces the spectral parameter.
-All residuals vanish identically exactly when s solves the equation.
+All residuals vanish identically exactly when s solves the equation.  Both
+Lax pairs are polynomials in sqrt(lambda) with lambda-free coefficient
+matrices (grades), so each zero curvature holds grade by grade.
 Every function takes a :class:`~susygordon.superfield.SuperspacePoint`, one
 point or a batch of several; on a batch, magnitudes and guards are per point.
 """
@@ -24,6 +26,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -73,8 +76,13 @@ def _phases(s: Superfield, pt: SuperspacePoint) -> tuple[GrassmannElement, Grass
 # the constant matrices of the lambda-free linear problem
 # ---------------------------------------------------------------------------
 
-def _const_matrix(gens: GeneratorSet, rows: Sequence[Sequence[complex]]) -> SuperMatrix:
-    wrapped = [[GrassmannElement.from_scalar(gens, v) if v else GrassmannElement.zero(gens)
+#: the constant grades: V- holds lambda L, and U- holds sqrt(lambda) S
+L_ROWS = ((-1, 1, 0), (1, -1, 0), (0, 0, -2))
+S_ROWS = ((0, 0, -1j), (0, 0, 1j), (-1, 1, 0))
+
+
+def _const_matrix(gens: GeneratorSet, rows: Sequence[Sequence[complex]], weight=1) -> SuperMatrix:
+    wrapped = [[GrassmannElement.from_scalar(gens, v * weight) if v else GrassmannElement.zero(gens)
                 for v in row] for row in rows]
     return SuperMatrix(2, 1, wrapped)
 
@@ -89,7 +97,7 @@ def build_constraint_matrices(gens: GeneratorSet | None = None):
     j = _const_matrix(gens, [[0, 0, 0.5j], [0, 0, 0], [0, 0.5, 0]])
     k = _const_matrix(gens, [[0, 0, 0], [0, 0, -0.5j], [-0.5, 0, 0]])
     m = _const_matrix(gens, [[1j, 0, 0], [0, -1j, 0], [0, 0, 0]])
-    n = _const_matrix(gens, [[0, 0, -1j], [0, 0, 1j], [-1, 1, 0]])
+    n = _const_matrix(gens, S_ROWS)  # the constant grade of U-
     return j, k, m, n
 
 
@@ -112,79 +120,104 @@ class LaxPairBosonic:
     defect: float
 
 
+def lax_grades(s: Superfield, pt: SuperspacePoint, pair: str,
+               powers: dict | None = None) -> tuple[dict, dict]:
+    """The plus and minus potentials of the ``"fermionic"`` (U+-) or ``"bosonic"``
+    (V+-) Lax pair of s at the point as their lambda-free grades ``{k: M_k}``, the
+    potential being the sum of ``lambda^k M_k`` (k in halves; SIGN_CONVENTIONS.md):
+    U+ = P/sqrt(lambda), U- = D + sqrt(lambda) S, V+ = A/lambda + B/sqrt(lambda),
+    V- = C + lambda L + sqrt(lambda) F.  Given ``powers`` ``{k: lambda^k}``, grade k
+    is ``lambda^k M_k``, one scaling per entry.  exp(+-2i s) and D+ s feed only A, B."""
+    w = (lambda k, c=1: c) if powers is None else (lambda k, c=1: c * powers[k])
+    eis, emis = _phases(s, pt)
+    dms = _d_minus_s(s, pt)
+    gens, zero = eis.gens, GrassmannElement.zero(eis.gens)
+    if pair == "fermionic":
+        p = SuperMatrix(2, 1, [[zero, zero, eis * w(-0.5, 0.5j)], [zero, zero, emis * w(-0.5, -0.5j)],
+                               [emis * w(-0.5, -0.5), eis * w(-0.5, 0.5), zero]])
+        d = SuperMatrix(2, 1, [[1j * dms, zero, zero], [zero, -1j * dms, zero], [zero] * 3])
+        return {-0.5: p}, {0: d, 0.5: _const_matrix(gens, S_ROWS, w(0.5))}
+    s_val = s.evaluate(pt)
+    e2is, e2mis = (analytic_lift("exp", f * s_val) for f in (2j, -2j))
+    dps = d_plus(s_val)
+    eis_dps, emis_dps = eis * dps, emis * dps
+    dxm_s = dx_minus(s_val)
+    a = SuperMatrix(2, 1, [[pt.scalar(w(-1, 0.25)), e2is * w(-1, -0.25), zero],
+                           [e2mis * w(-1, -0.25), pt.scalar(w(-1, 0.25)), zero],
+                           [zero, zero, pt.scalar(w(-1, 0.5))]])
+    b = SuperMatrix(2, 1, [[zero, zero, eis_dps * w(-0.5, -0.5j)], [zero, zero, emis_dps * w(-0.5, -0.5j)],
+                           [emis_dps * w(-0.5, -0.5), eis_dps * w(-0.5, -0.5), zero]])
+    c = SuperMatrix(2, 1, [[1j * dxm_s, zero, zero], [zero, -1j * dxm_s, zero], [zero] * 3])
+    # F holds each odd entry twice: a bracket shares their products
+    f_up, f_low = dms * w(0.5, -1j), dms if powers is None else dms * powers[0.5]
+    f = SuperMatrix(2, 1, [[zero, zero, f_up], [zero, zero, f_up], [f_low, f_low, zero]])
+    return {-1: a, -0.5: b}, {0: c, 1: _const_matrix(gens, L_ROWS, w(1)), 0.5: f}
+
+
+def _graded_sum(grades: dict, powers: dict) -> SuperMatrix:
+    """The sum of ``lambda^k M_k`` over the grades ``{k: M_k}``, entry by entry:
+    each nonzero entry of a grade k != 0 is scaled once, by ``powers[k]``."""
+    zero = GrassmannElement.zero(next(iter(grades.values())).gens)
+    return SuperMatrix.from_entries(2, 1, lambda i, j: sum(
+        (m.entry(i, j) if k == 0 else m.entry(i, j) * powers[k]
+         for k, m in grades.items() if not m.entry(i, j).is_zero()), zero))
+
+
+def _constant_bracket(rows, x: SuperMatrix, kind: str = "commutator") -> SuperMatrix:
+    """``[c, x]`` or ``{c, x}`` for the matrix of numbers c = ``rows``, with no
+    Grassmann product: an entry sums x's entries times their net coefficients,
+    so a coefficient of +-1 adds or subtracts one, and one that cancels drops it."""
+    sign = -1 if kind == "commutator" else 1
+
+    def entry(i: int, k: int) -> GrassmannElement:
+        acc = GrassmannElement.zero(x.gens)
+        for j, l in product(range(x.size), repeat=2):
+            c, e = (l == k) * rows[i][j] + (j == i) * sign * rows[l][k], x.entry(j, l)
+            if c and not e.is_zero():
+                acc = acc + e if c == 1 else acc - e if c == -1 else acc + e * c
+        return acc
+    return SuperMatrix.from_entries(x.m, x.n, entry)
+
+
 def fermionic_u_pair(s: Superfield, pt: SuperspacePoint,
                      sqrt_lam: JetScalar) -> LaxPairFermionic:
     """The odd potential matrices of a solution at a point, given sqrt(lambda)."""
-    eis, emis = _phases(s, pt)
-    dms = _d_minus_s(s, pt)
-    gens = eis.gens
-    zero = GrassmannElement.zero(gens)
-    half = (2 * sqrt_lam).reciprocal()
-
-    u_plus = SuperMatrix(2, 1, [
-        [zero, zero, eis * (1j * half)],
-        [zero, zero, emis * (-1j * half)],
-        [emis * (-1 * half), eis * half, zero],
-    ], parity=ODD)
-
-    sq = GrassmannElement.from_scalar(gens, sqrt_lam)
-    u_minus = SuperMatrix(2, 1, [
-        [1j * dms, zero, -1j * sq],
-        [zero, -1j * dms, 1j * sq],
-        [-sq, sq, zero],
-    ], parity=ODD)
-    return LaxPairFermionic(u_plus, u_minus)
-
-
-def build_lax_fermionic(s: Superfield, pt: SuperspacePoint) -> LaxPairFermionic:
-    """U+- at the point, at the point's (jet-seeded) lambda."""
-    return fermionic_u_pair(s, pt, pt.lam_jet().analytic("sqrt"))
-
-
-def zcc_fermionic_residual(s: Superfield, pt: SuperspacePoint) -> SuperMatrix:
-    """D+ U- + D- U+ - {E U+, E U-}; the zero matrix iff s solves the equation.
-    The anticommutator is one :meth:`SuperMatrix.bracket`."""
-    pair = build_lax_fermionic(s, pt)
-    u_plus, u_minus = pair.u_plus, pair.u_minus
-    anti = u_plus.e_twist().bracket(u_minus.e_twist(), "anticommutator")
-    return SuperMatrix.from_entries(2, 1, lambda i, k: (
-        d_plus(u_minus.entry(i, k)) + d_minus(u_plus.entry(i, k)) - anti.entry(i, k)),
-        parity=EVEN)
+    plus, minus = lax_grades(s, pt, "fermionic", {-0.5: sqrt_lam.reciprocal(), 0.5: sqrt_lam})
+    return LaxPairFermionic(plus[-0.5], minus[0] + minus[0.5])
 
 
 def bosonic_v_pair_closed(s: Superfield, pt: SuperspacePoint, lam: JetScalar,
                           sqrt_lam: JetScalar) -> tuple[SuperMatrix, SuperMatrix]:
-    """The displayed closed forms of the bosonic potential matrices at lambda.
+    """The displayed closed forms of the bosonic potential matrices at lambda."""
+    plus, minus = lax_grades(s, pt, "bosonic", {
+        -1: lam.reciprocal(), -0.5: sqrt_lam.reciprocal(), 0.5: sqrt_lam, 1: lam})
+    return plus[-1] + plus[-0.5], minus[0] + minus[1] + minus[0.5]
 
-    exp(+-2i s) and D+ s feed only these, so they are not derived from s.  The
-    overall 1/2 of V+ is written into its coefficients.
-    """
-    s_val = s.evaluate(pt)
-    eis, emis = _phases(s, pt)
-    dms = _d_minus_s(s, pt)
-    half_inv_sqrt = 0.5 * sqrt_lam.reciprocal()
-    half_inv_lam = 0.5 * lam.reciprocal()
-    quarter_inv_lam = 0.5 * half_inv_lam
-    e2is = analytic_lift("exp", 2j * s_val)
-    e2mis = analytic_lift("exp", -2j * s_val)
-    dps = d_plus(s_val)
-    eis_dps, emis_dps = eis * dps, emis * dps
-    dxm_s = dx_minus(s_val)
 
-    v_plus = SuperMatrix(2, 1, [
-        [pt.scalar(quarter_inv_lam), e2is * (-quarter_inv_lam), eis_dps * (-1j * half_inv_sqrt)],
-        [e2mis * (-quarter_inv_lam), pt.scalar(quarter_inv_lam), emis_dps * (-1j * half_inv_sqrt)],
-        [emis_dps * (-half_inv_sqrt), eis_dps * (-half_inv_sqrt), pt.scalar(half_inv_lam)],
-    ], parity=EVEN)
+def zcc_grades(s: Superfield, pt: SuperspacePoint, pair: str) -> dict:
+    """The lambda-free grades ``{k: G_k}`` of the zero curvature of one Lax pair
+    (:func:`lax_grades`), which is the sum of ``lambda^k G_k``.  Fermionic:
+    G_0 = D+ D - {E P, E S}, G_-1/2 = D- P - {E P, E D}.  Bosonic:
+    G_0 = d/dx+ C + [L, A] + [F, B], G_-1 = [C, A] - d/dx- A,
+    G_-1/2 = [C, B] + [F, A] - d/dx- B, G_1/2 = d/dx+ F + [L, B]."""
+    plus, minus = lax_grades(s, pt, pair)
+    if pair == "fermionic":
+        p, d = plus[-0.5], minus[0]
+        ep, es = p.e_twist(), [row if i < 2 else [-v for v in row] for i, row in enumerate(S_ROWS)]
+        return {0: d.map_entries(d_plus) - _constant_bracket(es, ep, "anticommutator"),
+                -0.5: p.map_entries(d_minus) - ep.bracket(d.e_twist(), "anticommutator")}
+    a, b, c, f = plus[-1], plus[-0.5], minus[0], minus[0.5]
+    return {0: c.map_entries(dx_plus) + _constant_bracket(L_ROWS, a) + f.bracket(b),
+            -1: c.bracket(a) - a.map_entries(dx_minus),
+            -0.5: c.bracket(b) + f.bracket(a) - b.map_entries(dx_minus),
+            0.5: f.map_entries(dx_plus) + _constant_bracket(L_ROWS, b)}
 
-    lam_e = pt.scalar(lam)
-    dms_up, dms_low = dms * (-1j * sqrt_lam), dms * sqrt_lam  # two cells each: shared products
-    v_minus = SuperMatrix(2, 1, [
-        [1j * dxm_s - lam_e, lam_e, dms_up],
-        [lam_e, -1j * dxm_s - lam_e, dms_up],
-        [dms_low, dms_low, pt.scalar(-2 * lam)],
-    ], parity=EVEN)
-    return v_plus, v_minus
+
+def zcc_fermionic_residual(s: Superfield, pt: SuperspacePoint) -> SuperMatrix:
+    """D+ U- + D- U+ - {E U+, E U-}; the zero matrix iff s solves the equation.
+    Summed from its grades (:func:`zcc_grades`), each of which vanishes."""
+    inv_sqrt = pt.lam_jet().analytic("sqrt").reciprocal()
+    return _graded_sum(zcc_grades(s, pt, "fermionic"), {-0.5: inv_sqrt})
 
 
 def build_lax_bosonic(s: Superfield, pt: SuperspacePoint) -> LaxPairBosonic:
@@ -210,16 +243,14 @@ def build_lax_bosonic(s: Superfield, pt: SuperspacePoint) -> LaxPairBosonic:
 
 
 def zcc_bosonic_residual(s: Superfield, pt: SuperspacePoint) -> SuperMatrix:
-    """d/dx+ V- - d/dx- V+ + [V-, V+]; zero iff s solves the equation.  Reads
-    the closed V+- only: that they equal the defining formula is an identity
-    of any even s, checked in the tests (:func:`build_lax_bosonic`).  V- holds
-    each odd entry twice, so :meth:`SuperMatrix.bracket` forms 12 odd terms as 4."""
-    lam_jet = pt.lam_jet()
-    v_plus, v_minus = bosonic_v_pair_closed(s, pt, lam_jet, lam_jet.analytic("sqrt"))
-    comm = v_minus.bracket(v_plus)
-    return SuperMatrix.from_entries(2, 1, lambda i, k: (
-        (dx_plus(v_minus.entry(i, k)) - dx_minus(v_plus.entry(i, k))) + comm.entry(i, k)),
-        parity=EVEN)
+    """d/dx+ V- - d/dx- V+ + [V-, V+]; zero iff s solves the equation.  Summed
+    from its grades (:func:`zcc_grades`), each of which vanishes.  It reads the
+    closed V+- only: that they equal the defining formula is an identity of any
+    even s, checked in the tests (:func:`build_lax_bosonic`)."""
+    lam = pt.lam_jet()
+    sqrt_lam = lam.analytic("sqrt")
+    powers = {-1: lam.reciprocal(), -0.5: sqrt_lam.reciprocal(), 0.5: sqrt_lam}
+    return _graded_sum(zcc_grades(s, pt, "bosonic"), powers)
 
 
 # ---------------------------------------------------------------------------

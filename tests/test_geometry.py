@@ -19,7 +19,7 @@ from susygordon.geometry import (
 )
 from susygordon.grassmann import EVEN, GrassmannElement, allclose, analytic_lift, ginv
 from susygordon.reporting import sample_points
-from susygordon.ssge import build_lax_fermionic
+from susygordon.ssge import fermionic_u_pair
 from susygordon.superfield import SuperspacePoint, cov_derivative, d_lambda
 from susygordon.worked_examples import (
     example1_bundle,
@@ -53,7 +53,7 @@ def test_beta_rejects_zero_coefficient():
 
 def test_lambda_derivative_of_u_plus_is_proportional(ex1):
     pt = pt_for(ex1)
-    pair = build_lax_fermionic(ex1.s, pt)
+    pair = fermionic_u_pair(ex1.s, pt, pt.lam_jet().analytic("sqrt"))
     du = pair.u_plus.map_entries(d_lambda)
     scaled = pair.u_plus.map_entries(lambda e: e * (pt.lam_jet() * 2).reciprocal() * -1)
     assert du.allclose(scaled, 1e-11, 1e-11)

@@ -496,6 +496,54 @@ def test_packed_product_matches_dict_oracle(n, seed, count_a, count_b, kinds, sh
     assert_matches_oracle((x + y) - y, oracle_sum(xy, oracle_scale(b, -1)), bound, support)
 
 
+def layout_pair(rng, layouts, points):
+    """Coefficient maps of two elements over four generators whose monomials
+    overlap, are disjoint, are identical (one interned layout: the same keys
+    and known shapes), or of which one is empty."""
+    kinds = ("complex", "jet", "batch") if points > 1 else ("complex", "jet")
+    draw = lambda monomials: random_terms(rng, 6, monomials, SHAPES, kinds, points)
+    if layouts == "identical":
+        a = draw(range(16))
+        return a, {m: c * complex(*rng.normal(size=2)) for m, c in a.items()}
+    monomials = {"overlapping": (range(10), range(6, 16)), "disjoint": (range(0, 16, 2), range(1, 16, 2)),
+                 "left empty": ((), range(16)), "right empty": (range(16), ())}[layouts]
+    return tuple(draw(list(m)) for m in monomials)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["overlapping", "disjoint", "identical", "left empty", "right empty"]),
+       st.sampled_from([1, 3]))
+def test_difference_is_the_sum_with_the_negation_bitwise(seed, layouts, points):
+    """a - b subtracts b in place; an IEEE difference x - y is x + (-y) exactly,
+    so a - b equals a + (-b) bit for bit: the same keys, known shapes, block
+    shape and block bytes, for every kind of layout pair, at one point and on
+    a batch.  A number or a jet on the right is subtracted as its element."""
+    rng = np.random.default_rng(seed)
+    gens = GeneratorSet(tuple(f"g{i}" for i in range(4)))
+    a, b = (GrassmannElement(gens, terms) for terms in layout_pair(rng, layouts, points))
+    jet = random_coefficient(rng, "batch" if points > 1 else "jet", FULL, points)
+    for got, want in ((a - b, a + (-b)), (a - 0.5j, a + (-0.5j)), (a - jet, a + (-jet))):
+        assert got.layout is want.layout
+        assert got.block.shape == want.block.shape
+        assert got.block.tobytes() == want.block.tobytes()
+
+
+def test_difference_negates_no_element(monkeypatch):
+    """a - b of two elements of several monomials copies no negated block
+    (a + (-b), the control, negates b once)."""
+    rng = np.random.default_rng(7)
+    gens = GeneratorSet(tuple(f"g{i}" for i in range(4)))
+    a, b = (GrassmannElement(gens, terms) for terms in layout_pair(rng, "overlapping", 3))
+    assert min(len(a.layout.keys), len(b.layout.keys)) > 1
+    negated, neg = [], GrassmannElement.__neg__
+    monkeypatch.setattr(GrassmannElement, "__neg__", lambda e: negated.append(e) or neg(e))
+    a - b
+    assert not negated
+    a + (-b)
+    assert negated == [b]
+
+
 def test_lambda_derivative_of_a_lambda_free_element():
     """A value free of lambda keeps one lambda slot but its known lambda order:
     d_lambda gives zero where the known shape allows it, and runs out of budget

@@ -25,7 +25,7 @@ from susygordon.jets import JetScalar, peak, scalar_value
 from susygordon.ssge import (
     backlund_residuals,
     build_lax_bosonic,
-    build_lax_fermionic,
+    fermionic_u_pair,
     lsp_residual,
     residual_magnitude,
     riccati_from_wavefunction,
@@ -40,7 +40,10 @@ from susygordon.superfield import (
     SuperspacePoint,
     combine,
     constant_superfield,
+    d_minus,
     d_plus,
+    dx_minus,
+    dx_plus,
 )
 from susygordon.supermatrix import SuperMatrix
 
@@ -103,7 +106,7 @@ def test_darboux_solutions_satisfy_equation(chain):
 def test_u_matrices_structure():
     s = seed_trivial(1)
     pt = SuperspacePoint(0.1, 0.2, 1.0, gens=GENS)
-    pair = build_lax_fermionic(s, pt)
+    pair = fermionic_u_pair(s, pt, pt.lam_jet().analytic("sqrt"))
     # at s = 2k pi and lambda = 1: U+(1,3) = i e^{is}/(2 sqrt(lam)) = i/2
     assert abs(scalar_value(pair.u_plus.entry(0, 2).body()) - 0.5j) < 1e-12
     assert pair.u_plus.parity == ODD and pair.u_minus.parity == ODD
@@ -168,23 +171,114 @@ def test_lax_guard_catches_one_entry_off_by_a_millionth(chain, monkeypatch):
 
 
 def test_zcc_bosonic_catches_a_closed_entry_off_by_a_millionth(deep, deep_points, monkeypatch):
-    """zcc_bosonic_residual reads the closed V+- alone, so the residual
-    itself must see a closed entry that is slightly off: with V+[0, 0] scaled
-    by 1 + 1e-6, the deep chain's residual passes its 1e-10 gate."""
+    """zcc_bosonic_residual reads the grades of the closed V+- alone, so the
+    residual itself must see a closed entry that is slightly off: with the
+    grade behind V+[0, 0] (A[0, 0] = 1/4) scaled by 1 + 1e-6, the deep chain's
+    residual passes its 1e-10 gate."""
     seeds, _ = deep
     s = darboux_chain(0, seeds, len(seeds)).solution()
     batch = SuperspacePoint.batch(deep_points[:3])
     assert np.all(residual_magnitude(zcc_bosonic_residual(s, batch)) < 1e-10)
-    closed = ssge.bosonic_v_pair_closed
+    grades = ssge.lax_grades
 
-    def skewed(s, pt, lam, sqrt_lam):
-        v_plus, v_minus = closed(s, pt, lam, sqrt_lam)
-        rows = [list(row) for row in v_plus.rows]
+    def skewed(s, pt, pair):
+        plus, minus = grades(s, pt, pair)
+        rows = [list(row) for row in plus[-1].rows]
         rows[0][0] = rows[0][0] * (1 + 1e-6)
-        return SuperMatrix(v_plus.m, v_plus.n, rows, v_plus.parity), v_minus
+        return {**plus, -1: SuperMatrix(2, 1, rows)}, minus
 
-    monkeypatch.setattr(ssge, "bosonic_v_pair_closed", skewed)
+    monkeypatch.setattr(ssge, "lax_grades", skewed)
     assert np.max(residual_magnitude(zcc_bosonic_residual(s, batch))) > 1e-10
+
+
+def deep_chain_on_a_batch(deep):
+    """The deep chain and a 3-point batch of its generators (grid seed 5)."""
+    seeds, gens = deep
+    return darboux_chain(0, seeds, len(seeds)), SuperspacePoint.batch(sample_grid(gens, count=3, seed=5))
+
+
+def test_zero_curvatures_vanish_grade_by_grade(deep):
+    """Both Lax pairs are polynomials in sqrt(lambda) with lambda-free grades,
+    so on a solution each grade of each zero curvature vanishes on its own:
+    on s[1] ... s[4] of the deep chain, every grade is at most 1e-10 per point
+    (s[4] reads 9.4e-13 at worst)."""
+    chain, batch = deep_chain_on_a_batch(deep)
+    for s in chain.solutions[1:]:
+        for pair, powers in (("fermionic", [-0.5, 0]), ("bosonic", [-1, -0.5, 0, 0.5])):
+            grades = ssge.zcc_grades(s, batch, pair)
+            assert sorted(grades) == powers
+            for k, grade in grades.items():
+                assert np.all(residual_magnitude(grade) <= 1e-10), (s.label, pair, k)
+
+
+def test_zero_curvature_grades_on_a_non_solution(deep):
+    """On the non-solution 0.7 s[2] + 0.2 of the deep chain, with
+    R = D+ D- s - i sin s (|R| about 0.25), at 1e-12 max(1, |R|) per point:
+    the bosonic G_-1 vanishes, G_1/2 = D+ R [[0, 0, 1], [0, 0, 1], [i, i, 0]],
+    the fermionic G_-1/2 vanishes and G_0 = diag(i R, -i R, 0) (all read
+    1.8e-15 or less).  The other bosonic grades do not vanish there: G_0,
+    G_-1/2 and G_1/2 each exceed 0.1 (0.45, 0.15 and 0.25).  How G_0 and
+    G_-1/2 follow from R is open."""
+    chain, batch = deep_chain_on_a_batch(deep)
+    s = combine(EVEN, "0.7 s2 + 0.2", lambda v: 0.7 * v + 0.2, chain.solutions[2])
+    r = ssge_residual(s, batch)
+    dr, zero = d_plus(r), GrassmannElement.zero(r.gens)
+    bosonic, fermionic = (ssge.zcc_grades(s, batch, pair) for pair in ("bosonic", "fermionic"))
+    for got, rows in ((bosonic[-1], [[zero] * 3] * 3),
+                      (bosonic[0.5], [[zero, zero, dr], [zero, zero, dr], [1j * dr, 1j * dr, zero]]),
+                      (fermionic[-0.5], [[zero] * 3] * 3),
+                      (fermionic[0], [[1j * r, zero, zero], [zero, -1j * r, zero], [zero] * 3])):
+        assert np.all(residual_magnitude(got - SuperMatrix(2, 1, rows))
+                      <= 1e-12 * peak((1.0, r.max_abs())))
+    for k in (0, -0.5, 0.5):
+        assert np.all(residual_magnitude(bosonic[k]) > 0.1), k
+
+
+def test_graded_zero_curvatures_match_the_ungraded_ones(deep):
+    """Differential test against the computation the grades replace: on the
+    non-solution above, d/dx+ V- - d/dx- V+ + [V-, V+] from the assembled V+-
+    and D+ U- + D- U+ - {E U+, E U-} from U+- (both at the point's lambda)
+    match zcc_bosonic_residual and zcc_fermionic_residual at
+    1e-12 max(1, |Z|) per point (1.4e-15 and 6.7e-16, at |Z| 0.45 and 0.25)."""
+    chain, batch = deep_chain_on_a_batch(deep)
+    s = combine(EVEN, "0.7 s2 + 0.2", lambda v: 0.7 * v + 0.2, chain.solutions[2])
+    lam = batch.lam_jet()
+    sqrt_lam = lam.analytic("sqrt")
+    v_plus, v_minus = ssge.bosonic_v_pair_closed(s, batch, lam, sqrt_lam)
+    pair = fermionic_u_pair(s, batch, sqrt_lam)
+    ungraded = {
+        zcc_bosonic_residual: (v_minus.map_entries(dx_plus) - v_plus.map_entries(dx_minus)
+                               + v_minus.bracket(v_plus)),
+        zcc_fermionic_residual: (pair.u_minus.map_entries(d_plus) + pair.u_plus.map_entries(d_minus)
+                                 - pair.u_plus.e_twist().bracket(pair.u_minus.e_twist(),
+                                                                 "anticommutator")),
+    }
+    for residual, want in ungraded.items():
+        assert np.all(residual_magnitude(want) > 0.1)
+        assert np.all(residual_magnitude(residual(s, batch) - want)
+                      <= 1e-12 * peak((1.0, want.max_abs()))), residual.__name__
+
+
+def test_lax_grades_times_their_powers_bit_for_bit(deep):
+    """Given the powers of lambda, lax_grades writes each fixed factor times
+    its power into one scaling per entry (the assembled U+- and V+- take
+    them); the factors are units and powers of two, so each grade equals the
+    lambda-free grade times its power bit for bit (layout, block shape and
+    bytes), at the point's lambda and at a constant one, for both pairs."""
+    chain, batch = deep_chain_on_a_batch(deep)
+    s = chain.solutions[4]
+    for lam in (batch.lam_jet(), batch.const_jet(0.7)):
+        sqrt_lam = lam.analytic("sqrt")
+        powers = {-1: lam.reciprocal(), -0.5: sqrt_lam.reciprocal(), 0.5: sqrt_lam, 1: lam}
+        for pair in ("fermionic", "bosonic"):
+            for free, weighted in zip(ssge.lax_grades(s, batch, pair),
+                                      ssge.lax_grades(s, batch, pair, powers)):
+                assert free.keys() == weighted.keys()
+                for k, grade in free.items():
+                    for want, got in zip(*(sum(m.rows, ()) for m in (grade, weighted[k]))):
+                        want = want if k == 0 or want.is_zero() else want * powers[k]
+                        assert got.layout is want.layout and got.block.shape == want.block.shape
+                        assert got.block.tobytes() == want.block.tobytes(), (pair, k)
 
 
 def test_bosonic_lax_pair_lifts_each_exponential_once(deep, deep_points, monkeypatch):
@@ -283,37 +377,49 @@ def deep_batch_with_shared_values(deep):
 
 
 def test_zcc_bosonic_forms_each_entry_product_once(deep, monkeypatch):
-    """V- holds its two odd entries twice each, so the bracket forms the 12
-    odd-by-odd terms of [V-, V+] as 4 products.  With s, exp(+-i s) and D- s
-    evaluated, one zcc_bosonic_residual on a 3-point deep batch makes at most 74
-    Grassmann products (93 when every term was formed), and at most 22 of them
-    multiply two elements of more than one monomial (30)."""
+    """F, the sqrt(lambda) grade of V-, holds its two odd entries twice each, so
+    the brackets [F, B] and [F, A] form each of their odd-by-odd terms once.
+    With s, exp(+-i s) and D- s evaluated, one zcc_bosonic_residual on a
+    3-point deep batch makes at most 22 products of two elements of more than
+    one monomial (30 when every bracket term was formed), and
+    zcc_fermionic_residual at most 4.  The brackets run on lambda-free grades,
+    so no such product has an operand with a lambda order (16 and 4 when they
+    ran on V+- and U+- at the point's lambda)."""
     s, batch = deep_batch_with_shared_values(deep)
     products, mul = [], GrassmannElement.__mul__
-    monkeypatch.setattr(GrassmannElement, "__mul__", lambda a, b: products.append(
-        isinstance(b, GrassmannElement) and min(len(a.layout.keys), len(b.layout.keys)) > 1)
-        or mul(a, b))
-    assert residual_magnitude(zcc_bosonic_residual(s, batch)).max() < 1e-10
-    assert len(products) <= 74 and sum(products) <= 22, (len(products), sum(products))
+
+    def recorded(a, b):
+        if isinstance(b, GrassmannElement) and min(len(a.layout.keys), len(b.layout.keys)) > 1:
+            products.append(max(a.block.shape[-1], b.block.shape[-1]) > 1)
+        return mul(a, b)
+
+    monkeypatch.setattr(GrassmannElement, "__mul__", recorded)
+    for residual, most in ((zcc_bosonic_residual, 22), (zcc_fermionic_residual, 4)):
+        products.clear()
+        assert residual_magnitude(residual(s, batch)).max() < 1e-10
+        assert 0 < len(products) <= most and not any(products), (residual.__name__, products)
 
 
 def test_fixed_factors_are_coefficients(deep, monkeypatch):
     """On the batch above: D+ multiplies by the one-monomial -i theta+, so
     D+ D- s scales and negates no element of more than one monomial (1 each
-    when it scaled theta+ d/dx+ by i and negated it).  The 1/2 of V+ lives in
-    its coefficients and exp lifts start at the soul, so zcc_bosonic_residual
-    makes at most 63 products (74) and 16 such scalings (23); with the same D+-,
-    zcc_fermionic_residual makes at most 6 such scalings (12)."""
+    when it scaled theta+ d/dx+ by i and negated it).  exp lifts start at the
+    soul, and the brackets with the constant grades L and E S are sums of
+    entries, so zcc_bosonic_residual makes at most 59 products (63 when its
+    bracket ran on V+-) and zcc_fermionic_residual at most 56 (56).  Each
+    lambda-free grade scales its entries by their fixed factors, and each
+    grade of the residual is scaled once by its power of lambda: at most 25
+    and 16 such scalings (16 and 6, when a fixed factor rode on the jet of
+    lambda)."""
     s, batch = deep_batch_with_shared_values(deep)
     counts = count_block_operations(monkeypatch)
     d_plus(ssge._d_minus_s(s, batch))
     assert counts["scalings"] == counts["negations"] == 0, counts
-    counts.update(products=0, scalings=0, negations=0)
-    assert residual_magnitude(zcc_bosonic_residual(s, batch)).max() < 1e-10
-    assert counts["products"] <= 63 and counts["scalings"] <= 16, counts
-    counts.update(products=0, scalings=0, negations=0)
-    assert residual_magnitude(zcc_fermionic_residual(s, batch)).max() < 1e-10
-    assert counts["scalings"] <= 6, counts
+    for residual, products, scalings in ((zcc_bosonic_residual, 59, 25),
+                                         (zcc_fermionic_residual, 56, 16)):
+        counts.update(products=0, scalings=0, negations=0)
+        assert residual_magnitude(residual(s, batch)).max() < 1e-10
+        assert counts["products"] <= products and counts["scalings"] <= scalings, counts
 
 
 def test_riccati_inverts_psi_once(deep, monkeypatch):

@@ -13,6 +13,9 @@ checkout's ``GrassmannElement.__mul__`` and ``__neg__`` counted.  For one run
 at ``POINTS`` points, three ``A / B`` columns give the operations that copy a
 whole coefficient block: products of two elements, scalings of an element of
 more than one monomial by a number or a jet, and negations of such an element.
+A fourth counts the products of two elements of more than one monomial of
+which one carries lambda (a block with two slots on the lambda jet axis):
+each costs about three times the same product free of lambda.
 
 On a shared host, stage times can swing by 15-20 % between processes;
 interleaving in one process puts both sides under the same conditions.  The
@@ -77,17 +80,20 @@ def run_stage(stage, ctx: dict, seed: int, points: int) -> tuple[float, int]:
     return time.perf_counter() - start, failed
 
 
-def count_operations(stage, ctx: dict, seed: int, package: str) -> tuple[int, int, int]:
+def count_operations(stage, ctx: dict, seed: int, package: str) -> tuple[int, int, int, int]:
     """Products of two elements, scalings of an element of more than one
-    monomial by a number or a jet, and negations of such an element that one
-    untimed run of ``stage`` makes, counted on the ``GrassmannElement`` of the
-    checkout imported as ``package``."""
+    monomial by a number or a jet, negations of such an element, and products
+    of two such elements of which one carries lambda, that one untimed run of
+    ``stage`` makes, counted on the ``GrassmannElement`` of the checkout
+    imported as ``package``."""
     cls = importlib.import_module(f"{package}.grassmann").GrassmannElement
-    mul, neg, counts = cls.__mul__, cls.__neg__, [0, 0, 0]
+    mul, neg, counts = cls.__mul__, cls.__neg__, [0, 0, 0, 0]
 
     def counted_mul(a, b):
         if isinstance(b, cls):
             counts[0] += 1
+            counts[3] += (min(len(a.layout.keys), len(b.layout.keys)) > 1
+                          and max(a.block.shape[-1], b.block.shape[-1]) > 1)
         elif len(a.layout.keys) > 1:
             counts[1] += 1
         return mul(a, b)
@@ -150,7 +156,7 @@ def main(argv=None) -> int:
             sys.exit(f"error: checkout {label} has no workload {args.workload!r}")
     result = interleave(sides, args.workload, args.cycles, args.seed)
     print(f"{args.workload}: fastest of {args.cycles} interleaved cycles, ms per stage run")
-    kinds = ("products", "scalings", "negations")
+    kinds = ("products", "scalings", "negations", "lambda-multi")
     print(f"{'stage':24s} {'A':>10s} {'B':>10s} {'B/A':>7s}" + "".join(f" {k:>13s}" for k in kinds))
     operations = result["operations"]
 
