@@ -25,10 +25,6 @@ class SingularBodyError(ArithmeticError):
     """
 
 
-class ShapeMismatchError(ValueError):
-    """Supermatrix shapes are incompatible for the requested operation."""
-
-
 class LaxConsistencyError(ValueError):
     """The two independent constructions of a bosonic Lax matrix disagree."""
 

@@ -29,18 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularBodyError
-from .grassmann import (
-    EVEN,
-    ODD,
-    GrassmannElement,
-    allclose,
-    element_to_json,
-    ginv,
-)
+from .grassmann import GrassmannElement, allclose, element_to_json, ginv
 from .jets import TINY, JetScalar, scalar_value, uniform
 from .ssge import LaxPairFermionic, fermionic_u_pair
 from .superfield import Superfield, SuperspacePoint, cov_derivative, d_lambda
-from .supermatrix import SuperMatrix
+from .supermatrix import SIZE, SuperMatrix
 
 
 @dataclass(frozen=True)
@@ -73,8 +66,8 @@ def tangent_data(s: Superfield, pt: SuperspacePoint, beta: BetaFunction) -> Tang
     lam_jet = pt.lam_jet()
     pair = fermionic_u_pair(s, pt, lam_jet.analytic("sqrt"))
     b = beta.jet(lam_jet)
-    bd_plus = pair.u_plus.map_entries(d_lambda, parity=ODD).scale(b)
-    bd_minus = pair.u_minus.map_entries(d_lambda, parity=ODD).scale(b)
+    bd_plus = pair.u_plus.map_entries(d_lambda).scale(b)
+    bd_minus = pair.u_minus.map_entries(d_lambda).scale(b)
     return TangentData(pair, bd_plus, bd_minus, bd_plus.e_twist(), bd_minus.e_twist())
 
 
@@ -112,8 +105,7 @@ def normal_core(td: TangentData) -> SuperMatrix:
     # orientation pinned by the reported second-fundamental forms
     zero = GrassmannElement.zero(q.gens)
     one = GrassmannElement.from_scalar(q.gens, 1.0 + 0.0j)
-    return SuperMatrix(2, 1, [[-one, zero, zero], [zero, one, zero], [zero, zero, zero]],
-                       parity=EVEN)
+    return SuperMatrix([[-one, zero, zero], [zero, one, zero], [zero, zero, zero]])
 
 
 def second_form_coeffs(td: TangentData, normal: SuperMatrix) -> tuple[GrassmannElement, ...]:
@@ -123,16 +115,16 @@ def second_form_coeffs(td: TangentData, normal: SuperMatrix) -> tuple[GrassmannE
     edu = {1: td.ebd_plus, 2: td.ebd_minus}
     eu = {1: td.pair.u_plus.e_twist(), 2: td.pair.u_minus.e_twist()}
     which = {1: "D_plus", 2: "D_minus"}
-    read = {k for k in range(normal.size) if not normal.entry(k, k).is_zero()}
+    read = {k for k in range(SIZE) if not normal.entry(k, k).is_zero()}
     zero = GrassmannElement.zero(normal.gens)
 
     def b(i: int, j: int) -> GrassmannElement:
         # D_j acts on the entries as printed, with no extra E twist: that is
         # what reproduces the closed-form b_12 of both worked examples
-        return SuperMatrix.from_entries(normal.m, normal.n, lambda r, k: (
+        return SuperMatrix.from_entries(lambda r, k: (
             cov_derivative(du[i].entry(k, k), which[j])
             - (edu[i].product_entry(eu[j], k, k) + eu[j].product_entry(edu[i], k, k))
-            if r == k and k in read else zero), parity=EVEN).killing(normal)
+            if r == k and k in read else zero)).killing(normal)
 
     return b(1, 1), b(1, 2), b(2, 2), b(2, 1)
 

@@ -593,13 +593,19 @@ class GrassmannElement:
             raise GeneratorMismatchError(
                 f"generator sets differ: {self.gens.names} vs {other.gens.names}")
 
-    def __add__(self, other, subtract=False):
+    def _operand(self, other) -> "GrassmannElement | None":
+        """``other`` as an element over these generators; None when it is no
+        element, number or jet."""
         if isinstance(other, GrassmannElement):
             self._check_gens(other)
-            return _sum(self, other, subtract)
+            return other
         if isinstance(other, (int, float, complex, JetScalar)):
-            return _sum(self, GrassmannElement.from_scalar(self.gens, other), subtract)
-        return NotImplemented
+            return GrassmannElement.from_scalar(self.gens, other)
+        return None
+
+    def __add__(self, other):
+        other = self._operand(other)
+        return NotImplemented if other is None else _sum(self, other)
 
     __radd__ = __add__
 
@@ -607,7 +613,8 @@ class GrassmannElement:
         return _new(self.gens, self.layout, -self.block)
 
     def __sub__(self, other):
-        return self.__add__(other, subtract=True)
+        other = self._operand(other)
+        return NotImplemented if other is None else _sum(self, other, subtract=True)
 
     def __rsub__(self, other):
         return (-self) + other

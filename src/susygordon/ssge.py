@@ -43,7 +43,7 @@ from .superfield import (
     dx_plus,
     quotient,
 )
-from .supermatrix import SuperMatrix
+from .supermatrix import SIZE, SuperMatrix
 
 Triple = tuple[GrassmannElement, GrassmannElement, GrassmannElement]
 
@@ -84,7 +84,7 @@ S_ROWS = ((0, 0, -1j), (0, 0, 1j), (-1, 1, 0))
 def _const_matrix(gens: GeneratorSet, rows: Sequence[Sequence[complex]], weight=1) -> SuperMatrix:
     wrapped = [[GrassmannElement.from_scalar(gens, v * weight) if v else GrassmannElement.zero(gens)
                 for v in row] for row in rows]
-    return SuperMatrix(2, 1, wrapped)
+    return SuperMatrix(wrapped)
 
 
 def build_constraint_matrices(gens: GeneratorSet | None = None):
@@ -133,24 +133,24 @@ def lax_grades(s: Superfield, pt: SuperspacePoint, pair: str,
     dms = _d_minus_s(s, pt)
     gens, zero = eis.gens, GrassmannElement.zero(eis.gens)
     if pair == "fermionic":
-        p = SuperMatrix(2, 1, [[zero, zero, eis * w(-0.5, 0.5j)], [zero, zero, emis * w(-0.5, -0.5j)],
-                               [emis * w(-0.5, -0.5), eis * w(-0.5, 0.5), zero]])
-        d = SuperMatrix(2, 1, [[1j * dms, zero, zero], [zero, -1j * dms, zero], [zero] * 3])
+        p = SuperMatrix([[zero, zero, eis * w(-0.5, 0.5j)], [zero, zero, emis * w(-0.5, -0.5j)],
+                         [emis * w(-0.5, -0.5), eis * w(-0.5, 0.5), zero]])
+        d = SuperMatrix([[1j * dms, zero, zero], [zero, -1j * dms, zero], [zero] * 3])
         return {-0.5: p}, {0: d, 0.5: _const_matrix(gens, S_ROWS, w(0.5))}
     s_val = s.evaluate(pt)
     e2is, e2mis = (analytic_lift("exp", f * s_val) for f in (2j, -2j))
     dps = d_plus(s_val)
     eis_dps, emis_dps = eis * dps, emis * dps
     dxm_s = dx_minus(s_val)
-    a = SuperMatrix(2, 1, [[pt.scalar(w(-1, 0.25)), e2is * w(-1, -0.25), zero],
-                           [e2mis * w(-1, -0.25), pt.scalar(w(-1, 0.25)), zero],
-                           [zero, zero, pt.scalar(w(-1, 0.5))]])
-    b = SuperMatrix(2, 1, [[zero, zero, eis_dps * w(-0.5, -0.5j)], [zero, zero, emis_dps * w(-0.5, -0.5j)],
-                           [emis_dps * w(-0.5, -0.5), eis_dps * w(-0.5, -0.5), zero]])
-    c = SuperMatrix(2, 1, [[1j * dxm_s, zero, zero], [zero, -1j * dxm_s, zero], [zero] * 3])
+    a = SuperMatrix([[pt.scalar(w(-1, 0.25)), e2is * w(-1, -0.25), zero],
+                     [e2mis * w(-1, -0.25), pt.scalar(w(-1, 0.25)), zero],
+                     [zero, zero, pt.scalar(w(-1, 0.5))]])
+    b = SuperMatrix([[zero, zero, eis_dps * w(-0.5, -0.5j)], [zero, zero, emis_dps * w(-0.5, -0.5j)],
+                     [emis_dps * w(-0.5, -0.5), eis_dps * w(-0.5, -0.5), zero]])
+    c = SuperMatrix([[1j * dxm_s, zero, zero], [zero, -1j * dxm_s, zero], [zero] * 3])
     # F holds each odd entry twice: a bracket shares their products
     f_up, f_low = dms * w(0.5, -1j), dms if powers is None else dms * powers[0.5]
-    f = SuperMatrix(2, 1, [[zero, zero, f_up], [zero, zero, f_up], [f_low, f_low, zero]])
+    f = SuperMatrix([[zero, zero, f_up], [zero, zero, f_up], [f_low, f_low, zero]])
     return {-1: a, -0.5: b}, {0: c, 1: _const_matrix(gens, L_ROWS, w(1)), 0.5: f}
 
 
@@ -158,7 +158,7 @@ def _graded_sum(grades: dict, powers: dict) -> SuperMatrix:
     """The sum of ``lambda^k M_k`` over the grades ``{k: M_k}``, entry by entry:
     each nonzero entry of a grade k != 0 is scaled once, by ``powers[k]``."""
     zero = GrassmannElement.zero(next(iter(grades.values())).gens)
-    return SuperMatrix.from_entries(2, 1, lambda i, j: sum(
+    return SuperMatrix.from_entries(lambda i, j: sum(
         (m.entry(i, j) if k == 0 else m.entry(i, j) * powers[k]
          for k, m in grades.items() if not m.entry(i, j).is_zero()), zero))
 
@@ -171,12 +171,12 @@ def _constant_bracket(rows, x: SuperMatrix, kind: str = "commutator") -> SuperMa
 
     def entry(i: int, k: int) -> GrassmannElement:
         acc = GrassmannElement.zero(x.gens)
-        for j, l in product(range(x.size), repeat=2):
+        for j, l in product(range(SIZE), repeat=2):
             c, e = (l == k) * rows[i][j] + (j == i) * sign * rows[l][k], x.entry(j, l)
             if c and not e.is_zero():
                 acc = acc + e if c == 1 else acc - e if c == -1 else acc + e * c
         return acc
-    return SuperMatrix.from_entries(x.m, x.n, entry)
+    return SuperMatrix.from_entries(entry)
 
 
 def fermionic_u_pair(s: Superfield, pt: SuperspacePoint,

@@ -17,10 +17,11 @@ from susygordon.geometry import (
     surface_data,
     tangent_data,
 )
-from susygordon.grassmann import EVEN, GrassmannElement, allclose, analytic_lift, ginv
+from susygordon.grassmann import EVEN, ODD, GrassmannElement, allclose, analytic_lift, ginv
 from susygordon.reporting import sample_points
 from susygordon.ssge import fermionic_u_pair
 from susygordon.superfield import SuperspacePoint, cov_derivative, d_lambda
+from susygordon.supermatrix import SuperMatrix
 from susygordon.worked_examples import (
     example1_bundle,
     example1_checks,
@@ -114,19 +115,55 @@ def test_trivial_solution_second_form_vanishes_against_any_unit_normal(ex1):
     assert max(b11.max_abs(), b12.max_abs(), b22.max_abs(), b21.max_abs()) < 1e-12
 
 
-def second_form_from_whole_matrices(td, normal):
-    """The reference: every entry of beta D_j dU_i - {beta E dU_i, E U_j},
-    paired with the normal."""
+def second_form_matrices(td):
+    """Every entry of beta D_j dU_i - {beta E dU_i, E U_j}, for (i, j) = (1, 1),
+    (1, 2), (2, 2), (2, 1)."""
     du = {1: td.bd_plus, 2: td.bd_minus}
     u = {1: td.pair.u_plus, 2: td.pair.u_minus}
     which = {1: "D_plus", 2: "D_minus"}
+    return [du[i].map_entries(lambda e: cov_derivative(e, which[j]))
+            - du[i].e_twist().bracket(u[j].e_twist(), "anticommutator")
+            for i, j in ((1, 1), (1, 2), (2, 2), (2, 1))]
 
-    def b(i, j):
-        deriv = du[i].map_entries(lambda e: cov_derivative(e, which[j]), parity=EVEN)
-        bracket = du[i].e_twist().bracket(u[j].e_twist(), "anticommutator")
-        return (deriv - bracket).killing(normal)
 
-    return b(1, 1), b(1, 2), b(2, 2), b(2, 1)
+def second_form_from_whole_matrices(td, normal):
+    """The reference: the whole matrices of the second form, paired with the normal."""
+    return tuple(m.killing(normal) for m in second_form_matrices(td))
+
+
+def killing_with_parities(a, b, pa, pb):
+    """The invariant form with the parities given, not read off the entries."""
+    acc = GrassmannElement.zero(a.gens)
+    for i in range(3):
+        d = a.product_entry(b, i, i)
+        acc = acc - d if pa == pb and i >= 2 else acc + d
+    return acc * 0.5
+
+
+def test_geometry_matrices_read_the_parities_they_were_declared(ex1, deep, deep_points):
+    """The tangent matrices and U+- read ODD off their entries, and the normal
+    and the second-form matrices EVEN, at a point and on a batch, so the metric
+    and the second form are bitwise the forms taken with those parities given.
+    The form of a zero matrix is the same zero under either parity."""
+    seeds, _ = deep
+    s4 = darboux_chain(0, seeds, 4).solution()
+    for s, pt in ((ex1.s, pt_for(ex1)), (s4, SuperspacePoint.batch(deep_points[:3]))):
+        td = tangent_data(s, pt, BETA)
+        odd = (td.bd_plus, td.bd_minus, td.ebd_plus, td.ebd_minus, td.pair.u_plus, td.pair.u_minus)
+        assert [m.parity for m in odd] == [ODD] * 6
+        normal = normal_core(td)
+        assert normal.parity == EVEN
+        got = [*vars(metric_coeffs(td)).values(), *second_form_coeffs(td, normal)]
+        want = [killing_with_parities(a, b, ODD, ODD) for a, b in (
+            (td.ebd_plus, td.bd_plus), (td.ebd_plus, td.ebd_minus), (td.ebd_minus, td.bd_minus))]
+        whole = second_form_matrices(td)
+        assert [m.parity for m in whole] == [EVEN] * 4
+        want += [killing_with_parities(m, normal, EVEN, EVEN) for m in whole]
+        for a, b in zip(got, want, strict=True):
+            assert a.layout.keys == b.layout.keys and np.array_equal(a.block, b.block)
+        zero = SuperMatrix.zeros(td.bd_plus.gens)
+        for a, b in ((zero, td.bd_plus), (td.ebd_plus, zero)):
+            assert a.killing(b).is_zero() and killing_with_parities(a, b, ODD, ODD).is_zero()
 
 
 def test_second_form_forms_only_the_normal_diagonal(ex1, deep, deep_points, monkeypatch):

@@ -139,7 +139,7 @@ def test_shape_check_flags_bent_tangents():
     assert anticommutator_shape_defect(td) <= 1e-12
     rows = [list(row) for row in td.ebd_plus.rows]
     rows[0][2] = rows[0][2] * 1.5
-    bent = replace(td, ebd_plus=SuperMatrix(2, 1, rows, parity=td.ebd_plus.parity))
+    bent = replace(td, ebd_plus=SuperMatrix(rows))
     assert bent.ebd_plus.bracket(bent.ebd_minus, "anticommutator").entry(0, 1).max_abs() > 1e-3
     assert anticommutator_shape_defect(bent) > 1e-3
 

@@ -163,7 +163,7 @@ def test_lax_guard_catches_one_entry_off_by_a_millionth(chain, monkeypatch):
         v_plus, v_minus = closed(s, pt, lam, sqrt_lam)
         rows = [list(row) for row in v_plus.rows]
         rows[0][0] = rows[0][0] * (1 + 1e-6)
-        return SuperMatrix(v_plus.m, v_plus.n, rows, v_plus.parity), v_minus
+        return SuperMatrix(rows), v_minus
 
     monkeypatch.setattr(ssge, "bosonic_v_pair_closed", skewed)
     with pytest.raises(LaxConsistencyError):
@@ -185,7 +185,7 @@ def test_zcc_bosonic_catches_a_closed_entry_off_by_a_millionth(deep, deep_points
         plus, minus = grades(s, pt, pair)
         rows = [list(row) for row in plus[-1].rows]
         rows[0][0] = rows[0][0] * (1 + 1e-6)
-        return {**plus, -1: SuperMatrix(2, 1, rows)}, minus
+        return {**plus, -1: SuperMatrix(rows)}, minus
 
     monkeypatch.setattr(ssge, "lax_grades", skewed)
     assert np.max(residual_magnitude(zcc_bosonic_residual(s, batch))) > 1e-10
@@ -228,7 +228,7 @@ def test_zero_curvature_grades_on_a_non_solution(deep):
                       (bosonic[0.5], [[zero, zero, dr], [zero, zero, dr], [1j * dr, 1j * dr, zero]]),
                       (fermionic[-0.5], [[zero] * 3] * 3),
                       (fermionic[0], [[1j * r, zero, zero], [zero, -1j * r, zero], [zero] * 3])):
-        assert np.all(residual_magnitude(got - SuperMatrix(2, 1, rows))
+        assert np.all(residual_magnitude(got - SuperMatrix(rows))
                       <= 1e-12 * peak((1.0, r.max_abs())))
     for k in (0, -0.5, 0.5):
         assert np.all(residual_magnitude(bosonic[k]) > 0.1), k
@@ -410,16 +410,21 @@ def test_fixed_factors_are_coefficients(deep, monkeypatch):
     lambda-free grade scales its entries by their fixed factors, and each
     grade of the residual is scaled once by its power of lambda: at most 25
     and 16 such scalings (16 and 6, when a fixed factor rode on the jet of
-    lambda)."""
+    lambda).  A bracket sums each half with its signs, so an odd-by-odd term
+    read back is subtracted, not negated: at most 7 and 5 negations of an
+    element of more than one monomial (9 and 5 when each such term was
+    negated).  Those left negate a half's first term, subtract an entry's
+    whole BA half from a zero AB half, or start a constant bracket's sum."""
     s, batch = deep_batch_with_shared_values(deep)
     counts = count_block_operations(monkeypatch)
     d_plus(ssge._d_minus_s(s, batch))
     assert counts["scalings"] == counts["negations"] == 0, counts
-    for residual, products, scalings in ((zcc_bosonic_residual, 59, 25),
-                                         (zcc_fermionic_residual, 56, 16)):
+    for residual, products, scalings, negations in ((zcc_bosonic_residual, 59, 25, 7),
+                                                    (zcc_fermionic_residual, 56, 16, 5)):
         counts.update(products=0, scalings=0, negations=0)
         assert residual_magnitude(residual(s, batch)).max() < 1e-10
         assert counts["products"] <= products and counts["scalings"] <= scalings, counts
+        assert counts["negations"] <= negations, counts
 
 
 def test_riccati_inverts_psi_once(deep, monkeypatch):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from susygordon.errors import ParityError, ShapeMismatchError
+from susygordon.errors import ParityError
 from susygordon.grassmann import EVEN, ODD, GeneratorSet, GrassmannElement, allclose
 from susygordon.ssge import build_constraint_matrices
 from susygordon.supermatrix import SuperMatrix, graded_bracket, killing_form, smul, supertrace
@@ -30,16 +30,16 @@ def rand_graded(rng, mat_parity):
                         terms[m] = complex(rng.normal(), rng.normal())
             row.append(elem(terms))
         rows.append(row)
-    return SuperMatrix(2, 1, rows, parity=mat_parity)
+    matrix = SuperMatrix(rows)
+    assert matrix.parity == mat_parity
+    return matrix
 
 
 def diag(*values):
-    """The even diagonal supermatrix with these (complex) entries; (2|1) or (1|1)."""
-    size = len(values)
+    """The even diagonal matrix with these (complex) entries."""
     zero = GrassmannElement.zero(GENS)
-    rows = [[GrassmannElement.from_scalar(GENS, complex(values[i])) if i == j else zero
-             for j in range(size)] for i in range(size)]
-    return SuperMatrix(size - 1, 1, rows, parity=EVEN)
+    return SuperMatrix([[GrassmannElement.from_scalar(GENS, complex(values[i])) if i == j else zero
+                         for j in range(3)] for i in range(3)])
 
 
 def test_e_matrix_squares_to_identity():
@@ -57,10 +57,13 @@ def test_identity_is_neutral():
 
 
 def test_shape_mismatch():
-    a = diag(1, 1, 1)
-    b = diag(1, 1)
-    with pytest.raises(ShapeMismatchError):
-        smul(a, b)
+    """Every matrix is 3x3: a grid of another shape is rejected when built."""
+    one, zero = GrassmannElement.from_scalar(GENS, 1.0), GrassmannElement.zero(GENS)
+    for rows in ([[one, zero], [zero, one]], [[one, zero, zero], [zero, one, zero]],
+                 [[one, zero, zero], [zero, one], [zero, zero, one]],
+                 [[one, zero, zero, zero]] * 4):
+        with pytest.raises(ValueError, match="3x3"):
+            SuperMatrix(rows)
 
 
 def test_parity_validation():
@@ -68,12 +71,16 @@ def test_parity_validation():
     zero = GrassmannElement.zero(GENS)
     one = GrassmannElement.from_scalar(GENS, 1.0)
     rows = [[tp, zero, zero], [zero, tp, zero], [zero, zero, tp]]
-    m = SuperMatrix(2, 1, rows)
+    m = SuperMatrix(rows)
     assert m.parity == ODD
-    with pytest.raises(ParityError):
-        SuperMatrix(2, 1, rows, parity=EVEN)
-    mixed = SuperMatrix(2, 1, [[one, zero, zero], [zero, one, zero], [zero, zero, tp]])
+    mixed = SuperMatrix([[one, zero, zero], [zero, one, zero], [zero, zero, tp]])
     assert mixed.parity == "inhomogeneous"
+    # an inhomogeneous entry makes the matrix inhomogeneous in any block
+    for i, j in ((0, 0), (0, 2)):
+        rows = [[zero] * 3 for _ in range(3)]
+        rows[i][j] = one + tp
+        assert SuperMatrix(rows).parity == "inhomogeneous"
+    assert SuperMatrix.zeros(GENS).parity == EVEN  # fits both gradings: reads EVEN
 
 
 def test_grading_closure_under_products():
@@ -102,7 +109,7 @@ def test_supertrace_definition():
     zero = GrassmannElement.zero(GENS)
     rows = [[GrassmannElement.from_scalar(GENS, diag[i]) if i == j else zero
              for j in range(3)] for i in range(3)]
-    m = SuperMatrix(2, 1, rows)
+    m = SuperMatrix(rows)
     expect = diag[0] + diag[1] - diag[2]
     assert abs(complex(supertrace(m).body()) - expect) < 1e-15
 
@@ -136,7 +143,7 @@ def test_killing_form_symmetry_and_zero():
             a, b = rand_graded(rng, pa), rand_graded(rng, pb)
             sign = -1 if (pa == ODD and pb == ODD) else 1
             assert allclose(killing_form(a, b), sign * killing_form(b, a), 1e-11, 1e-11)
-    zero = SuperMatrix.zeros(GENS, 2, 1)
+    zero = SuperMatrix.zeros(GENS)
     assert killing_form(zero, rand_graded(rng, EVEN)).is_zero()
 
 
@@ -144,7 +151,7 @@ def test_killing_rejects_inhomogeneous():
     one = GrassmannElement.from_scalar(GENS, 1.0)
     tp = GrassmannElement.generator(GENS, "theta_plus")
     zero = GrassmannElement.zero(GENS)
-    mixed = SuperMatrix(2, 1, [[one, zero, zero], [zero, one, zero], [zero, zero, tp]])
+    mixed = SuperMatrix([[one, zero, zero], [zero, one, zero], [zero, zero, tp]])
     with pytest.raises(ParityError):
         killing_form(mixed, mixed)
 
@@ -176,7 +183,9 @@ def shared_matrices(seed, pa, pb, shares, order=1):
     objects = {cell: elem(terms[cell]) for cell in cells[::order] if cell not in shares}
     objects.update({dst: objects[src] for dst, src in shares.items()})
     a, b = ([[objects[name, i, j] for j in range(3)] for i in range(3)] for name in "ab")
-    return SuperMatrix(2, 1, a, pa), SuperMatrix(2, 1, b, pb)
+    a, b = SuperMatrix(a), SuperMatrix(b)
+    assert (a.parity, b.parity) == (pa, pb)
+    return a, b
 
 
 #: (parity of A, parity of B, bracket, shared cells): odd entries held twice

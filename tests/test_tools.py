@@ -34,6 +34,11 @@ def test_ab_stages_binds_each_checkout_to_its_own_package():
     assert result["failed"] == {"A": 0, "B": 0}
     assert result["names"][0] == "reproduce-example1"
     assert all(t < float("inf") for times in result["best"].values() for t in times)
+    # every timed run is kept, and each stage of each side has a quartile spread
+    assert all(len(runs) == 1 for side in result["runs"].values() for runs in side)
+    assert all(len(result["spread"][label]) == len(result["names"]) and
+               all(gap >= 0 for gap in result["spread"][label]) for label in ("A", "B"))
+    assert tool.spread([4, 1, 3, 2, 5]) == 2.0 and tool.spread([7]) == 0.0
     # the untimed counting pass: both sides run the same code, so they agree
     # in every column, products of multi-monomial elements that carry lambda
     # too; every stage makes products, and the workload scalings and negations

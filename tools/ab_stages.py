@@ -7,7 +7,11 @@ under distinct module names, runs every stage once at one point on both
 (as ``perfbench/run.py`` warms up), then runs the workload's stages
 interleaved: within a cycle each stage runs on both checkouts with the same
 point seed, and the checkout that goes first alternates from cycle to cycle.
-It prints the fastest run of each stage per checkout and their ratio.  After
+It keeps every timed run and prints, per checkout, the fastest run of each
+stage and the spread between the lower and upper quartiles of its runs
+(``IQR``), then the ratio of the fastest runs; the ``sum`` row reads the
+per-cycle sums of the stages.  A ratio that moves by less than the spreads
+is noise, and below 10 cycles a warning says so.  After
 the timed cycles, each stage runs once more per checkout, untimed, with that
 checkout's ``GrassmannElement.__mul__`` and ``__neg__`` counted.  For one run
 at ``POINTS`` points, three ``A / B`` columns give the operations that copy a
@@ -33,8 +37,12 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 PACKAGE = "susygordon"
 POINTS = 20
+#: fewer interleaved cycles than this leave stage ratios that swing by 20 %
+STEADY_CYCLES = 10
 
 
 def _exec(name: str, path: Path, package_dir: Path | None = None):
@@ -110,8 +118,15 @@ def count_operations(stage, ctx: dict, seed: int, package: str) -> tuple[int, in
     return tuple(counts)
 
 
+def spread(runs) -> float:
+    """The distance between the upper and lower quartiles of ``runs``."""
+    lower, upper = np.percentile(runs, [25, 75])
+    return float(upper - lower)
+
+
 def interleave(sides: dict, workload: str, cycles: int, seed: int) -> dict:
-    """Fastest time, failed checks and block operations per side and stage."""
+    """Every timed run, the fastest and the quartile spread, failed checks and
+    block operations per side and stage."""
     stages = {label: wl.WORKLOADS[workload] for label, wl in sides.items()}
     names = [stage.name for stage in next(iter(stages.values()))]
     for label, wl in sides.items():
@@ -122,7 +137,7 @@ def interleave(sides: dict, workload: str, cycles: int, seed: int) -> dict:
     for label in sides:
         for stage in stages[label]:
             run_stage(stage, ctx[label], seed, 1)
-    best = {label: [float("inf")] * len(names) for label in sides}
+    runs = {label: [[] for _ in names] for label in sides}
     failed = {label: 0 for label in sides}
     rng = random.Random(seed)
     labels = list(sides)
@@ -132,11 +147,13 @@ def interleave(sides: dict, workload: str, cycles: int, seed: int) -> dict:
             point_seed = rng.randrange(2 ** 31)
             for label in order:
                 elapsed, bad = run_stage(stages[label][i], ctx[label], point_seed, POINTS)
-                best[label][i] = min(best[label][i], elapsed)
+                runs[label][i].append(elapsed)
                 failed[label] += bad
     operations = {label: [count_operations(stage, ctx[label], seed, wl.cli.__package__)
                           for stage in stages[label]] for label, wl in sides.items()}
-    return {"names": names, "best": best, "failed": failed, "operations": operations}
+    return {"names": names, "runs": runs, "failed": failed, "operations": operations,
+            "best": {label: [min(r) for r in runs[label]] for label in sides},
+            "spread": {label: [spread(r) for r in runs[label]] for label in sides}}
 
 
 def main(argv=None) -> int:
@@ -154,20 +171,27 @@ def main(argv=None) -> int:
     for label, wl in sides.items():
         if args.workload not in wl.WORKLOADS:
             sys.exit(f"error: checkout {label} has no workload {args.workload!r}")
+    if args.cycles < STEADY_CYCLES:
+        print(f"warning: {args.cycles} cycles; stage ratios below {STEADY_CYCLES} cycles "
+              "can swing by 20 % or more", file=sys.stderr)
     result = interleave(sides, args.workload, args.cycles, args.seed)
-    print(f"{args.workload}: fastest of {args.cycles} interleaved cycles, ms per stage run")
+    print(f"{args.workload}: fastest of {args.cycles} interleaved cycles and the "
+          "quartile spread of the runs, ms per stage run")
     kinds = ("products", "scalings", "negations", "lambda-multi")
-    print(f"{'stage':24s} {'A':>10s} {'B':>10s} {'B/A':>7s}" + "".join(f" {k:>13s}" for k in kinds))
-    operations = result["operations"]
+    print(f"{'stage':24s} {'A':>10s} {'A IQR':>8s} {'B':>10s} {'B IQR':>8s} {'B/A':>7s}"
+          + "".join(f" {k:>13s}" for k in kinds))
+    runs, operations = result["runs"], result["operations"]
 
-    def row(name, a, b, ops_a, ops_b):
-        print(f"{name:24s} {a * 1e3:10.2f} {b * 1e3:10.2f} {b / a:7.3f}"
+    def row(name, timed, ops_a, ops_b):
+        a, b = (min(timed[label]) for label in ("A", "B"))
+        cells = "".join(f" {t * 1e3:10.2f} {spread(timed[label]) * 1e3:8.2f}"
+                        for label, t in (("A", a), ("B", b)))
+        print(f"{name:24s}{cells} {b / a:7.3f}"
               + "".join(f" {f'{x} / {y}':>13s}" for x, y in zip(ops_a, ops_b)))
 
     for i, name in enumerate(result["names"]):
-        row(name, result["best"]["A"][i], result["best"]["B"][i],
-            operations["A"][i], operations["B"][i])
-    row("sum", sum(result["best"]["A"]), sum(result["best"]["B"]),
+        row(name, {label: runs[label][i] for label in runs}, operations["A"][i], operations["B"][i])
+    row("sum", {label: [sum(cycle) for cycle in zip(*runs[label])] for label in runs},
         *(map(sum, zip(*operations[label])) for label in ("A", "B")))
     print(f"failed checks: A {result['failed']['A']}, B {result['failed']['B']}")
     return 0 if not any(result["failed"].values()) else 1
